@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Bag, MIMLDataset
+from .data import Bag, MIMLDataset, stack_instances
 from .errors import ConfigError, ShapeError
 from .nets import (
     FeedForwardNet,
@@ -66,31 +66,22 @@ def init_classifier(feature_dim: int, label_count: int, depth: int = 2,
                            head=init_net([h, label_count], "relu", seed=seed * 2 + 2))
 
 
+# Bags per forward pass in predict_dataset, which bounds its memory however
+# large the dataset is.
+PREDICT_CHUNK_BAGS = 256
+
+
 def predict_bag(model: ClassifierModel, bag: Bag):
     """Returns (logits, sigmoid probabilities) for one bag."""
-    s, _, _ = _bag_forward(model, bag)
-    return s, 1.0 / (1.0 + np.exp(-s))
-
-
-def _bag_forward(model: ClassifierModel, bag: Bag):
-    if bag.instances.shape[1] != model.feature_dim:
-        raise ShapeError(
-            f"bag feature dim {bag.instances.shape[1]} != model feature dim {model.feature_dim}"
-        )
-    if model.instance_net is None:
-        hidden, inst_cache = bag.instances, None
-    else:
-        hidden, inst_cache = forward_batch(model.instance_net, bag.instances)
-    pool_idx = hidden.argmax(axis=0)
-    pooled = hidden[pool_idx, np.arange(hidden.shape[1])]
-    s, head_cache = forward_batch(model.head, pooled[None, :])
-    return s[0], (inst_cache, pool_idx, hidden.shape[0], head_cache), pooled
+    s, p, _ = classifier_forward(model, [bag])
+    return s[0], p[0]
 
 
 def predict_dataset(model: ClassifierModel, ds: MIMLDataset):
     """Stacked (B, t) logits and probabilities, one row per bag."""
-    rows = [predict_bag(model, bag) for bag in ds.bags]
-    return np.stack([r[0] for r in rows]), np.stack([r[1] for r in rows])
+    parts = [classifier_forward(model, ds.bags[lo:lo + PREDICT_CHUNK_BAGS])
+             for lo in range(0, len(ds), PREDICT_CHUNK_BAGS)]
+    return np.concatenate([s for s, _, _ in parts]), np.concatenate([p for _, p, _ in parts])
 
 
 def binarize(probs: np.ndarray, threshold: float = 0.5) -> np.ndarray:
@@ -104,33 +95,40 @@ def binarize(probs: np.ndarray, threshold: float = 0.5) -> np.ndarray:
 
 
 def classifier_forward(model: ClassifierModel, bags):
-    """Batched forward with caches. Returns (logits (B, t), probs, cache)."""
-    caches, logits = [], []
-    for bag in bags:
-        s, cache, _ = _bag_forward(model, bag)
-        logits.append(s)
-        caches.append(cache)
-    S = np.stack(logits)
-    return S, 1.0 / (1.0 + np.exp(-S)), caches
+    """Batched forward with caches. Returns (logits (B, t), probs, cache).
+
+    One instance-net pass over the stacked instances of all bags, a
+    per-bag max pool over their hidden rows, one head pass over the pooled rows.
+    """
+    X, counts = stack_instances(bags)
+    if X.shape[1] != model.feature_dim:
+        raise ShapeError(f"bag feature dim {X.shape[1]} != model feature dim {model.feature_dim}")
+    if model.instance_net is None:
+        hidden, inst_cache = X, None
+    else:
+        hidden, inst_cache = forward_batch(model.instance_net, X)
+    starts = np.cumsum(counts) - counts
+    pooled = np.maximum.reduceat(hidden, starts, axis=0)
+    S, head_cache = forward_batch(model.head, pooled)
+    cache = {"inst": inst_cache, "hidden": hidden, "pooled": pooled, "counts": counts,
+             "starts": starts, "head": head_cache}
+    return S, 1.0 / (1.0 + np.exp(-S)), cache
 
 
-def classifier_backward(model: ClassifierModel, caches, grad_logits: np.ndarray) -> np.ndarray:
+def classifier_backward(model: ClassifierModel, cache, grad_logits: np.ndarray) -> np.ndarray:
     """Gradient wrt all classifier parameters, flat, aligned with classifier_params()."""
-    head_grad = np.zeros(num_params(model.head))
-    inst_grad = (np.zeros(num_params(model.instance_net))
-                 if model.instance_net is not None else None)
-    for i, (inst_cache, pool_idx, n_inst, head_cache) in enumerate(caches):
-        hg, g_pooled = backward_batch(model.head, head_cache, grad_logits[i][None, :])
-        head_grad += grads_to_vector(hg)
-        if model.instance_net is None:
-            continue
-        g_hidden = np.zeros((n_inst, pool_idx.shape[0]))
-        g_hidden[pool_idx, np.arange(pool_idx.shape[0])] = g_pooled[0]
-        ig, _ = backward_batch(model.instance_net, inst_cache, g_hidden)
-        inst_grad += grads_to_vector(ig)
-    if inst_grad is None:
-        return head_grad
-    return np.concatenate([inst_grad, head_grad])
+    head_grad, g_pooled = backward_batch(model.head, cache["head"], grad_logits)
+    if model.instance_net is None:
+        return grads_to_vector(head_grad)
+    # the pooled gradient goes to each bag's first row holding the maximum
+    hidden = cache["hidden"]
+    owner = np.repeat(np.arange(len(cache["counts"])), cache["counts"])
+    rows = np.where(hidden == cache["pooled"][owner], np.arange(len(hidden))[:, None], len(hidden))
+    first = np.minimum.reduceat(rows, cache["starts"], axis=0)
+    g_hidden = np.zeros_like(hidden)
+    g_hidden[first, np.arange(hidden.shape[1])] = g_pooled
+    inst_grad, _ = backward_batch(model.instance_net, cache["inst"], g_hidden)
+    return np.concatenate([grads_to_vector(inst_grad), grads_to_vector(head_grad)])
 
 
 def classifier_params(model: ClassifierModel) -> np.ndarray:

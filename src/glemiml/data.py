@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,23 @@ class MIMLDataset:
         return np.stack([b.logical_labels for b in self.bags]).astype(np.float64)
 
 
+def stack_instances(bags):
+    """Packs bags for batched computation: (instances (sum n_i, d), counts (B,)).
+
+    Instance rows are stacked in bag order, each bag's rows in its own order.
+    """
+    try:
+        stacked = np.concatenate([bag.instances for bag in bags])
+    except ValueError as exc:
+        raise ShapeError(f"cannot stack the bags' instances: {exc}") from exc
+    return stacked, np.array([bag.num_instances for bag in bags], dtype=np.int64)
+
+
+def bag_means(stacked: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean instance of each bag of a stacked batch (see stack_instances)."""
+    return np.add.reduceat(stacked, np.cumsum(counts) - counts, axis=0) / counts[:, None]
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     train_frac: float = 0.7
@@ -119,7 +136,10 @@ def load_dataset(path) -> MIMLDataset:
             raise DataFormatError(f"{path}: bag {bag_idx}: instance row width != feature_dim {d}")
         if len(lab) != t:
             raise DataFormatError(f"{path}: bag {bag_idx}: label vector length != label_count {t}")
-        bags.append(Bag(np.asarray(inst, dtype=np.float64), np.asarray(lab, dtype=np.int64)))
+        inst = np.asarray(inst, dtype=np.float64)
+        if not np.all(np.isfinite(inst)):
+            raise DataFormatError(f"{path}: line {lineno}: bag {bag_idx}: non-finite instance value")
+        bags.append(Bag(inst, np.asarray(lab, dtype=np.int64)))
     return MIMLDataset(bags=bags, feature_dim=d, label_count=t, name=str(header["name"]))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Bag
+from .data import Bag, bag_means, stack_instances
 from .errors import ConfigError, ShapeError
 from .graph import mutual_knn_median, mutual_knn_median_backward
 from .nets import (
@@ -29,9 +29,14 @@ from .nets import (
     vector_to_net,
 )
 
-# Counts instance-graph constructions only; the label graph is counted separately
-# by graph.graph_build_count(). Lets ablation C prove its branch is dead.
+# Bags whose instance graph was built; the label graph is not counted. Lets
+# ablation C prove its branch is dead.
 _instance_graph_builds = 0
+
+# Bags per instance-graph block in enhance_batch. Bags are grouped by size, so
+# a block pads little and its (B, N, N) graph arrays stay small however many
+# bags are enhanced.
+GRAPH_CHUNK_BAGS = 64
 
 
 def instance_graph_build_count() -> int:
@@ -117,28 +122,64 @@ def embed_instances(model: EnhancerModel, bag: Bag) -> np.ndarray:
     return out
 
 
-def _bag_branches(model: EnhancerModel, bag: Bag):
-    """Pooled branch inputs for one bag, plus the caches backprop needs."""
+def _graph_means(model: EnhancerModel, X: np.ndarray, counts: np.ndarray):
+    """Mean graph-propagated embedding of each bag (B, p), plus the cache backprop needs.
+
+    One sigma-net pass over the stacked instances, then one batched graph
+    build over the zero-padded (B, N, p) block of their embeddings.
+    """
     global _instance_graph_builds
-    U = bag.instances
-    m1 = U.mean(axis=0)
-    if not model.use_instance_graph:
-        return m1, np.zeros(model.embed_dim), None
-    E, sig_cache = forward_batch(model.sigma_net, U)
-    _instance_graph_builds += 1
-    A, gcache = mutual_knn_median(E, model.instance_k)
-    P = A @ E
-    m2 = P.mean(axis=0)
-    return m1, m2, {"sig_cache": sig_cache, "E": E, "A": A, "gcache": gcache, "n": U.shape[0]}
+    E, sig_cache = forward_batch(model.sigma_net, X)
+    real = np.arange(counts.max()) < counts[:, None]
+    E_pad = np.zeros(real.shape + (E.shape[1],))
+    E_pad[real] = E
+    _instance_graph_builds += len(counts)
+    A, gcache = mutual_knn_median(E_pad, counts, model.instance_k)
+    M2 = (A @ E_pad).sum(axis=1) / counts[:, None]
+    return M2, {"sig_cache": sig_cache, "E_pad": E_pad, "A": A, "gcache": gcache,
+                "counts": counts, "real": real}
+
+
+def _graph_means_backward(model: EnhancerModel, cache, g_m2: np.ndarray):
+    """Sigma-net parameter gradients, given the gradient on the pooled means."""
+    E_pad, A = cache["E_pad"], cache["A"]
+    g_p = np.broadcast_to((g_m2 / cache["counts"][:, None])[:, None, :], E_pad.shape)
+    g_e = A.transpose(0, 2, 1) @ g_p
+    g_a = g_p @ E_pad.transpose(0, 2, 1)
+    g_e += mutual_knn_median_backward(cache["gcache"], g_a)
+    sg, _ = backward_batch(model.sigma_net, cache["sig_cache"], g_e[cache["real"]])
+    return sg
+
+
+def _branch_logits(model: EnhancerModel, bags, X: np.ndarray, counts: np.ndarray,
+                   M2: np.ndarray):
+    """Sum of the three branch nets per bag (B, t), with their caches.
+
+    The branches take the mean raw instance, the mean propagated embedding
+    M2 and the logical labels.
+    """
+    M1 = bag_means(X, counts)
+    Lmat = np.stack([b.logical_labels for b in bags]).astype(np.float64)
+    o1, c1 = forward_batch(model.omega1_net, M1)
+    o2, c2 = forward_batch(model.omega2_net, M2)
+    o3, c3 = forward_batch(model.omega3_net, Lmat)
+    return o1 + o2 + o3, (c1, c2, c3)
+
+
+def _base_forward(model: EnhancerModel, bags):
+    """Base (pre-refinement) logits (B, t) of a batch, plus the caches backprop needs."""
+    X, counts = stack_instances(bags)
+    if model.use_instance_graph:
+        M2, graph_cache = _graph_means(model, X, counts)
+    else:
+        M2, graph_cache = np.zeros((len(bags), model.embed_dim)), None
+    base, net_caches = _branch_logits(model, bags, X, counts, M2)
+    return base, {"graph": graph_cache, "nets": net_caches}
 
 
 def recover_logits(model: EnhancerModel, bag: Bag) -> np.ndarray:
     """Base (pre-refinement) logits for one bag: sum of the three branches."""
-    m1, m2, _ = _bag_branches(model, bag)
-    o1, _ = forward_batch(model.omega1_net, m1[None, :])
-    o2, _ = forward_batch(model.omega2_net, m2[None, :])
-    o3, _ = forward_batch(model.omega3_net, bag.logical_labels.astype(np.float64)[None, :])
-    return (o1 + o2 + o3)[0]
+    return _base_forward(model, [bag])[0][0]
 
 
 def _row_normalize(adj: np.ndarray):
@@ -160,7 +201,8 @@ def _refine_forward(model: EnhancerModel, base_logits: np.ndarray):
     if t < 2:
         raise ConfigError("label-graph refinement needs label_count >= 2")
     d0 = _softmax_rows(base_logits)
-    adj, lab_cache = mutual_knn_median(d0.T, model.k_label)
+    adj, lab_cache = mutual_knn_median(d0.T[None], [t], model.k_label)
+    adj = adj[0]
     adj_n, scale = _row_normalize(adj)
     refined = base_logits + base_logits @ adj_n.T
     batch = EnhancedBatch(
@@ -174,30 +216,30 @@ def _refine_forward(model: EnhancerModel, base_logits: np.ndarray):
 
 
 def enhance_batch(model: EnhancerModel, bags) -> EnhancedBatch:
-    batch, _ = enhancer_forward(model, bags)
-    return batch
+    """Forward over a batch of bags, keeping no backward caches.
+
+    Instance graphs are built GRAPH_CHUNK_BAGS bags at a time, smallest bags
+    first; the label graph spans the whole batch, as in enhancer_forward.
+    """
+    if not bags:
+        raise ShapeError("enhance_batch needs at least one bag")
+    X, counts = stack_instances(bags)
+    M2 = np.zeros((len(bags), model.embed_dim))
+    if model.use_instance_graph:
+        by_size = np.argsort(counts, kind="stable")
+        for lo in range(0, len(bags), GRAPH_CHUNK_BAGS):
+            idx = by_size[lo:lo + GRAPH_CHUNK_BAGS]
+            M2[idx] = _graph_means(model, *stack_instances([bags[i] for i in idx]))[0]
+    base, _ = _branch_logits(model, bags, X, counts, M2)
+    return _refine_forward(model, base)[0]
 
 
 def enhancer_forward(model: EnhancerModel, bags):
     """Full forward over a batch of bags; returns (EnhancedBatch, cache)."""
     if not bags:
         raise ShapeError("enhance_batch needs at least one bag")
-    m1s, m2s, bag_caches = [], [], []
-    for bag in bags:
-        m1, m2, bc = _bag_branches(model, bag)
-        m1s.append(m1)
-        m2s.append(m2)
-        bag_caches.append(bc)
-    M1 = np.stack(m1s)
-    M2 = np.stack(m2s)
-    Lmat = np.stack([b.logical_labels for b in bags]).astype(np.float64)
-    o1, c1 = forward_batch(model.omega1_net, M1)
-    o2, c2 = forward_batch(model.omega2_net, M2)
-    o3, c3 = forward_batch(model.omega3_net, Lmat)
-    base = o1 + o2 + o3
-    batch, refine_cache = _refine_forward(model, base)
-    cache = {"bag_caches": bag_caches, "c1": c1, "c2": c2, "c3": c3,
-             "refine": refine_cache, "batch": batch}
+    base, cache = _base_forward(model, bags)
+    batch, cache["refine"] = _refine_forward(model, base)
     return batch, cache
 
 
@@ -220,24 +262,18 @@ def enhancer_backward(model: EnhancerModel, cache, grad_refined: np.ndarray) -> 
     g_base = grad_refined + grad_refined @ adj_n
     g_adj_n = grad_refined.T @ base
     g_adj = _row_normalize_backward(rc["adj"], rc["scale"], g_adj_n)
-    g_cols = mutual_knn_median_backward(rc["lab_cache"], g_adj)  # (t, B)
+    g_cols = mutual_knn_median_backward(rc["lab_cache"], g_adj[None])[0]  # (t, B)
     g_base += _softmax_rows_backward(d0, g_cols.T)
 
-    g1, _ = backward_batch(model.omega1_net, cache["c1"], g_base)
-    g2, g_m2 = backward_batch(model.omega2_net, cache["c2"], g_base)
-    g3, _ = backward_batch(model.omega3_net, cache["c3"], g_base)
+    c1, c2, c3 = cache["nets"]
+    g1, _ = backward_batch(model.omega1_net, c1, g_base)
+    g2, g_m2 = backward_batch(model.omega2_net, c2, g_base)
+    g3, _ = backward_batch(model.omega3_net, c3, g_base)
 
-    sigma_grad = np.zeros(num_params(model.sigma_net))
-    for i, bc in enumerate(cache["bag_caches"]):
-        if bc is None:
-            continue
-        n, E, A = bc["n"], bc["E"], bc["A"]
-        g_p = np.tile(g_m2[i] / n, (n, 1))
-        g_e = A.T @ g_p
-        g_a = g_p @ E.T
-        g_e += mutual_knn_median_backward(bc["gcache"], g_a)
-        sg, _ = backward_batch(model.sigma_net, bc["sig_cache"], g_e)
-        sigma_grad += grads_to_vector(sg)
+    if cache["graph"] is None:
+        sigma_grad = np.zeros(num_params(model.sigma_net))
+    else:
+        sigma_grad = grads_to_vector(_graph_means_backward(model, cache["graph"], g_m2))
 
     return np.concatenate([
         sigma_grad, grads_to_vector(g1), grads_to_vector(g2), grads_to_vector(g3)

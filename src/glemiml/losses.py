@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import bag_means, stack_instances
 from .errors import ConfigError, DegenerateInputError, NumericError, ShapeError
 
 PROB_CLAMP = 1e-7
@@ -109,7 +110,7 @@ def similarity_matrices(bags, distributions: np.ndarray) -> SimilarityPair:
     """Cosine similarity of mean-pooled bag features and of label distributions."""
     if len(bags) < 2:
         raise ShapeError("similarity needs at least two bags")
-    pooled = np.stack([np.asarray(b.instances, dtype=np.float64).mean(axis=0) for b in bags])
+    pooled = bag_means(*stack_instances(bags))
     D = np.asarray(distributions, dtype=np.float64)
     if D.shape[0] != len(bags):
         raise ShapeError("distribution rows must match bag count")
@@ -155,46 +156,42 @@ def cosine_matrix_backward(rows: np.ndarray, grad_sims: np.ndarray) -> np.ndarra
     return grad_rows
 
 
+def _threshold_pairs(D: np.ndarray, L: np.ndarray):
+    """Per row: eligibility, the first largest irrelevant and the first smallest relevant label.
+
+    A row is eligible when it has both a positive and a negative label.
+    """
+    pos, neg = L == 1, L == 0
+    eligible = pos.any(axis=1) & neg.any(axis=1)
+    if not eligible.any():
+        raise DegenerateInputError("no bag has both a positive and a negative label")
+    j_neg = np.argmax(np.where(neg, D, -np.inf), axis=1)
+    j_pos = np.argmin(np.where(pos, D, np.inf), axis=1)
+    return eligible, j_neg, j_pos
+
+
 def threshold_loss(distributions: np.ndarray, logical: np.ndarray) -> float:
     """Mean hinge between the best irrelevant and worst relevant label value."""
     D = np.asarray(distributions, dtype=np.float64)
     L = np.asarray(logical)
     if D.shape != L.shape:
         raise ShapeError("distributions and logical labels must share a shape")
-    total, m = 0.0, 0
-    for i in range(D.shape[0]):
-        pos, neg = L[i] == 1, L[i] == 0
-        if not pos.any() or not neg.any():
-            continue
-        total += max(D[i, neg].max() - D[i, pos].min(), 0.0)
-        m += 1
-    if m == 0:
-        raise DegenerateInputError("no bag has both a positive and a negative label")
-    return total / m
+    eligible, j_neg, j_pos = _threshold_pairs(D, L)
+    rows = np.arange(D.shape[0])
+    hinge = np.maximum(D[rows, j_neg] - D[rows, j_pos], 0.0)
+    return float(hinge[eligible].sum() / eligible.sum())
 
 
 def threshold_loss_grad(distributions: np.ndarray, logical: np.ndarray) -> np.ndarray:
     D = np.asarray(distributions, dtype=np.float64)
     L = np.asarray(logical)
+    eligible, j_neg, j_pos = _threshold_pairs(D, L)
+    m = eligible.sum()
+    rows = np.arange(D.shape[0])
+    rows = rows[eligible & (D[rows, j_neg] - D[rows, j_pos] > 0.0)]
     grad = np.zeros_like(D)
-    eligible = []
-    for i in range(D.shape[0]):
-        pos, neg = L[i] == 1, L[i] == 0
-        if not pos.any() or not neg.any():
-            continue
-        eligible.append(i)
-    if not eligible:
-        raise DegenerateInputError("no bag has both a positive and a negative label")
-    m = len(eligible)
-    for i in eligible:
-        pos, neg = L[i] == 1, L[i] == 0
-        neg_idx = np.flatnonzero(neg)
-        pos_idx = np.flatnonzero(pos)
-        j_neg = neg_idx[np.argmax(D[i, neg_idx])]
-        j_pos = pos_idx[np.argmin(D[i, pos_idx])]
-        if D[i, j_neg] - D[i, j_pos] > 0.0:
-            grad[i, j_neg] += 1.0 / m
-            grad[i, j_pos] -= 1.0 / m
+    grad[rows, j_neg[rows]] += 1.0 / m
+    grad[rows, j_pos[rows]] -= 1.0 / m
     return grad
 
 

@@ -168,13 +168,14 @@ def _enhancer_batch(enh, bags, logical, clf_probs, cfg):
     return batch, {"L_CL": l_cl, "L_Sim": l_sim, "L_thr": l_thr, "L_CLE": l_cle}, grad
 
 
-def _classifier_batch(clf, bags, logical, distributions, cfg):
-    """Forward + loss components + gradient on classifier parameters.
+def _classifier_batch(clf, forward, logical, distributions, cfg):
+    """Loss components + gradient on classifier parameters.
 
-    The enhancer distributions are constants here.
+    `forward` is classifier_forward's (logits, probs, cache) for the batch at
+    the current parameters. The enhancer distributions are constants here.
     """
     w = cfg.loss_weights
-    s, p, caches = classifier_forward(clf, bags)
+    s, p, cache = forward
     l_lc = logical_bce_loss(p, logical)
     l_dc = distribution_loss(distributions, s)
     l_c = classifier_total_loss(w.rho, l_lc, l_dc)
@@ -182,7 +183,7 @@ def _classifier_batch(clf, bags, logical, distributions, cfg):
     g_p = logical_bce_loss_grad(p, logical)
     _, g_s_dc = distribution_loss_grad(distributions, s)
     grad_logits = w.rho * _sigmoid_backward(p, g_p) + (1.0 - w.rho) * g_s_dc
-    grad = classifier_backward(clf, caches, grad_logits)
+    grad = classifier_backward(clf, cache, grad_logits)
     return {"L_LC": l_lc, "L_DC": l_dc, "L_C": l_c}, grad
 
 
@@ -213,14 +214,16 @@ def train(train_ds: MIMLDataset, val_ds: MIMLDataset | None, cfg: TrainConfig,
             bags = [train_ds.bags[i] for i in idx]
             logical = np.stack([b.logical_labels for b in bags]).astype(np.float64)
 
-            _, clf_probs = _predict_bags(clf, bags)
-            batch, enh_losses, enh_grad = _enhancer_batch(enh, bags, logical, clf_probs, cfg)
+            # the enhancer step leaves the classifier unchanged, so its step
+            # reuses this forward pass
+            clf_out = classifier_forward(clf, bags)
+            batch, enh_losses, enh_grad = _enhancer_batch(enh, bags, logical, clf_out[1], cfg)
             _check_finite(enh_losses, epoch, n_batches)
             enh_vec = enh_opt.step(enh_vec, enh_grad)
             set_enhancer_params(enh, enh_vec)
 
             fresh = enhancer_forward(enh, bags)[0]
-            clf_losses, clf_grad = _classifier_batch(clf, bags, logical,
+            clf_losses, clf_grad = _classifier_batch(clf, clf_out, logical,
                                                      fresh.distributions, cfg)
             _check_finite(clf_losses, epoch, n_batches)
             clf_vec = clf_opt.step(clf_vec, clf_grad)
@@ -240,11 +243,6 @@ def train(train_ds: MIMLDataset, val_ds: MIMLDataset | None, cfg: TrainConfig,
         if epoch_callback is not None:
             epoch_callback(enh, clf, epoch)
     return enh, clf, history
-
-
-def _predict_bags(clf, bags):
-    s, p, _ = classifier_forward(clf, bags)
-    return s, p
 
 
 def _check_finite(losses: dict, epoch: int, batch: int) -> None:

@@ -28,6 +28,7 @@ import glemiml.enhancer as enh_mod
 import glemiml.training as tr_mod
 from glemiml.classifier import (
     ClassifierModel,
+    classifier_forward,
     classifier_params,
     init_classifier,
     set_classifier_params,
@@ -236,7 +237,8 @@ def test_criterion_1_gradient_fidelity():
 
         def classifier_total(vec):
             set_classifier_params(clf, vec)
-            losses, grad = tr_mod._classifier_batch(clf, bags, logical, dist_const, cfg)
+            losses, grad = tr_mod._classifier_batch(clf, classifier_forward(clf, bags),
+                                                    logical, dist_const, cfg)
             return losses["L_C"], grad
 
         err = grad_check(classifier_total, classifier_params(clf), FD_EPS)

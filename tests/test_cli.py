@@ -70,6 +70,16 @@ class TestTrainCommand:
     def test_missing_dataset_exit_2(self, tmp_path):
         assert main(["train", "--dataset", str(tmp_path / "nope.jsonl")]) == 2
 
+    def test_non_finite_dataset_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.jsonl"
+        bags = [{"instances": [[0.1 * i, 1.0]], "labels": [1, 0]} for i in range(12)]
+        bags[5]["instances"][0][1] = float("nan")
+        path.write_text("\n".join(json.dumps(doc) for doc in (
+            {"name": "nan", "feature_dim": 2, "label_count": 2}, *bags)) + "\n")
+        assert main(["train", "--dataset", str(path), "--epochs", "1",
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "line 7" in capsys.readouterr().err
+
     def test_identical_runs_byte_identical_outputs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run_train(a) == 0 and run_train(b) == 0

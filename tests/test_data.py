@@ -78,6 +78,17 @@ class TestLoadSave:
         with pytest.raises(DataFormatError, match="line 2"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_instance_names_line(self, tmp_path, value):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            json.dumps({"name": "x", "feature_dim": 2, "label_count": 2}) + "\n"
+            + json.dumps({"instances": [[1, 0]], "labels": [1, 0]}) + "\n"
+            + json.dumps({"instances": [[1, 0], [value, 0]], "labels": [1, 0]}) + "\n"
+        )
+        with pytest.raises(DataFormatError, match="line 3: bag 1: non-finite"):
+            load_dataset(path)
+
 
 class TestSplit:
     def test_2000_bags_7_2_1(self):

@@ -126,9 +126,9 @@ class TestRefine:
     def test_zero_adjacency_is_identity(self, model, monkeypatch):
         logits = np.random.default_rng(8).normal(size=(4, 3))
 
-        def fake(points, k):
-            n = points.shape[0]
-            return np.zeros((n, n)), {"n": n, "points": points}
+        def fake(points, counts, k):
+            n_sets, n, _ = points.shape
+            return np.zeros((n_sets, n, n)), {"points": points}
 
         monkeypatch.setattr(enh_mod, "mutual_knn_median", fake)
         batch = refine_with_label_graph(model, logits)
@@ -197,7 +197,8 @@ class TestGradients:
     def test_full_pipeline_matches_fd(self, model):
         from glemiml.nets import grad_check
         rng = np.random.default_rng(12)
-        bags = [make_bag(rng, int(rng.integers(2, 5)), 4, 3) for _ in range(4)]
+        # a ragged batch with a single-instance bag
+        bags = [make_bag(rng, n, 4, 3) for n in (3, 1, 5, 2)]
         upstream = rng.normal(size=(4, 3))
 
         def f(vec):

@@ -165,27 +165,31 @@ class TestSmoothnessEnergy:
 
 class TestMedianWidthGradients:
     def test_adjacency_gradient_matches_finite_differences(self):
+        # a padded batch of a 5-point set, a 1-point set and a 3-point set
         rng = np.random.default_rng(6)
-        pts = rng.normal(size=(5, 3))
-        upstream = rng.normal(size=(5, 5))
+        counts = np.array([5, 1, 3])
+        real = np.arange(5) < counts[:, None]
+        pts = np.where(real[:, :, None], rng.normal(size=(3, 5, 3)), 0.0)
+        upstream = rng.normal(size=(3, 5, 5))
 
         def scalar(p):
-            adj, _ = mutual_knn_median(p, 2)
+            adj, _ = mutual_knn_median(p, counts, 2)
             return float(np.sum(adj * upstream))
 
-        adj, cache = mutual_knn_median(pts, 2)
+        adj, cache = mutual_knn_median(pts, counts, 2)
         analytic = mutual_knn_median_backward(cache, upstream)
         eps = 1e-6
-        for i in range(pts.shape[0]):
-            for j in range(pts.shape[1]):
+        assert not analytic[~real].any()
+        for b, i in zip(*np.nonzero(real)):
+            for j in range(pts.shape[2]):
                 p = pts.copy()
-                p[i, j] += eps
+                p[b, i, j] += eps
                 up = scalar(p)
-                p[i, j] -= 2 * eps
+                p[b, i, j] -= 2 * eps
                 dn = scalar(p)
                 numeric = (up - dn) / (2 * eps)
-                assert abs(analytic[i, j] - numeric) / max(
-                    1e-8, abs(analytic[i, j]) + abs(numeric)) < 1e-4
+                assert abs(analytic[b, i, j] - numeric) / max(
+                    1e-8, abs(analytic[b, i, j]) + abs(numeric)) < 1e-4
 
     def test_median_width_floor(self):
         assert median_width(np.zeros((3, 2))) == 1e-8

@@ -1,0 +1,139 @@
+"""Packed ragged batches agree with the per-bag reference.
+
+The packed paths stack, pad and sum in other orders than one bag at a time,
+so results may differ in the last bits; they must agree within 1e-12 of the
+largest reference magnitude.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import per_bag_reference as ref
+from glemiml.classifier import (
+    classifier_backward,
+    classifier_forward,
+    init_classifier,
+    predict_dataset,
+)
+from glemiml.data import Bag, MIMLDataset
+from glemiml.enhancer import (
+    enhance_batch,
+    enhancer_backward,
+    enhancer_forward,
+    init_enhancer,
+)
+from glemiml.errors import DegenerateInputError
+from glemiml.graph import mutual_knn_median, mutual_knn_median_backward
+from glemiml.losses import threshold_loss, threshold_loss_grad
+
+REL_TOL = 1e-12
+D, T = 3, 4
+
+
+def assert_close(packed, reference):
+    reference = np.asarray(reference)
+    scale = max(1.0, float(np.abs(reference).max(initial=0.0)))
+    np.testing.assert_allclose(packed, reference, rtol=0.0, atol=REL_TOL * scale)
+
+
+def make_bags(seed, sizes, duplicates):
+    """Random bags of the given sizes. With `duplicates`, every bag repeats its
+    first instance and the first bag holds one instance n times (floored width)."""
+    rng = np.random.default_rng(seed)
+    bags = []
+    for i, n in enumerate(sizes):
+        inst = rng.normal(size=(n, D))
+        if duplicates:
+            inst[1:2] = inst[0]
+            if i == 0:
+                inst[:] = inst[0]
+        labels = np.zeros(T, dtype=int)
+        labels[rng.permutation(T)[: rng.integers(1, T)]] = 1
+        bags.append(Bag(inst, labels))
+    return bags
+
+
+batches = dict(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 7), min_size=2, max_size=6),
+    duplicates=st.booleans(),
+)
+
+
+@given(k=st.integers(1, 8), ablation_c=st.booleans(), **batches)
+@settings(max_examples=60, deadline=None)
+def test_enhancer_matches_per_bag(seed, sizes, duplicates, k, ablation_c):
+    model = init_enhancer(D, T, embed_dim=3, instance_k=k, k_label=2, seed=seed % 97,
+                          use_instance_graph=not ablation_c)
+    bags = make_bags(seed, sizes, duplicates)
+    upstream = np.random.default_rng(seed + 1).normal(size=(len(bags), T))
+
+    batch, cache = enhancer_forward(model, bags)
+    expect, ref_cache = ref.enhancer_forward(model, bags)
+    for name in ("logits", "distributions", "confidences"):
+        assert_close(getattr(batch, name), getattr(expect, name))
+        assert_close(getattr(enhance_batch(model, bags), name), getattr(expect, name))
+    assert_close(enhancer_backward(model, cache, upstream),
+                 ref.enhancer_backward(model, ref_cache, upstream))
+
+
+@given(depth=st.sampled_from([1, 2, 3]), **batches)
+@settings(max_examples=60, deadline=None)
+def test_classifier_matches_per_bag(seed, sizes, duplicates, depth):
+    model = init_classifier(D, T, depth=depth, seed=seed % 97)
+    bags = make_bags(seed, sizes, duplicates)
+    upstream = np.random.default_rng(seed + 1).normal(size=(len(bags), T))
+
+    S, P, cache = classifier_forward(model, bags)
+    S_ref, P_ref, ref_caches = ref.classifier_forward(model, bags)
+    assert_close(S, S_ref)
+    assert_close(P, P_ref)
+    S_all, P_all = predict_dataset(model, MIMLDataset(bags, D, T))
+    assert_close(S_all, S_ref)
+    assert_close(P_all, P_ref)
+    assert_close(classifier_backward(model, cache, upstream),
+                 ref.classifier_backward(model, ref_caches, upstream))
+
+
+@given(k=st.integers(1, 8), **batches)
+@settings(max_examples=60, deadline=None)
+def test_graph_builder_matches_per_set(seed, sizes, duplicates, k):
+    """Each padded set gets the edges it gets alone, and their weights."""
+    bags = make_bags(seed, sizes, duplicates)
+    counts = np.array(sizes)
+    points = np.zeros((len(sizes), counts.max(), D))
+    for i, bag in enumerate(bags):
+        points[i, :sizes[i]] = bag.instances
+    upstream = np.random.default_rng(seed + 1).normal(size=(len(sizes),) + points.shape[1:2] * 2)
+
+    adj, cache = mutual_knn_median(points, counts, k)
+    grad = mutual_knn_median_backward(cache, upstream)
+    for i, n in enumerate(sizes):
+        adj_ref, ref_cache = ref.mutual_knn_median(bags[i].instances, k)
+        np.testing.assert_array_equal(adj[i, :n, :n] != 0.0, adj_ref != 0.0)
+        assert_close(adj[i, :n, :n], adj_ref)
+        assert not adj[i, n:].any() and not adj[i, :, n:].any()
+        assert_close(grad[i, :n], ref.mutual_knn_median_backward(ref_cache, upstream[i, :n, :n]))
+        assert not grad[i, n:].any()
+
+
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40), t=st.integers(1, 6),
+       ties=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_threshold_loss_matches_row_loop(seed, rows, t, ties):
+    rng = np.random.default_rng(seed)
+    D_ = rng.uniform(size=(rows, t))
+    if ties:
+        D_ = np.round(D_, 1)  # equal values exercise the first-argmax/argmin rule
+    L = rng.integers(0, 2, size=(rows, t))
+    expect = ref.threshold_loss(D_, L)
+    if expect is None:
+        with pytest.raises(DegenerateInputError):
+            threshold_loss(D_, L)
+        with pytest.raises(DegenerateInputError):
+            threshold_loss_grad(D_, L)
+        return
+    assert threshold_loss(D_, L) == pytest.approx(expect, rel=REL_TOL, abs=1e-15)
+    np.testing.assert_array_equal(threshold_loss_grad(D_, L), ref.threshold_loss_grad(D_, L))

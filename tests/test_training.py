@@ -3,7 +3,12 @@ import pytest
 
 import glemiml.enhancer as enh_mod
 import glemiml.training as tr_mod
-from glemiml.classifier import ClassifierModel, classifier_params, init_classifier
+from glemiml.classifier import (
+    ClassifierModel,
+    classifier_forward,
+    classifier_params,
+    init_classifier,
+)
 from glemiml.data import (
     Bag,
     MIMLDataset,
@@ -172,7 +177,8 @@ class TestAlternation:
 
         def f(vec):
             set_classifier_params(clf, vec)
-            losses, grad = tr_mod._classifier_batch(clf, bags, logical, dist, cfg)
+            losses, grad = tr_mod._classifier_batch(clf, classifier_forward(clf, bags),
+                                                    logical, dist, cfg)
             return losses["L_C"], grad
 
         assert grad_check(f, classifier_params(clf), 1e-6) < 1e-4
