@@ -24,6 +24,7 @@ from .nets import (
     net_to_json_dict,
     net_to_vector,
     num_params,
+    read_checkpoint,
     vector_to_net,
 )
 
@@ -166,8 +167,8 @@ def classifier_from_json_dict(doc: dict) -> ClassifierModel:
     inst = doc.get("instance_net")
     return ClassifierModel(
         depth=int(doc["depth"]),
-        instance_net=net_from_json_dict(inst) if inst is not None else None,
-        head=net_from_json_dict(doc["head"]),
+        instance_net=net_from_json_dict(inst, "instance_net") if inst is not None else None,
+        head=net_from_json_dict(doc["head"], "head"),
     )
 
 
@@ -177,5 +178,4 @@ def save_classifier(model: ClassifierModel, path) -> None:
 
 
 def load_classifier(path) -> ClassifierModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return classifier_from_json_dict(json.load(fh))
+    return read_checkpoint(path, classifier_from_json_dict)

@@ -22,9 +22,11 @@ class Bag:
         lab = np.asarray(self.logical_labels, dtype=np.int64)
         if inst.ndim != 2 or inst.shape[0] < 1:
             raise DataFormatError("bag must hold a 2-D instance matrix with >= 1 row")
+        if not np.isfinite(inst).all():
+            raise DataFormatError("bag instances must be finite (found NaN or Inf)")
         if lab.ndim != 1:
             raise DataFormatError("logical labels must be a flat vector")
-        if not np.all((lab == 0) | (lab == 1)):
+        if not ((lab == 0) | (lab == 1)).all():
             raise DataFormatError("logical labels must be 0 or 1")
         object.__setattr__(self, "instances", inst)
         object.__setattr__(self, "logical_labels", lab)

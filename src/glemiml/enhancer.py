@@ -26,6 +26,7 @@ from .nets import (
     net_to_json_dict,
     net_to_vector,
     num_params,
+    read_checkpoint,
     vector_to_net,
 )
 
@@ -309,10 +310,10 @@ def enhancer_to_json_dict(model: EnhancerModel) -> dict:
 
 def enhancer_from_json_dict(doc: dict) -> EnhancerModel:
     return EnhancerModel(
-        sigma_net=net_from_json_dict(doc["sigma"]),
-        omega1_net=net_from_json_dict(doc["omega1"]),
-        omega2_net=net_from_json_dict(doc["omega2"]),
-        omega3_net=net_from_json_dict(doc["omega3"]),
+        sigma_net=net_from_json_dict(doc["sigma"], "sigma"),
+        omega1_net=net_from_json_dict(doc["omega1"], "omega1"),
+        omega2_net=net_from_json_dict(doc["omega2"], "omega2"),
+        omega3_net=net_from_json_dict(doc["omega3"], "omega3"),
         instance_k=int(doc["instance_k"]),
         k_label=int(doc["k_label"]),
         use_instance_graph=bool(doc["use_instance_graph"]),
@@ -325,5 +326,4 @@ def save_enhancer(model: EnhancerModel, path) -> None:
 
 
 def load_enhancer(path) -> EnhancerModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return enhancer_from_json_dict(json.load(fh))
+    return read_checkpoint(path, enhancer_from_json_dict)

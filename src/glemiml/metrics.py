@@ -65,17 +65,15 @@ def ranking_loss(scores: np.ndarray, truth: np.ndarray) -> float:
     scores = np.asarray(scores, dtype=np.float64)
     truth = np.asarray(truth)
     _check_shapes(scores, truth)
-    per_bag = []
-    for i in range(scores.shape[0]):
-        pos = np.flatnonzero(truth[i] == 1)
-        neg = np.flatnonzero(truth[i] == 0)
-        if pos.size == 0 or neg.size == 0:
-            continue
-        violations = np.sum(scores[i, pos][:, None] <= scores[i, neg][None, :])
-        per_bag.append(violations / (pos.size * neg.size))
-    if not per_bag:
+    pos, neg = truth == 1, truth == 0
+    n_pairs = np.count_nonzero(pos, axis=1) * np.count_nonzero(neg, axis=1)
+    eligible = n_pairs > 0
+    if not eligible.any():
         raise DegenerateInputError("no bag has both positive and negative labels")
-    return float(np.mean(per_bag))
+    # (bag, positive label, negative label) triples with the positive not above
+    bad = (scores[:, :, None] <= scores[:, None, :]) & pos[:, :, None] & neg[:, None, :]
+    violations = np.count_nonzero(bad, axis=(1, 2))
+    return float(np.mean(violations[eligible] / n_pairs[eligible]))
 
 
 def macro_average_precision(scores: np.ndarray, truth: np.ndarray) -> float:
@@ -108,14 +106,12 @@ def macro_f1(pred: np.ndarray, truth: np.ndarray) -> tuple[float, list[float]]:
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     _check_shapes(pred, truth)
-    f1s = []
-    for j in range(pred.shape[1]):
-        tp = int(np.sum((pred[:, j] == 1) & (truth[:, j] == 1)))
-        fp = int(np.sum((pred[:, j] == 1) & (truth[:, j] == 0)))
-        fn = int(np.sum((pred[:, j] == 0) & (truth[:, j] == 1)))
-        denom = 2 * tp + fp + fn
-        f1s.append(2 * tp / denom if denom > 0 else 0.0)
-    return float(np.mean(f1s)), f1s
+    tp = np.count_nonzero((pred == 1) & (truth == 1), axis=0)
+    fp = np.count_nonzero((pred == 1) & (truth == 0), axis=0)
+    fn = np.count_nonzero((pred == 0) & (truth == 1), axis=0)
+    denom = 2 * tp + fp + fn
+    f1s = np.divide(2 * tp, denom, out=np.zeros(denom.shape), where=denom > 0)
+    return float(np.mean(f1s)), f1s.tolist()
 
 
 def compute_report(probs: np.ndarray, pred: np.ndarray, truth: np.ndarray) -> MetricsReport:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, DataFormatError, NumericError, ShapeError
 
 _ACTIVATIONS = ("identity", "relu", "tanh", "sigmoid")
 
@@ -205,16 +205,48 @@ def net_to_json_dict(net: FeedForwardNet) -> dict:
     }
 
 
-def net_from_json_dict(doc: dict) -> FeedForwardNet:
-    layers = [
-        DenseLayer(
-            weights=np.asarray(w, dtype=np.float64),
-            bias=np.asarray(b, dtype=np.float64),
-            activation=act,
-        )
-        for w, b, act in zip(doc["weights"], doc["biases"], doc["activations"])
-    ]
-    return FeedForwardNet(layers=layers)
+def net_from_json_dict(doc: dict, key: str = "net") -> FeedForwardNet:
+    """The net stored in `doc`. A missing field raises KeyError('<key>.<field>');
+    arrays that do not form a net raise ShapeError naming `key`."""
+    try:
+        weights, biases, acts = doc["weights"], doc["biases"], doc["activations"]
+    except KeyError as exc:
+        raise KeyError(f"{key}.{exc.args[0]}") from None
+    try:
+        if not len(weights) == len(biases) == len(acts):
+            raise ShapeError("weights, biases and activations differ in length")
+        layers = [
+            DenseLayer(
+                weights=np.asarray(w, dtype=np.float64),
+                bias=np.asarray(b, dtype=np.float64),
+                activation=act,
+            )
+            for w, b, act in zip(weights, biases, acts)
+        ]
+        return FeedForwardNet(layers=layers)
+    except (ConfigError, ShapeError, TypeError, ValueError) as exc:
+        raise ShapeError(f"{key}: {exc}") from exc
+
+
+def read_checkpoint(path, from_json_dict):
+    """The model `from_json_dict` builds from the JSON checkpoint at `path`.
+
+    Invalid JSON, a missing key and values of the wrong type or shape raise a
+    DataFormatError that names the file and, where it can, the key.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path}: a checkpoint must be a JSON object")
+    try:
+        return from_json_dict(doc)
+    except KeyError as exc:
+        raise DataFormatError(f"{path}: missing key {exc.args[0]!r}") from exc
+    except (ConfigError, ShapeError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def save_net(net: FeedForwardNet, path) -> None:
@@ -223,5 +255,4 @@ def save_net(net: FeedForwardNet, path) -> None:
 
 
 def load_net(path) -> FeedForwardNet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return net_from_json_dict(json.load(fh))
+    return read_checkpoint(path, net_from_json_dict)

@@ -92,6 +92,54 @@ def mutual_knn_median_backward(cache, grad_adj):
     return 2.0 * (sym.sum(axis=1)[:, None] * points - sym @ points)
 
 
+# ---------------------------------------- former steps of the batched graph
+# The batched builder in glemiml.graph computes these steps with sorted
+# values, preallocated buffers and in-place arithmetic; it must reproduce
+# them bit for bit.
+
+def sq_dists_by_feature(points):
+    """Squared distances of a (B, n, p) stack, one feature at a time with fresh temporaries."""
+    n = points.shape[-2]
+    d2 = np.zeros(points.shape[:-1] + (n,))
+    for f in range(points.shape[-1]):
+        col = points[..., f]
+        diff = col[..., :, None] - col[..., None, :]
+        d2 += diff * diff
+    return d2
+
+
+def median_pairs_by_argsort(d2, counts):
+    """Rows and columns (B, 2) of each set's middle pair(s) and its floored median width.
+
+    A stable argsort of every set's upper-triangle pairs, padded pairs last.
+    """
+    n = d2.shape[1]
+    rows, cols = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+    vals = np.where(cols < counts[:, None], d2[:, rows, cols], np.inf)
+    order = np.argsort(vals, axis=1, kind="stable")
+    sets = np.arange(len(counts))
+    m = counts * (counts - 1) // 2
+    lo = order[sets, np.maximum((m - 1) // 2, 0)]
+    hi = order[sets, m // 2]
+    med_raw = np.where(m > 0, 0.5 * (vals[sets, lo] + vals[sets, hi]), 1.0)
+    pick = np.stack([lo, hi], axis=1)
+    return rows[pick], cols[pick], np.maximum(med_raw, WIDTH_FLOOR)
+
+
+def batched_graph_backward(cache, grad_adj):
+    """mutual_knn_median_backward computed with a fresh array for every step."""
+    points, d2, mask = cache["points"], cache["d2"], cache["mask"]
+    adj, width = cache["adj"], cache["width"]
+    g_masked = np.where(mask, grad_adj, 0.0)
+    g_d2 = g_masked * adj * (-1.0 / (2.0 * width[:, None, None]))
+    g_width = (g_masked * adj * d2).sum(axis=(1, 2)) / (2.0 * width * width)
+    sets = np.arange(width.shape[0])[:, None]
+    np.add.at(g_d2, (sets, cache["med_rows"], cache["med_cols"]),
+              cache["med_weights"] * g_width[:, None])
+    sym = np.where(d2 == 0.0, 0.0, g_d2 + g_d2.transpose(0, 2, 1))
+    return 2.0 * (sym.sum(axis=2)[:, :, None] * points - sym @ points)
+
+
 # --------------------------------------------------------------- enhancer
 
 def _bag_branches(model, bag):

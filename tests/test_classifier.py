@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from glemiml.classifier import (
     ClassifierModel,
     binarize,
     classifier_params,
+    classifier_to_json_dict,
     init_classifier,
     load_classifier,
     predict_bag,
@@ -13,7 +17,7 @@ from glemiml.classifier import (
     set_classifier_params,
 )
 from glemiml.data import Bag, MIMLDataset
-from glemiml.errors import ConfigError, ShapeError
+from glemiml.errors import ConfigError, DataFormatError, ShapeError
 from glemiml.nets import DenseLayer, FeedForwardNet, forward
 
 
@@ -145,3 +149,28 @@ def test_checkpoint_roundtrip(tmp_path):
         loaded = load_classifier(path)
         assert loaded.depth == depth
         assert (classifier_params(loaded) == classifier_params(model)).all()
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda doc: doc.pop("head"), "'head'"),
+    (lambda doc: doc.pop("depth"), "'depth'"),
+    (lambda doc: doc["instance_net"].pop("weights"), "'instance_net.weights'"),
+    (lambda doc: doc["head"]["weights"][0].append([0.0]), "head"),
+    (lambda doc: doc["instance_net"]["weights"].pop(), "instance_net"),
+], ids=["no-head", "no-depth", "no-instance-weights", "ragged-head-weights", "short-instance-weights"])
+def test_malformed_checkpoint_names_file_and_key(tmp_path, edit, named):
+    path = tmp_path / "clf.json"
+    doc = classifier_to_json_dict(init_classifier(4, 3, depth=3, seed=0))
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match=re.escape(named)) as info:
+        load_classifier(path)
+    assert str(path) in str(info.value)
+
+
+def test_checkpoint_invalid_json(tmp_path):
+    path = tmp_path / "clf.json"
+    path.write_text("not json")
+    with pytest.raises(DataFormatError, match="invalid JSON") as info:
+        load_classifier(path)
+    assert str(path) in str(info.value)

@@ -164,6 +164,15 @@ class TestSynthAndEvaluate:
                      "--enhancer", str(tmp_path / "e.json"),
                      "--classifier", str(tmp_path / "c.json")]) == 2
 
+    def test_evaluate_malformed_checkpoint_exit_2(self, tmp_path, capsys):
+        enh, clf = tmp_path / "e.json", tmp_path / "c.json"
+        enh.write_text(json.dumps({"kind": "enhancer"}))
+        clf.write_text(json.dumps({"kind": "classifier"}))
+        assert main(["evaluate", "--synth", "--enhancer", str(enh),
+                     "--classifier", str(clf)]) == 2
+        err = capsys.readouterr().err
+        assert str(enh) in err and "'sigma'" in err
+
 
 class TestReportCommand:
     def make_report(self, path, method, dataset, metrics):

@@ -29,6 +29,13 @@ def tiny_dataset(n=12, d=2, t=3, seed=0):
     return MIMLDataset(bags=bags, feature_dim=d, label_count=t, name="tiny")
 
 
+class TestBag:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_instance_rejected(self, value):
+        with pytest.raises(DataFormatError, match="finite"):
+            Bag(np.array([[value, 1.0]]), np.array([1, 0]))
+
+
 class TestLoadSave:
     def test_single_record_roundtrip(self, tmp_path):
         path = tmp_path / "ds.jsonl"

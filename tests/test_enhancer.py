@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,7 @@ from glemiml.enhancer import (
     save_enhancer,
     set_enhancer_params,
 )
-from glemiml.errors import ConfigError, ShapeError
+from glemiml.errors import ConfigError, DataFormatError, ShapeError
 from glemiml.nets import DenseLayer, FeedForwardNet, net_to_vector, num_params, vector_to_net
 
 
@@ -217,3 +220,28 @@ def test_checkpoint_roundtrip(tmp_path, model):
     assert (enhancer_params(loaded) == enhancer_params(model)).all()
     assert loaded.instance_k == model.instance_k
     assert loaded.use_instance_graph == model.use_instance_graph
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda doc: doc.pop("sigma"), "'sigma'"),
+    (lambda doc: doc["omega2"].pop("biases"), "'omega2.biases'"),
+    (lambda doc: doc["omega1"]["weights"][0].pop(), "omega1"),
+    (lambda doc: doc["omega3"]["activations"].append("relu"), "omega3"),
+    (lambda doc: doc["sigma"]["biases"][-1].append(0.0), "sigma"),
+], ids=["no-sigma", "no-omega2-biases", "short-omega1-weights", "extra-omega3-activation", "long-sigma-bias"])
+def test_malformed_checkpoint_names_file_and_key(tmp_path, model, edit, named):
+    path = tmp_path / "enh.json"
+    doc = enh_mod.enhancer_to_json_dict(model)
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match=re.escape(named)) as info:
+        load_enhancer(path)
+    assert str(path) in str(info.value)
+
+
+def test_checkpoint_invalid_json(tmp_path):
+    path = tmp_path / "enh.json"
+    path.write_text('{"kind": "enhancer", ')
+    with pytest.raises(DataFormatError, match="invalid JSON") as info:
+        load_enhancer(path)
+    assert str(path) in str(info.value)

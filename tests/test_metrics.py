@@ -67,6 +67,34 @@ def brute_macro_f1(pred, truth):
     return sum(f1s) / len(f1s)
 
 
+# The library's former row and label loops. The vectorised versions do the
+# same arithmetic, so they must return the same bits.
+
+def row_loop_ranking_loss(scores, truth):
+    per_bag = []
+    for i in range(scores.shape[0]):
+        pos = np.flatnonzero(truth[i] == 1)
+        neg = np.flatnonzero(truth[i] == 0)
+        if pos.size == 0 or neg.size == 0:
+            continue
+        violations = np.sum(scores[i, pos][:, None] <= scores[i, neg][None, :])
+        per_bag.append(violations / (pos.size * neg.size))
+    if not per_bag:
+        return None
+    return float(np.mean(per_bag))
+
+
+def label_loop_macro_f1(pred, truth):
+    f1s = []
+    for j in range(pred.shape[1]):
+        tp = int(np.sum((pred[:, j] == 1) & (truth[:, j] == 1)))
+        fp = int(np.sum((pred[:, j] == 1) & (truth[:, j] == 0)))
+        fn = int(np.sum((pred[:, j] == 0) & (truth[:, j] == 1)))
+        denom = 2 * tp + fp + fn
+        f1s.append(2 * tp / denom if denom > 0 else 0.0)
+    return float(np.mean(f1s)), f1s
+
+
 class TestHammingLoss:
     def test_perfect(self):
         t = np.array([[1, 0], [0, 1]])
@@ -180,6 +208,29 @@ class TestOracleEquivalence:
                 brute_map(scores, truth), abs=1e-12)
             assert macro_f1(pred, truth)[0] == pytest.approx(
                 brute_macro_f1(pred, truth), abs=1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 60), t=st.integers(1, 12),
+           ties=st.booleans(), positive_rate=st.sampled_from([0.05, 0.5, 0.95]))
+    @settings(max_examples=100, deadline=None)
+    def test_vectorised_equals_former_loops_bit_for_bit(self, seed, rows, t, ties,
+                                                       positive_rate):
+        rng = np.random.default_rng(seed)
+        scores = rng.uniform(size=(rows, t))
+        if ties:
+            scores = np.round(scores, 1)  # tied scores count as violations
+        truth = (rng.uniform(size=(rows, t)) < positive_rate).astype(int)
+        pred = (rng.uniform(size=(rows, t)) < 0.5).astype(int)
+        expect = row_loop_ranking_loss(scores, truth)
+        if expect is None:
+            with pytest.raises(DegenerateInputError):
+                ranking_loss(scores, truth)
+        else:
+            assert ranking_loss(scores, truth) == expect
+        value, per_label = macro_f1(pred, truth)
+        expect_value, expect_per_label = label_loop_macro_f1(pred, truth)
+        assert value == expect_value
+        assert per_label == expect_per_label
+        assert all(type(f) is float for f in per_label)
 
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=30, deadline=None)

@@ -25,7 +25,11 @@ from glemiml.enhancer import (
     init_enhancer,
 )
 from glemiml.errors import DegenerateInputError
-from glemiml.graph import mutual_knn_median, mutual_knn_median_backward
+from glemiml.graph import (
+    _SORTED_MEDIAN_MIN_PAIRS,
+    mutual_knn_median,
+    mutual_knn_median_backward,
+)
 from glemiml.losses import threshold_loss, threshold_loss_grad
 
 REL_TOL = 1e-12
@@ -117,6 +121,58 @@ def test_graph_builder_matches_per_set(seed, sizes, duplicates, k):
         assert not adj[i, n:].any() and not adj[i, :, n:].any()
         assert_close(grad[i, :n], ref.mutual_knn_median_backward(ref_cache, upstream[i, :n, :n]))
         assert not grad[i, n:].any()
+
+
+@given(seed=st.integers(0, 2**32 - 1), wide=st.booleans(), p=st.integers(1, 8),
+       ties=st.sampled_from(["none", "rounded", "duplicates", "coincident"]),
+       k=st.integers(1, 50), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_graph_builder_matches_former_steps_bit_for_bit(seed, wide, p, ties, k, data):
+    """Distances, median pair(s), weights and gradients equal the former code's bits.
+
+    Wide batches have at least _SORTED_MEDIAN_MIN_PAIRS pairs and take the
+    sorted-median path; narrow ones the stable argsort. Rounded coordinates
+    and duplicate points tie the middle values, a set of coincident points
+    floors its width, and sets of one point and k >= n occur.
+    """
+    n_sets = data.draw(st.integers(6, 10) if wide else st.integers(1, 5))
+    sizes = data.draw(st.lists(st.integers(1, 45 if wide else 30),
+                               min_size=n_sets, max_size=n_sets))
+    counts = np.array(sizes)
+    if wide:
+        counts[0] = 45
+    n = counts.max()
+    assert (n_sets * (n * (n - 1) // 2) >= _SORTED_MEDIAN_MIN_PAIRS) == wide
+    rng = np.random.default_rng(seed)
+    points = np.zeros((n_sets, n, p))
+    for i, c in enumerate(counts):
+        x = rng.normal(size=(c, p))
+        if ties == "rounded":
+            x = np.round(x)
+        elif ties == "duplicates":
+            x[1:c // 2 + 1] = x[0]
+        elif ties == "coincident" and i % 2 == 0:
+            x[:] = x[0]
+        points[i, :c] = x
+
+    adj, cache = mutual_knn_median(points, counts, k)
+    if n < 2:
+        assert not adj.any()
+        return
+    d2 = cache["d2"]
+    if p <= n:
+        assert d2.tobytes() == ref.sq_dists_by_feature(points).tobytes()
+    med_rows, med_cols, width = ref.median_pairs_by_argsort(d2, counts)
+    np.testing.assert_array_equal(cache["med_rows"], med_rows)
+    np.testing.assert_array_equal(cache["med_cols"], med_cols)
+    assert cache["width"].tobytes() == width.tobytes()
+    expect = np.where(cache["mask"], np.exp(-d2 / (2.0 * width[:, None, None])), 0.0)
+    assert adj.tobytes() == expect.tobytes()
+    upstream = rng.normal(size=adj.shape)
+    if ties == "rounded":
+        upstream = np.round(upstream)
+    assert (mutual_knn_median_backward(cache, upstream).tobytes()
+            == ref.batched_graph_backward(cache, upstream).tobytes())
 
 
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40), t=st.integers(1, 6),
