@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Bag, MIMLDataset, stack_instances
+from .atomic import atomic_open
+from .data import Bag, MIMLDataset, PackedBags, pack_bags
 from .errors import ConfigError, ShapeError
 from .nets import (
     FeedForwardNet,
@@ -25,6 +26,7 @@ from .nets import (
     net_to_vector,
     num_params,
     read_checkpoint,
+    sigmoid,
     vector_to_net,
 )
 
@@ -74,13 +76,13 @@ PREDICT_CHUNK_BAGS = 256
 
 def predict_bag(model: ClassifierModel, bag: Bag):
     """Returns (logits, sigmoid probabilities) for one bag."""
-    s, p, _ = classifier_forward(model, [bag])
+    s, p, _ = classifier_forward(model, pack_bags([bag]))
     return s[0], p[0]
 
 
 def predict_dataset(model: ClassifierModel, ds: MIMLDataset):
     """Stacked (B, t) logits and probabilities, one row per bag."""
-    parts = [classifier_forward(model, ds.bags[lo:lo + PREDICT_CHUNK_BAGS])
+    parts = [classifier_forward(model, pack_bags(ds.bags[lo:lo + PREDICT_CHUNK_BAGS]))
              for lo in range(0, len(ds), PREDICT_CHUNK_BAGS)]
     return np.concatenate([s for s, _, _ in parts]), np.concatenate([p for _, p, _ in parts])
 
@@ -95,25 +97,24 @@ def binarize(probs: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     return (probs > threshold).astype(np.int64)
 
 
-def classifier_forward(model: ClassifierModel, bags):
+def classifier_forward(model: ClassifierModel, batch: PackedBags):
     """Batched forward with caches. Returns (logits (B, t), probs, cache).
 
     One instance-net pass over the stacked instances of all bags, a
     per-bag max pool over their hidden rows, one head pass over the pooled rows.
     """
-    X, counts = stack_instances(bags)
+    X = batch.instances
     if X.shape[1] != model.feature_dim:
         raise ShapeError(f"bag feature dim {X.shape[1]} != model feature dim {model.feature_dim}")
     if model.instance_net is None:
         hidden, inst_cache = X, None
     else:
         hidden, inst_cache = forward_batch(model.instance_net, X)
-    starts = np.cumsum(counts) - counts
-    pooled = np.maximum.reduceat(hidden, starts, axis=0)
+    pooled = np.maximum.reduceat(hidden, batch.starts, axis=0)
     S, head_cache = forward_batch(model.head, pooled)
-    cache = {"inst": inst_cache, "hidden": hidden, "pooled": pooled, "counts": counts,
-             "starts": starts, "head": head_cache}
-    return S, 1.0 / (1.0 + np.exp(-S)), cache
+    cache = {"inst": inst_cache, "hidden": hidden, "pooled": pooled, "counts": batch.counts,
+             "starts": batch.starts, "head": head_cache}
+    return S, sigmoid(S), cache
 
 
 def classifier_backward(model: ClassifierModel, cache, grad_logits: np.ndarray) -> np.ndarray:
@@ -173,7 +174,7 @@ def classifier_from_json_dict(doc: dict) -> ClassifierModel:
 
 
 def save_classifier(model: ClassifierModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(classifier_to_json_dict(model), fh, sort_keys=True)
 
 

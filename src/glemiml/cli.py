@@ -1,7 +1,9 @@
 """Command-line surface: train, ablate, evaluate, synth, report.
 
 Exit codes: 0 success, 1 config error, 2 data error, 3 numeric divergence.
-Config files are INI-style key/value sections; flags override file values.
+Config files are INI-style key/value sections, and a section or key that no
+setting reads is a config error; flags override file values. Artifacts are
+written atomically (glemiml.atomic).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .atomic import atomic_open
 from .classifier import load_classifier, save_classifier
 from .data import (
     MIMLDataset,
@@ -71,6 +74,23 @@ _DEFAULTS = {
 }
 
 
+def _reject_unknown_config(parser: configparser.ConfigParser) -> None:
+    """Names a section or key that no setting reads (a typo) instead of ignoring it."""
+    sections = {section for section, _ in _CONFIG_FIELDS.values()}
+    defaults = parser.defaults()
+    for key in defaults:
+        if key not in _CONFIG_FIELDS:
+            raise ConfigError(f"config [{parser.default_section}] {key}: unknown key")
+    for section in parser.sections():
+        if section not in sections:
+            raise ConfigError(f"config [{section}]: unknown section")
+        for key in parser.options(section):
+            home = _CONFIG_FIELDS[key][0] if key in _CONFIG_FIELDS else None
+            if key not in defaults and home != section:
+                hint = f" (it belongs in [{home}])" if home else ""
+                raise ConfigError(f"config [{section}] {key}: unknown key{hint}")
+
+
 def resolve_config(args) -> dict:
     """Layer defaults < config file < command-line flags."""
     cfg = dict(_DEFAULTS)
@@ -79,6 +99,7 @@ def resolve_config(args) -> dict:
         read = parser.read(args.config)
         if not read:
             raise DataFormatError(f"config file not found: {args.config}")
+        _reject_unknown_config(parser)
         for key, (section, typ) in _CONFIG_FIELDS.items():
             if parser.has_option(section, key):
                 raw = parser.get(section, key)
@@ -157,7 +178,7 @@ class _OutputLock:
 
 
 def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -176,7 +197,7 @@ def _write_history_csv(path: str, history) -> None:
     keys = ["epoch"] + list(LOSS_COLUMNS) + [
         k for k in history.records[0] if k.startswith("val_")
     ]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(keys)
         for rec in history.records:
@@ -189,7 +210,7 @@ def _export_distributions(enh, splits, out_dir: str) -> None:
             continue
         batch = enhance_batch(enh, ds.bags)
         path = os.path.join(out_dir, f"distributions_{name}.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with atomic_open(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["bag"] + [f"label_{j}" for j in range(ds.label_count)])
             for i, row in enumerate(batch.distributions):
@@ -202,7 +223,8 @@ def _dump_graph_debug(ds: MIMLDataset, cfg: dict, out_dir: str) -> None:
     g = mutual_knn_adjacency(bag.instances, cfg["instance_k"], width)
     lap = laplacian(g)
     for name, mat in (("adjacency", g.adjacency), ("laplacian", lap.matrix)):
-        np.savetxt(os.path.join(out_dir, f"graph_{name}.csv"), mat, delimiter=",")
+        with atomic_open(os.path.join(out_dir, f"graph_{name}.csv")) as fh:
+            np.savetxt(fh, mat, delimiter=",")
 
 
 def cmd_train(args) -> int:
@@ -236,7 +258,7 @@ def cmd_train(args) -> int:
             "method": cfg["method_name"], "dataset": ds.name,
             "metrics": report.as_dict(), "config_hash": h, "version": __version__,
         })
-        with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
+        with atomic_open(os.path.join(out_dir, "report.txt")) as fh:
             fh.write(format_report_table({cfg["method_name"]: report}))
         if cfg["export_distributions"]:
             _export_distributions(enh, splits, out_dir)
@@ -262,7 +284,7 @@ def cmd_ablate(args) -> int:
         h = _write_manifest(out_dir, cfg)
         reports = run_ablation(splits, tcfg, only=args.only)
         table = f"config {h}\n" + format_report_table(reports)
-        with open(os.path.join(out_dir, "ablation.txt"), "w", encoding="utf-8") as fh:
+        with atomic_open(os.path.join(out_dir, "ablation.txt")) as fh:
             fh.write(table)
         _write_json(os.path.join(out_dir, "ablation.json"), {
             "dataset": ds.name, "config_hash": h, "version": __version__,
@@ -305,7 +327,7 @@ def cmd_synth(args) -> int:
     ds, truths = generate_synthetic(synth_cfg)
     save_dataset(ds, args.out_file)
     if args.truth_out:
-        with open(args.truth_out, "w", newline="", encoding="utf-8") as fh:
+        with atomic_open(args.truth_out, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([f"label_{j}" for j in range(ds.label_count)])
             for dist in truths:

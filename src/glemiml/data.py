@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import ConfigError, DataFormatError, ShapeError
 
 
@@ -74,21 +75,52 @@ class MIMLDataset:
         return np.stack([b.logical_labels for b in self.bags]).astype(np.float64)
 
 
-def stack_instances(bags):
-    """Packs bags for batched computation: (instances (sum n_i, d), counts (B,)).
+@dataclass
+class PackedBags:
+    """Bags packed for batched computation.
 
-    Instance rows are stacked in bag order, each bag's rows in its own order.
+    Instance rows are stacked in bag order, each bag's rows in its own order:
+    bag i owns rows starts[i] : starts[i] + counts[i]. A pack with bag
+    features also holds each bag's float logical labels and mean raw instance,
+    which the enhancer and the similarity loss read; the classifier needs
+    neither, so inference packs without them.
     """
+
+    instances: np.ndarray  # (sum n_i, d)
+    counts: np.ndarray  # (B,) int64
+    logical: np.ndarray | None = None  # (B, t) float64
+    means: np.ndarray | None = None  # (B, d)
+    starts: np.ndarray = field(init=False)  # (B,) first row of each bag
+
+    def __post_init__(self):
+        self.starts = np.cumsum(self.counts) - self.counts
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def take(self, idx) -> "PackedBags":
+        """The bags at positions `idx`, in that order, gathered with one index per array."""
+        counts = self.counts[idx]
+        shift = self.starts[idx] - (np.cumsum(counts) - counts)
+        rows = np.arange(counts.sum()) + np.repeat(shift, counts)
+        return PackedBags(
+            self.instances[rows], counts,
+            None if self.logical is None else self.logical[idx],
+            None if self.means is None else self.means[idx],
+        )
+
+
+def pack_bags(bags, bag_features: bool = False) -> PackedBags:
+    """Packs a sequence of bags; with `bag_features`, their labels and means too."""
     try:
         stacked = np.concatenate([bag.instances for bag in bags])
     except ValueError as exc:
         raise ShapeError(f"cannot stack the bags' instances: {exc}") from exc
-    return stacked, np.array([bag.num_instances for bag in bags], dtype=np.int64)
-
-
-def bag_means(stacked: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Mean instance of each bag of a stacked batch (see stack_instances)."""
-    return np.add.reduceat(stacked, np.cumsum(counts) - counts, axis=0) / counts[:, None]
+    packed = PackedBags(stacked, np.array([bag.num_instances for bag in bags], dtype=np.int64))
+    if bag_features:
+        packed.logical = np.stack([b.logical_labels for b in bags]).astype(np.float64)
+        packed.means = np.add.reduceat(stacked, packed.starts, axis=0) / packed.counts[:, None]
+    return packed
 
 
 @dataclass(frozen=True)
@@ -147,7 +179,7 @@ def load_dataset(path) -> MIMLDataset:
 
 def save_dataset(ds: MIMLDataset, path) -> None:
     """Write the canonical JSON-lines form; load(save(ds)) is structurally identical."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(json.dumps(
             {"name": ds.name, "feature_dim": ds.feature_dim, "label_count": ds.label_count}
         ) + "\n")

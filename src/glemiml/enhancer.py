@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Bag, bag_means, stack_instances
+from .atomic import atomic_open
+from .data import Bag, PackedBags, pack_bags
 from .errors import ConfigError, ShapeError
 from .graph import mutual_knn_median, mutual_knn_median_backward
 from .nets import (
@@ -27,6 +28,9 @@ from .nets import (
     net_to_vector,
     num_params,
     read_checkpoint,
+    sigmoid,
+    softmax_rows,
+    softmax_rows_backward,
     vector_to_net,
 )
 
@@ -104,15 +108,6 @@ def init_enhancer(feature_dim: int, label_count: int, embed_dim: int = 8,
     )
 
 
-def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _softmax_rows_backward(soft: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    return soft * (grad - (grad * soft).sum(axis=1, keepdims=True))
-
-
 def embed_instances(model: EnhancerModel, bag: Bag) -> np.ndarray:
     """Row k is the sigma-net embedding of instance k (order preserving)."""
     if bag.instances.shape[1] != model.sigma_net.input_dim:
@@ -123,14 +118,15 @@ def embed_instances(model: EnhancerModel, bag: Bag) -> np.ndarray:
     return out
 
 
-def _graph_means(model: EnhancerModel, X: np.ndarray, counts: np.ndarray):
+def _graph_means(model: EnhancerModel, batch: PackedBags):
     """Mean graph-propagated embedding of each bag (B, p), plus the cache backprop needs.
 
     One sigma-net pass over the stacked instances, then one batched graph
     build over the zero-padded (B, N, p) block of their embeddings.
     """
     global _instance_graph_builds
-    E, sig_cache = forward_batch(model.sigma_net, X)
+    counts = batch.counts
+    E, sig_cache = forward_batch(model.sigma_net, batch.instances)
     real = np.arange(counts.max()) < counts[:, None]
     E_pad = np.zeros(real.shape + (E.shape[1],))
     E_pad[real] = E
@@ -152,35 +148,33 @@ def _graph_means_backward(model: EnhancerModel, cache, g_m2: np.ndarray):
     return sg
 
 
-def _branch_logits(model: EnhancerModel, bags, X: np.ndarray, counts: np.ndarray,
-                   M2: np.ndarray):
+def _branch_logits(model: EnhancerModel, batch: PackedBags, M2: np.ndarray):
     """Sum of the three branch nets per bag (B, t), with their caches.
 
     The branches take the mean raw instance, the mean propagated embedding
     M2 and the logical labels.
     """
-    M1 = bag_means(X, counts)
-    Lmat = np.stack([b.logical_labels for b in bags]).astype(np.float64)
-    o1, c1 = forward_batch(model.omega1_net, M1)
+    if batch.means is None:
+        raise ShapeError("the enhancer needs bags packed with their bag features")
+    o1, c1 = forward_batch(model.omega1_net, batch.means)
     o2, c2 = forward_batch(model.omega2_net, M2)
-    o3, c3 = forward_batch(model.omega3_net, Lmat)
+    o3, c3 = forward_batch(model.omega3_net, batch.logical)
     return o1 + o2 + o3, (c1, c2, c3)
 
 
-def _base_forward(model: EnhancerModel, bags):
+def _base_forward(model: EnhancerModel, batch: PackedBags):
     """Base (pre-refinement) logits (B, t) of a batch, plus the caches backprop needs."""
-    X, counts = stack_instances(bags)
     if model.use_instance_graph:
-        M2, graph_cache = _graph_means(model, X, counts)
+        M2, graph_cache = _graph_means(model, batch)
     else:
-        M2, graph_cache = np.zeros((len(bags), model.embed_dim)), None
-    base, net_caches = _branch_logits(model, bags, X, counts, M2)
+        M2, graph_cache = np.zeros((len(batch), model.embed_dim)), None
+    base, net_caches = _branch_logits(model, batch, M2)
     return base, {"graph": graph_cache, "nets": net_caches}
 
 
 def recover_logits(model: EnhancerModel, bag: Bag) -> np.ndarray:
     """Base (pre-refinement) logits for one bag: sum of the three branches."""
-    return _base_forward(model, [bag])[0][0]
+    return _base_forward(model, pack_bags([bag], bag_features=True))[0][0]
 
 
 def _row_normalize(adj: np.ndarray):
@@ -201,15 +195,15 @@ def _refine_forward(model: EnhancerModel, base_logits: np.ndarray):
     t = base_logits.shape[1]
     if t < 2:
         raise ConfigError("label-graph refinement needs label_count >= 2")
-    d0 = _softmax_rows(base_logits)
+    d0 = softmax_rows(base_logits)
     adj, lab_cache = mutual_knn_median(d0.T[None], [t], model.k_label)
     adj = adj[0]
     adj_n, scale = _row_normalize(adj)
     refined = base_logits + base_logits @ adj_n.T
     batch = EnhancedBatch(
         logits=refined,
-        distributions=_softmax_rows(refined),
-        confidences=1.0 / (1.0 + np.exp(-refined)),
+        distributions=softmax_rows(refined),
+        confidences=sigmoid(refined),
     )
     cache = {"base": base_logits, "d0": d0, "adj": adj, "adj_n": adj_n,
              "scale": scale, "lab_cache": lab_cache}
@@ -224,22 +218,22 @@ def enhance_batch(model: EnhancerModel, bags) -> EnhancedBatch:
     """
     if not bags:
         raise ShapeError("enhance_batch needs at least one bag")
-    X, counts = stack_instances(bags)
-    M2 = np.zeros((len(bags), model.embed_dim))
+    batch = pack_bags(bags, bag_features=True)
+    M2 = np.zeros((len(batch), model.embed_dim))
     if model.use_instance_graph:
-        by_size = np.argsort(counts, kind="stable")
-        for lo in range(0, len(bags), GRAPH_CHUNK_BAGS):
+        by_size = np.argsort(batch.counts, kind="stable")
+        for lo in range(0, len(batch), GRAPH_CHUNK_BAGS):
             idx = by_size[lo:lo + GRAPH_CHUNK_BAGS]
-            M2[idx] = _graph_means(model, *stack_instances([bags[i] for i in idx]))[0]
-    base, _ = _branch_logits(model, bags, X, counts, M2)
+            M2[idx] = _graph_means(model, batch.take(idx))[0]
+    base, _ = _branch_logits(model, batch, M2)
     return _refine_forward(model, base)[0]
 
 
-def enhancer_forward(model: EnhancerModel, bags):
-    """Full forward over a batch of bags; returns (EnhancedBatch, cache)."""
-    if not bags:
-        raise ShapeError("enhance_batch needs at least one bag")
-    base, cache = _base_forward(model, bags)
+def enhancer_forward(model: EnhancerModel, batch: PackedBags):
+    """Full forward over a batch packed with its bag features; returns (EnhancedBatch, cache)."""
+    if not len(batch):
+        raise ShapeError("enhancer_forward needs at least one bag")
+    base, cache = _base_forward(model, batch)
     batch, cache["refine"] = _refine_forward(model, base)
     return batch, cache
 
@@ -264,7 +258,7 @@ def enhancer_backward(model: EnhancerModel, cache, grad_refined: np.ndarray) -> 
     g_adj_n = grad_refined.T @ base
     g_adj = _row_normalize_backward(rc["adj"], rc["scale"], g_adj_n)
     g_cols = mutual_knn_median_backward(rc["lab_cache"], g_adj[None])[0]  # (t, B)
-    g_base += _softmax_rows_backward(d0, g_cols.T)
+    g_base += softmax_rows_backward(d0, g_cols.T)
 
     c1, c2, c3 = cache["nets"]
     g1, _ = backward_batch(model.omega1_net, c1, g_base)
@@ -321,7 +315,7 @@ def enhancer_from_json_dict(doc: dict) -> EnhancerModel:
 
 
 def save_enhancer(model: EnhancerModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(enhancer_to_json_dict(model), fh, sort_keys=True)
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import bag_means, stack_instances
+from .data import PackedBags
 from .errors import ConfigError, DegenerateInputError, NumericError, ShapeError
 
 PROB_CLAMP = 1e-7
@@ -106,15 +106,19 @@ def _cosine_matrix(rows: np.ndarray) -> np.ndarray:
     return sims
 
 
-def similarity_matrices(bags, distributions: np.ndarray) -> SimilarityPair:
-    """Cosine similarity of mean-pooled bag features and of label distributions."""
-    if len(bags) < 2:
+def similarity_matrices(batch: PackedBags, distributions: np.ndarray) -> SimilarityPair:
+    """Cosine similarity of mean-pooled bag features and of label distributions.
+
+    The bag features are the means of a batch packed with its bag features.
+    """
+    if len(batch) < 2:
         raise ShapeError("similarity needs at least two bags")
-    pooled = bag_means(*stack_instances(bags))
+    if batch.means is None:
+        raise ShapeError("similarity needs bags packed with their bag features")
     D = np.asarray(distributions, dtype=np.float64)
-    if D.shape[0] != len(bags):
+    if D.shape[0] != len(batch):
         raise ShapeError("distribution rows must match bag count")
-    return SimilarityPair(Z=_cosine_matrix(pooled), A=_cosine_matrix(D))
+    return SimilarityPair(Z=_cosine_matrix(batch.means), A=_cosine_matrix(D))
 
 
 def similarity_loss(sp: SimilarityPair, mode: str = "mse") -> float:

@@ -12,9 +12,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import ConfigError, DataFormatError, NumericError, ShapeError
 
 _ACTIVATIONS = ("identity", "relu", "tanh", "sigmoid")
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def softmax_rows(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def softmax_rows_backward(soft: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Gradient on the logits of softmax_rows, given its output and the gradient on it."""
+    return soft * (grad - (grad * soft).sum(axis=1, keepdims=True))
 
 
 def _act(name: str, z: np.ndarray) -> np.ndarray:
@@ -25,7 +40,7 @@ def _act(name: str, z: np.ndarray) -> np.ndarray:
     if name == "tanh":
         return np.tanh(z)
     if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
+        return sigmoid(z)
     raise ConfigError(f"unknown activation {name!r}")
 
 
@@ -37,7 +52,7 @@ def _act_grad(name: str, z: np.ndarray) -> np.ndarray:
     if name == "tanh":
         return 1.0 - np.tanh(z) ** 2
     if name == "sigmoid":
-        s = 1.0 / (1.0 + np.exp(-z))
+        s = sigmoid(z)
         return s * (1.0 - s)
     raise ConfigError(f"unknown activation {name!r}")
 
@@ -250,7 +265,7 @@ def read_checkpoint(path, from_json_dict):
 
 
 def save_net(net: FeedForwardNet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(net_to_json_dict(net), fh)
 
 

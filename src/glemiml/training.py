@@ -20,7 +20,7 @@ from .classifier import (
     predict_dataset,
     set_classifier_params,
 )
-from .data import MIMLDataset
+from .data import MIMLDataset, PackedBags, pack_bags
 from .enhancer import (
     EnhancerModel,
     enhancer_backward,
@@ -48,6 +48,7 @@ from .losses import (
     threshold_loss_grad,
 )
 from .metrics import MetricsReport, compute_report
+from .nets import softmax_rows_backward
 
 ABLATIONS = ("full", "A", "B", "C")
 
@@ -125,10 +126,6 @@ def _sigmoid_backward(sig: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return grad * sig * (1.0 - sig)
 
 
-def _softmax_backward(soft: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    return soft * (grad - (grad * soft).sum(axis=1, keepdims=True))
-
-
 def build_models(feature_dim: int, label_count: int, cfg: TrainConfig):
     depth = {"full": cfg.classifier_depth, "A": 1, "B": 3, "C": cfg.classifier_depth}[cfg.ablation]
     enh = init_enhancer(
@@ -140,9 +137,13 @@ def build_models(feature_dim: int, label_count: int, cfg: TrainConfig):
     return enh, clf
 
 
-def _enhancer_batch(enh, bags, logical, clf_probs, cfg):
-    """Forward + loss components + gradient on enhancer parameters."""
+def _enhancer_batch(enh, bags: PackedBags, clf_probs, cfg):
+    """Forward + loss components + gradient on enhancer parameters.
+
+    `bags` is the mini-batch packed with its bag features.
+    """
     w = cfg.loss_weights
+    logical = bags.logical
     batch, cache = enhancer_forward(enh, bags)
     d, p_star = batch.distributions, batch.confidences
 
@@ -162,7 +163,7 @@ def _enhancer_batch(enh, bags, logical, clf_probs, cfg):
 
     grad_refined = (
         w.beta1 * _sigmoid_backward(p_star, g_pstar)
-        + _softmax_backward(d, w.beta2 * g_d_sim + w.beta3 * g_d_thr)
+        + softmax_rows_backward(d, w.beta2 * g_d_sim + w.beta3 * g_d_thr)
     )
     grad = enhancer_backward(enh, cache, grad_refined)
     return batch, {"L_CL": l_cl, "L_Sim": l_sim, "L_thr": l_thr, "L_CLE": l_cle}, grad
@@ -202,6 +203,8 @@ def train(train_ds: MIMLDataset, val_ds: MIMLDataset | None, cfg: TrainConfig,
     clf_opt = _make_optimizer(cfg, clf_vec.size)
     rng = np.random.default_rng(np.uint64(cfg.seed))
     history = TrainHistory()
+    # every mini-batch is gathered from this one pack of the split
+    packed = pack_bags(train_ds.bags, bag_features=True)
 
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(train_ds))
@@ -211,19 +214,18 @@ def train(train_ds: MIMLDataset, val_ds: MIMLDataset | None, cfg: TrainConfig,
             idx = order[start:start + cfg.batch_size]
             if idx.size < 2:
                 continue
-            bags = [train_ds.bags[i] for i in idx]
-            logical = np.stack([b.logical_labels for b in bags]).astype(np.float64)
+            bags = packed.take(idx)
 
             # the enhancer step leaves the classifier unchanged, so its step
             # reuses this forward pass
             clf_out = classifier_forward(clf, bags)
-            batch, enh_losses, enh_grad = _enhancer_batch(enh, bags, logical, clf_out[1], cfg)
+            _, enh_losses, enh_grad = _enhancer_batch(enh, bags, clf_out[1], cfg)
             _check_finite(enh_losses, epoch, n_batches)
             enh_vec = enh_opt.step(enh_vec, enh_grad)
             set_enhancer_params(enh, enh_vec)
 
             fresh = enhancer_forward(enh, bags)[0]
-            clf_losses, clf_grad = _classifier_batch(clf, clf_out, logical,
+            clf_losses, clf_grad = _classifier_batch(clf, clf_out, bags.logical,
                                                      fresh.distributions, cfg)
             _check_finite(clf_losses, epoch, n_batches)
             clf_vec = clf_opt.step(clf_vec, clf_grad)

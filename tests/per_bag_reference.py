@@ -12,15 +12,18 @@ machine epsilon wherever a floored width scales them.
 
 import numpy as np
 
-from glemiml.enhancer import (
-    EnhancedBatch,
-    _row_normalize,
-    _row_normalize_backward,
-    _softmax_rows,
-    _softmax_rows_backward,
-)
+from glemiml.enhancer import EnhancedBatch, _row_normalize, _row_normalize_backward
+from glemiml.errors import ShapeError
 from glemiml.graph import WIDTH_FLOOR
-from glemiml.nets import backward_batch, forward_batch, grads_to_vector, num_params
+from glemiml.nets import (
+    backward_batch,
+    forward_batch,
+    grads_to_vector,
+    num_params,
+    sigmoid,
+    softmax_rows,
+    softmax_rows_backward,
+)
 
 
 # ------------------------------------------------------------------ graph
@@ -140,6 +143,25 @@ def batched_graph_backward(cache, grad_adj):
     return 2.0 * (sym.sum(axis=2)[:, :, None] * points - sym @ points)
 
 
+# ---------------------------------------- former per-batch packing steps
+
+def stack_instances(bags):
+    """(instances (sum n_i, d), counts (B,)): the bags' rows stacked in bag order."""
+    try:
+        stacked = np.concatenate([bag.instances for bag in bags])
+    except ValueError as exc:
+        raise ShapeError(f"cannot stack the bags' instances: {exc}") from exc
+    return stacked, np.array([bag.num_instances for bag in bags], dtype=np.int64)
+
+
+def bag_means(stacked, counts):
+    return np.add.reduceat(stacked, np.cumsum(counts) - counts, axis=0) / counts[:, None]
+
+
+def logical_matrix(bags):
+    return np.stack([b.logical_labels for b in bags]).astype(np.float64)
+
+
 # --------------------------------------------------------------- enhancer
 
 def _bag_branches(model, bag):
@@ -166,12 +188,12 @@ def enhancer_forward(model, bags):
     o2, c2 = forward_batch(model.omega2_net, np.stack(m2s))
     o3, c3 = forward_batch(model.omega3_net, Lmat)
     base = o1 + o2 + o3
-    d0 = _softmax_rows(base)
+    d0 = softmax_rows(base)
     adj, lab_cache = mutual_knn_median(d0.T, model.k_label)
     adj_n, scale = _row_normalize(adj)
     refined = base + base @ adj_n.T
-    batch = EnhancedBatch(logits=refined, distributions=_softmax_rows(refined),
-                          confidences=1.0 / (1.0 + np.exp(-refined)))
+    batch = EnhancedBatch(logits=refined, distributions=softmax_rows(refined),
+                          confidences=sigmoid(refined))
     cache = {"bag_caches": bag_caches, "c1": c1, "c2": c2, "c3": c3, "base": base,
              "d0": d0, "adj": adj, "adj_n": adj_n, "scale": scale, "lab_cache": lab_cache}
     return batch, cache
@@ -182,7 +204,7 @@ def enhancer_backward(model, cache, grad_refined):
     g_base = grad_refined + grad_refined @ adj_n
     g_adj = _row_normalize_backward(cache["adj"], cache["scale"], grad_refined.T @ base)
     g_cols = mutual_knn_median_backward(cache["lab_cache"], g_adj)
-    g_base += _softmax_rows_backward(d0, g_cols.T)
+    g_base += softmax_rows_backward(d0, g_cols.T)
 
     g1, _ = backward_batch(model.omega1_net, cache["c1"], g_base)
     g2, g_m2 = backward_batch(model.omega2_net, cache["c2"], g_base)
@@ -219,7 +241,7 @@ def classifier_forward(model, bags):
     """Returns (logits (B, t), probabilities, per-bag caches)."""
     rows = [_bag_forward(model, bag) for bag in bags]
     S = np.stack([s for s, _ in rows])
-    return S, 1.0 / (1.0 + np.exp(-S)), [c for _, c in rows]
+    return S, sigmoid(S), [c for _, c in rows]
 
 
 def classifier_backward(model, caches, grad_logits):

@@ -40,6 +40,7 @@ from glemiml.data import (
     SyntheticConfig,
     generate_synthetic,
     normalized_logical_baseline,
+    pack_bags,
     split_dataset,
 )
 from glemiml.enhancer import (
@@ -155,7 +156,8 @@ def test_criterion_1_gradient_fidelity():
         err = _net_loss_check(seed, interaction)
         worst["interaction"] = max(worst.get("interaction", 0.0), err)
 
-        bags = [Bag(rng0.normal(size=(2, 3)), logical[i].astype(int)) for i in range(n)]
+        bags = pack_bags([Bag(rng0.normal(size=(2, 3)), logical[i].astype(int))
+                          for i in range(n)], bag_features=True)
 
         for mode in ("mse", "eq9-literal"):
             def similarity(out, rng, mode=mode):
@@ -209,8 +211,8 @@ def test_criterion_1_gradient_fidelity():
                           sim_mode=("mse" if seed % 2 == 0 else "eq9-literal"))
         t, f = 2, 2
         logical = _mixed_labels(rng, 3, t)
-        bags = [Bag(rng.normal(size=(int(rng.integers(2, 4)), f)),
-                    logical[i].astype(int)) for i in range(3)]
+        bags = pack_bags([Bag(rng.normal(size=(int(rng.integers(2, 4)), f)),
+                              logical[i].astype(int)) for i in range(3)], bag_features=True)
         clf_probs = rng.uniform(0.1, 0.9, size=(3, t))
 
         def single(i, o, s):
@@ -224,7 +226,7 @@ def test_criterion_1_gradient_fidelity():
 
         def enhancer_total(vec):
             set_enhancer_params(enh, vec)
-            _, losses, grad = tr_mod._enhancer_batch(enh, bags, logical, clf_probs, cfg)
+            _, losses, grad = tr_mod._enhancer_batch(enh, bags, clf_probs, cfg)
             return losses["L_CLE"], grad
 
         err = grad_check(enhancer_total, enhancer_params(enh), FD_EPS)

@@ -39,6 +39,26 @@ class TestConfigResolution:
         ini.write_text("[train]\nepochs = banana\n")
         assert main(["train", "--synth", "--config", str(ini)]) == 1
 
+    @pytest.mark.parametrize("text, named", [
+        ("[trainig]\nepochs = 5\n", "[trainig]"),
+        ("[train]\nepoch = 5\n", "[train] epoch"),
+        ("[train]\ndataset = x.jsonl\n", "belongs in [data]"),
+        ("[DEFAULT]\nepoch = 5\n[train]\nseed = 1\n", "[DEFAULT] epoch"),
+    ], ids=["section", "key", "wrong-section", "default-section"])
+    def test_unknown_config_entry_is_config_error(self, tmp_path, capsys, text, named):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(text)
+        assert main(["train", "--synth", "--config", str(ini), "--print-config"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+
+    def test_default_section_keys_still_apply(self, tmp_path):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[DEFAULT]\nepochs = 4\n[train]\nseed = 2\n")
+        args = build_parser().parse_args(["train", "--synth", "--config", str(ini)])
+        cfg = resolve_config(args)
+        assert cfg["epochs"] == 4 and cfg["seed"] == 2
+
     def test_dataset_and_synth_conflict(self):
         assert main(["train", "--dataset", "x.jsonl", "--synth"]) == 1
 

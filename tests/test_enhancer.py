@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import glemiml.enhancer as enh_mod
-from glemiml.data import Bag, SyntheticConfig, generate_synthetic
+from glemiml.data import Bag, SyntheticConfig, generate_synthetic, pack_bags
 from glemiml.enhancer import (
     EnhancerModel,
     embed_instances,
@@ -201,7 +201,7 @@ class TestGradients:
         from glemiml.nets import grad_check
         rng = np.random.default_rng(12)
         # a ragged batch with a single-instance bag
-        bags = [make_bag(rng, n, 4, 3) for n in (3, 1, 5, 2)]
+        bags = pack_bags([make_bag(rng, n, 4, 3) for n in (3, 1, 5, 2)], bag_features=True)
         upstream = rng.normal(size=(4, 3))
 
         def f(vec):
@@ -245,3 +245,19 @@ def test_checkpoint_invalid_json(tmp_path):
     with pytest.raises(DataFormatError, match="invalid JSON") as info:
         load_enhancer(path)
     assert str(path) in str(info.value)
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, model, monkeypatch):
+    path = tmp_path / "enhancer.json"
+    save_enhancer(model, path)
+    before = path.read_bytes()
+
+    def dump_then_fail(doc, fh, **kwargs):
+        fh.write('{"kind": "enhancer", "sig')
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(enh_mod.json, "dump", dump_then_fail)
+    with pytest.raises(RuntimeError, match="disk full"):
+        save_enhancer(model, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["enhancer.json"]

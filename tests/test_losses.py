@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glemiml.data import Bag
+from glemiml.data import Bag, pack_bags
 from glemiml.errors import ConfigError, DegenerateInputError, ShapeError
 from glemiml.losses import (
     LossWeights,
@@ -101,20 +101,20 @@ class TestSimilarityMatrices:
     def test_identical_bags_and_distributions(self):
         bags = [make_bag([[1.0, 2.0]]), make_bag([[1.0, 2.0]])]
         d = np.array([[0.7, 0.3], [0.7, 0.3]])
-        sp = similarity_matrices(bags, d)
+        sp = similarity_matrices(pack_bags(bags, bag_features=True), d)
         np.testing.assert_allclose(sp.Z, 1.0)
         np.testing.assert_allclose(sp.A, 1.0)
 
     def test_orthogonal_pooled_features(self):
         bags = [make_bag([[1.0, 0.0]]), make_bag([[0.0, 1.0]])]
-        sp = similarity_matrices(bags, np.array([[0.5, 0.5], [0.5, 0.5]]))
+        sp = similarity_matrices(pack_bags(bags, bag_features=True), np.array([[0.5, 0.5], [0.5, 0.5]]))
         assert sp.Z[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
         bags = [make_bag(rng.normal(size=(int(rng.integers(1, 4)), 3))) for _ in range(5)]
         d = rng.uniform(0.01, 1.0, size=(5, 2))
-        sp = similarity_matrices(bags, d)
+        sp = similarity_matrices(pack_bags(bags, bag_features=True), d)
         for i in range(5):
             for j in range(5):
                 xi = bags[i].instances.mean(axis=0)
@@ -126,7 +126,7 @@ class TestSimilarityMatrices:
 
     def test_zero_vector_convention(self):
         bags = [make_bag([[0.0, 0.0]]), make_bag([[1.0, 0.0]])]
-        sp = similarity_matrices(bags, np.array([[0.5, 0.5], [0.5, 0.5]]))
+        sp = similarity_matrices(pack_bags(bags, bag_features=True), np.array([[0.5, 0.5], [0.5, 0.5]]))
         assert sp.Z[0, 1] == 0.0 and sp.Z[0, 0] == 0.0
 
 

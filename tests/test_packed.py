@@ -17,20 +17,20 @@ from glemiml.classifier import (
     init_classifier,
     predict_dataset,
 )
-from glemiml.data import Bag, MIMLDataset
+from glemiml.data import Bag, MIMLDataset, pack_bags
 from glemiml.enhancer import (
     enhance_batch,
     enhancer_backward,
     enhancer_forward,
     init_enhancer,
 )
-from glemiml.errors import DegenerateInputError
+from glemiml.errors import DegenerateInputError, ShapeError
 from glemiml.graph import (
     _SORTED_MEDIAN_MIN_PAIRS,
     mutual_knn_median,
     mutual_knn_median_backward,
 )
-from glemiml.losses import threshold_loss, threshold_loss_grad
+from glemiml.losses import similarity_matrices, threshold_loss, threshold_loss_grad
 
 REL_TOL = 1e-12
 D, T = 3, 4
@@ -74,7 +74,7 @@ def test_enhancer_matches_per_bag(seed, sizes, duplicates, k, ablation_c):
     bags = make_bags(seed, sizes, duplicates)
     upstream = np.random.default_rng(seed + 1).normal(size=(len(bags), T))
 
-    batch, cache = enhancer_forward(model, bags)
+    batch, cache = enhancer_forward(model, pack_bags(bags, bag_features=True))
     expect, ref_cache = ref.enhancer_forward(model, bags)
     for name in ("logits", "distributions", "confidences"):
         assert_close(getattr(batch, name), getattr(expect, name))
@@ -90,7 +90,7 @@ def test_classifier_matches_per_bag(seed, sizes, duplicates, depth):
     bags = make_bags(seed, sizes, duplicates)
     upstream = np.random.default_rng(seed + 1).normal(size=(len(bags), T))
 
-    S, P, cache = classifier_forward(model, bags)
+    S, P, cache = classifier_forward(model, pack_bags(bags))
     S_ref, P_ref, ref_caches = ref.classifier_forward(model, bags)
     assert_close(S, S_ref)
     assert_close(P, P_ref)
@@ -193,3 +193,65 @@ def test_threshold_loss_matches_row_loop(seed, rows, t, ties):
         return
     assert threshold_loss(D_, L) == pytest.approx(expect, rel=REL_TOL, abs=1e-15)
     np.testing.assert_array_equal(threshold_loss_grad(D_, L), ref.threshold_loss_grad(D_, L))
+
+
+packs = dict(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 7), min_size=2, max_size=9),
+    data=st.data(),
+)
+
+
+def draw_index(data, n_bags):
+    """A batch of at least two positions: a permutation's prefix, so it is unordered."""
+    size = data.draw(st.integers(2, n_bags))
+    return np.asarray(data.draw(st.permutations(range(n_bags))))[:size]
+
+
+@given(**packs)
+@settings(max_examples=100, deadline=None)
+def test_take_equals_the_former_per_batch_packing(seed, sizes, data):
+    """A gathered batch holds the bytes that packing its bags afresh produced."""
+    bags = make_bags(seed, sizes, duplicates=False)
+    idx = draw_index(data, len(bags))
+    chosen = [bags[i] for i in idx]
+    batch = pack_bags(bags, bag_features=True).take(idx)
+
+    X, counts = ref.stack_instances(chosen)
+    assert batch.instances.tobytes() == X.tobytes()
+    assert batch.counts.tobytes() == counts.tobytes()
+    assert batch.starts.tobytes() == (np.cumsum(counts) - counts).tobytes()
+    assert batch.logical.tobytes() == ref.logical_matrix(chosen).tobytes()
+    assert batch.means.tobytes() == ref.bag_means(X, counts).tobytes()
+    rows_only = pack_bags(bags).take(idx)
+    assert rows_only.instances.tobytes() == X.tobytes()
+    assert rows_only.logical is None and rows_only.means is None
+
+
+@given(ablation_c=st.booleans(), depth=st.sampled_from([1, 2, 3]), **packs)
+@settings(max_examples=40, deadline=None)
+def test_forward_on_gathered_batch_equals_fresh_pack(seed, sizes, data, ablation_c, depth):
+    bags = make_bags(seed, sizes, duplicates=bool(seed % 2))
+    idx = draw_index(data, len(bags))
+    gathered = pack_bags(bags, bag_features=True).take(idx)
+    fresh = pack_bags([bags[i] for i in idx], bag_features=True)
+
+    enh = init_enhancer(D, T, embed_dim=3, instance_k=2, k_label=2, seed=seed % 97,
+                        use_instance_graph=not ablation_c)
+    out, _ = enhancer_forward(enh, gathered)
+    expect, _ = enhancer_forward(enh, fresh)
+    for name in ("logits", "distributions", "confidences"):
+        assert getattr(out, name).tobytes() == getattr(expect, name).tobytes()
+
+    clf = init_classifier(D, T, depth=depth, seed=seed % 97)
+    for got, want in zip(classifier_forward(clf, gathered)[:2], classifier_forward(clf, fresh)[:2]):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_bag_feature_readers_reject_a_rows_only_pack():
+    bags = make_bags(0, [2, 3], duplicates=False)
+    rows_only = pack_bags(bags)
+    with pytest.raises(ShapeError, match="bag features"):
+        enhancer_forward(init_enhancer(D, T, embed_dim=3), rows_only)
+    with pytest.raises(ShapeError, match="bag features"):
+        similarity_matrices(rows_only, np.full((2, T), 1.0 / T))

@@ -14,6 +14,7 @@ from glemiml.data import (
     MIMLDataset,
     SyntheticConfig,
     generate_synthetic,
+    pack_bags,
     split_dataset,
     SplitSpec,
 )
@@ -153,14 +154,13 @@ class TestAlternation:
         ds = small_dataset(num_bags=4)
         cfg = fast_cfg()
         enh, _ = build_models(ds.feature_dim, ds.label_count, cfg)
-        bags = ds.bags
-        logical = np.stack([b.logical_labels for b in bags]).astype(float)
+        bags = pack_bags(ds.bags, bag_features=True)
         rng = np.random.default_rng(0)
-        clf_probs = rng.uniform(0.1, 0.9, size=logical.shape)
+        clf_probs = rng.uniform(0.1, 0.9, size=bags.logical.shape)
 
         def f(vec):
             set_enhancer_params(enh, vec)
-            _, losses, grad = tr_mod._enhancer_batch(enh, bags, logical, clf_probs, cfg)
+            _, losses, grad = tr_mod._enhancer_batch(enh, bags, clf_probs, cfg)
             return losses["L_CLE"], grad
 
         assert grad_check(f, enhancer_params(enh), 1e-6) < 1e-4
@@ -170,15 +170,14 @@ class TestAlternation:
         ds = small_dataset(num_bags=4)
         cfg = fast_cfg()
         _, clf = build_models(ds.feature_dim, ds.label_count, cfg)
-        bags = ds.bags
-        logical = np.stack([b.logical_labels for b in bags]).astype(float)
+        bags = pack_bags(ds.bags, bag_features=True)
         rng = np.random.default_rng(1)
         dist = rng.dirichlet(np.ones(ds.label_count), size=len(bags))
 
         def f(vec):
             set_classifier_params(clf, vec)
             losses, grad = tr_mod._classifier_batch(clf, classifier_forward(clf, bags),
-                                                    logical, dist, cfg)
+                                                    bags.logical, dist, cfg)
             return losses["L_C"], grad
 
         assert grad_check(f, classifier_params(clf), 1e-6) < 1e-4
@@ -201,12 +200,13 @@ class TestFlatRegion:
         )
         rng = np.random.default_rng(0)
         patterns = ([1, 0, 0], [0, 1, 1], [1, 1, 0], [0, 0, 1])
-        bags = [Bag(rng.normal(size=(2, 2)), np.array(p)) for p in patterns]
-        logical = np.stack([b.logical_labels for b in bags]).astype(float)
+        bags = pack_bags([Bag(rng.normal(size=(2, 2)), np.array(p)) for p in patterns],
+                         bag_features=True)
+        logical = bags.logical
         cfg = fast_cfg(loss_weights=LossWeights(beta1=0.0, beta2=0.0, beta3=1.0))
         clf_probs = np.full(logical.shape, 0.5)
 
-        batch, losses, grad = tr_mod._enhancer_batch(enh, bags, logical, clf_probs, cfg)
+        batch, losses, grad = tr_mod._enhancer_batch(enh, bags, clf_probs, cfg)
         # precondition: min positive strictly above max negative in every bag
         for row, lab in zip(batch.distributions, logical):
             assert row[lab == 1].min() > row[lab == 0].max()
