@@ -16,6 +16,7 @@ from .atomic import atomic_open
 from .data import Bag, MIMLDataset, PackedBags, pack_bags
 from .errors import ConfigError, ShapeError
 from .nets import (
+    CHECKPOINT_SCHEMA,
     FeedForwardNet,
     backward_batch,
     forward_batch,
@@ -69,9 +70,24 @@ def init_classifier(feature_dim: int, label_count: int, depth: int = 2,
                            head=init_net([h, label_count], "relu", seed=seed * 2 + 2))
 
 
-# Bags per forward pass in predict_dataset, which bounds its memory however
-# large the dataset is.
+# Bags per forward pass in predict_dataset. Each chunk's caches are dropped
+# before the next chunk runs, so the pass holds one chunk's activations plus
+# the (B, t) outputs, however large the dataset is.
 PREDICT_CHUNK_BAGS = 256
+
+# Smallest number of stacked cells (rows x width) per rank of the largest bag
+# at which _max_pool takes the maxima rank by rank. np.maximum.reduceat pays
+# a fixed cost per bag and column, the rank path a fixed cost of a few us per
+# rank. Timed on one thread over 8-256 bags of 1-2 to 20-50 rows at widths
+# 10, 32 and 60, the faster path changes between about 1,500 and 3,000 cells
+# per rank; with this bound the 135 shapes took 3% longer in all than with
+# the faster path each time, and no shape more than 1.7 times as long.
+# Batches of 32 short or wide bags at width 32 hold about 700 cells per rank
+# and stay on reduceat (21 against 28 us for 2-5 rows, 60 against 151 us for
+# 20-50); 128 bags of 2-5 rows at width 60 hold about 5,500 (153 against
+# 49 us), and 256 bags of 20-50 rows at width 32 about 5,500 (1,017 against
+# 513 us).
+_RANK_POOL_MIN_CELLS = 2048
 
 
 def predict_bag(model: ClassifierModel, bag: Bag):
@@ -82,9 +98,12 @@ def predict_bag(model: ClassifierModel, bag: Bag):
 
 def predict_dataset(model: ClassifierModel, ds: MIMLDataset):
     """Stacked (B, t) logits and probabilities, one row per bag."""
-    parts = [classifier_forward(model, pack_bags(ds.bags[lo:lo + PREDICT_CHUNK_BAGS]))
-             for lo in range(0, len(ds), PREDICT_CHUNK_BAGS)]
-    return np.concatenate([s for s, _, _ in parts]), np.concatenate([p for _, p, _ in parts])
+    logits, probs = [], []
+    for lo in range(0, len(ds), PREDICT_CHUNK_BAGS):
+        s, p = classifier_forward(model, pack_bags(ds.bags[lo:lo + PREDICT_CHUNK_BAGS]))[:2]
+        logits.append(s)
+        probs.append(p)
+    return np.concatenate(logits), np.concatenate(probs)
 
 
 def binarize(probs: np.ndarray, threshold: float = 0.5) -> np.ndarray:
@@ -110,11 +129,35 @@ def classifier_forward(model: ClassifierModel, batch: PackedBags):
         hidden, inst_cache = X, None
     else:
         hidden, inst_cache = forward_batch(model.instance_net, X)
-    pooled = np.maximum.reduceat(hidden, batch.starts, axis=0)
+    pooled = _max_pool(hidden, batch.counts, batch.starts)
     S, head_cache = forward_batch(model.head, pooled)
     cache = {"inst": inst_cache, "hidden": hidden, "pooled": pooled, "counts": batch.counts,
              "starts": batch.starts, "head": head_cache}
     return S, sigmoid(S), cache
+
+
+def _max_pool(hidden: np.ndarray, counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each bag's column-wise maximum over its rows of `hidden`: (B, width).
+
+    Many short bags are pooled rank by rank. With the bags sorted largest
+    first, those holding a row of rank j are a prefix of that order, so rank j
+    is one gather of their j-th rows and one in-place np.maximum into that
+    prefix; no temporary outgrows (B, width). A maximum is exact in any order;
+    only the sign of a zero tie may differ from reduceat's.
+    """
+    tallest = counts.max()
+    if hidden.size < _RANK_POOL_MIN_CELLS * tallest:
+        return np.maximum.reduceat(hidden, starts, axis=0)
+    order = np.argsort(-counts, kind="stable")
+    rows = starts[order] + np.arange(tallest)[:, None]  # [j, i]: j-th row of bag order[i]
+    pooled = hidden[rows[0]]
+    holders = np.count_nonzero(np.arange(1, tallest)[:, None] < counts, axis=1)
+    for j, n in enumerate(holders.tolist(), start=1):
+        prefix = pooled[:n]
+        np.maximum(prefix, hidden[rows[j, :n]], out=prefix)
+    out = np.empty_like(pooled)
+    out[order] = pooled
+    return out
 
 
 def classifier_backward(model: ClassifierModel, cache, grad_logits: np.ndarray) -> np.ndarray:
@@ -156,6 +199,7 @@ def set_classifier_params(model: ClassifierModel, vec: np.ndarray) -> None:
 def classifier_to_json_dict(model: ClassifierModel) -> dict:
     return {
         "kind": "classifier",
+        "schema": CHECKPOINT_SCHEMA,
         "depth": model.depth,
         "pooling": "max",
         "instance_net": (net_to_json_dict(model.instance_net)

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import os
+import socket
 import sys
 
 import numpy as np
@@ -156,8 +157,28 @@ def _output_dir(cfg: dict) -> str:
     return os.path.join(root, "run")
 
 
+def _pid_alive(pid: int) -> bool:
+    """Whether process `pid` exists on this host. Off POSIX, signal 0 would
+    interrupt the process rather than probe it, so every owner counts as alive."""
+    if os.name != "posix":
+        return True
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, OverflowError):
+        return False
+    except PermissionError:  # it exists, under another user
+        return True
+    return True
+
+
 class _OutputLock:
-    """One experiment at a time per output directory."""
+    """One experiment at a time per output directory.
+
+    The lock file records its owner's PID and host. A lock left on this host
+    by a process that no longer exists is taken over. A live owner, an owner
+    on another host (whose liveness cannot be checked here) and a lock that
+    names no owner still block.
+    """
 
     def __init__(self, out_dir: str):
         self.path = os.path.join(out_dir, ".lock")
@@ -167,8 +188,41 @@ class _OutputLock:
         try:
             self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise ConfigError(f"output directory is locked by another run: {self.path}")
+            self._remove_if_stale()
+            try:
+                self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:  # another run took it over first
+                raise ConfigError(f"output directory is locked by another run: {self.path}")
+        owner = {"host": socket.gethostname(), "pid": os.getpid()}
+        os.write(self.fd, json.dumps(owner, sort_keys=True).encode())
         return self
+
+    def _remove_if_stale(self) -> None:
+        """Deletes the lock if its owner is a dead process on this host; raises otherwise."""
+        try:
+            with open(self.path, "r", encoding="utf-8") as fh:
+                owner = json.load(fh)
+        except FileNotFoundError:  # released since the first attempt
+            return
+        except ValueError:  # empty, or not JSON
+            owner = {}
+        if not isinstance(owner, dict):
+            owner = {}
+        pid, host = owner.get("pid"), owner.get("host")
+        if type(pid) is not int or pid <= 0 or not isinstance(host, str):
+            raise ConfigError(
+                f"output directory is locked: {self.path} names no owner (it was written before "
+                "locks recorded one, or by a run that stopped while writing it); "
+                "delete it if no run is using this directory")
+        if host != socket.gethostname():
+            raise ConfigError(f"output directory is locked by process {pid} on host {host!r}: "
+                              f"{self.path}; delete it if that run has ended")
+        if _pid_alive(pid):
+            raise ConfigError(f"output directory is locked by running process {pid}: {self.path}")
+        try:
+            os.unlink(self.path)
+        except FileNotFoundError:
+            pass
 
     def __exit__(self, *exc):
         if self.fd is not None:

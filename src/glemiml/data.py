@@ -112,11 +112,12 @@ class PackedBags:
 
 def pack_bags(bags, bag_features: bool = False) -> PackedBags:
     """Packs a sequence of bags; with `bag_features`, their labels and means too."""
+    arrays = [bag.instances for bag in bags]
     try:
-        stacked = np.concatenate([bag.instances for bag in bags])
+        stacked = np.concatenate(arrays)
     except ValueError as exc:
         raise ShapeError(f"cannot stack the bags' instances: {exc}") from exc
-    packed = PackedBags(stacked, np.array([bag.num_instances for bag in bags], dtype=np.int64))
+    packed = PackedBags(stacked, np.fromiter(map(len, arrays), dtype=np.int64, count=len(arrays)))
     if bag_features:
         packed.logical = np.stack([b.logical_labels for b in bags]).astype(np.float64)
         packed.means = np.add.reduceat(stacked, packed.starts, axis=0) / packed.counts[:, None]

@@ -18,6 +18,7 @@ from .data import Bag, PackedBags, pack_bags
 from .errors import ConfigError, ShapeError
 from .graph import mutual_knn_median, mutual_knn_median_backward
 from .nets import (
+    CHECKPOINT_SCHEMA,
     FeedForwardNet,
     backward_batch,
     forward_batch,
@@ -292,6 +293,7 @@ def set_enhancer_params(model: EnhancerModel, vec: np.ndarray) -> None:
 def enhancer_to_json_dict(model: EnhancerModel) -> dict:
     return {
         "kind": "enhancer",
+        "schema": CHECKPOINT_SCHEMA,
         "instance_k": model.instance_k,
         "k_label": model.k_label,
         "use_instance_graph": model.use_instance_graph,

@@ -86,16 +86,12 @@ def macro_average_precision(scores: np.ndarray, truth: np.ndarray) -> float:
     scores = np.asarray(scores, dtype=np.float64)
     truth = np.asarray(truth)
     _check_shapes(scores, truth)
-    aps = []
-    for j in range(scores.shape[1]):
-        pos_mask = truth[:, j] == 1
-        if not pos_mask.any():
-            continue
-        order = np.lexsort((np.arange(scores.shape[0]), -scores[:, j]))
-        ranked_pos = pos_mask[order]
-        cum_pos = np.cumsum(ranked_pos)
-        ranks = np.arange(1, scores.shape[0] + 1)
-        aps.append(float(np.mean((cum_pos / ranks)[ranked_pos])))
+    # a stable sort keeps tied bags in index order
+    order = np.argsort(-scores, axis=0, kind="stable")
+    ranked_pos = np.take_along_axis(truth == 1, order, axis=0)
+    precision = np.cumsum(ranked_pos, axis=0) / np.arange(1, scores.shape[0] + 1)[:, None]
+    aps = [float(np.mean(prec[hits])) for prec, hits in zip(precision.T, ranked_pos.T)
+           if hits.any()]
     if not aps:
         raise DegenerateInputError("no label has a positive bag")
     return float(np.mean(aps))

@@ -243,11 +243,17 @@ def net_from_json_dict(doc: dict, key: str = "net") -> FeedForwardNet:
         raise ShapeError(f"{key}: {exc}") from exc
 
 
+# Version of the enhancer and classifier checkpoint layout. A checkpoint
+# without a "schema" key was written before it was recorded and is schema 1.
+CHECKPOINT_SCHEMA = 1
+
+
 def read_checkpoint(path, from_json_dict):
     """The model `from_json_dict` builds from the JSON checkpoint at `path`.
 
-    Invalid JSON, a missing key and values of the wrong type or shape raise a
-    DataFormatError that names the file and, where it can, the key.
+    Invalid JSON, a schema other than CHECKPOINT_SCHEMA, a missing key and
+    values of the wrong type or shape raise a DataFormatError that names the
+    file and, where it can, the key or value.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -256,6 +262,10 @@ def read_checkpoint(path, from_json_dict):
             raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: a checkpoint must be a JSON object")
+    schema = doc.get("schema", CHECKPOINT_SCHEMA)
+    if type(schema) is not int or schema != CHECKPOINT_SCHEMA:
+        raise DataFormatError(
+            f"{path}: unsupported checkpoint schema {schema!r} (this version reads {CHECKPOINT_SCHEMA})")
     try:
         return from_json_dict(doc)
     except KeyError as exc:

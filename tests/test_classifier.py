@@ -1,12 +1,15 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from glemiml.classifier import (
+    PREDICT_CHUNK_BAGS,
     ClassifierModel,
     binarize,
+    classifier_forward,
     classifier_params,
     classifier_to_json_dict,
     init_classifier,
@@ -16,7 +19,7 @@ from glemiml.classifier import (
     save_classifier,
     set_classifier_params,
 )
-from glemiml.data import Bag, MIMLDataset
+from glemiml.data import Bag, MIMLDataset, pack_bags
 from glemiml.errors import ConfigError, DataFormatError, ShapeError
 from glemiml.nets import DenseLayer, FeedForwardNet, forward
 
@@ -116,6 +119,28 @@ class TestPredictDataset:
             # differently from one over a single bag's rows
             np.testing.assert_allclose(S[i], s, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(P[i], p, rtol=1e-12, atol=1e-15)
+
+    def test_memory_stays_within_two_chunks(self):
+        """Each chunk's caches are freed before the next chunk runs."""
+        model = init_classifier(4, 3, depth=2, seed=9)
+        rng = np.random.default_rng(9)
+        bags = [make_bag(rng, n=int(n)) for n in rng.integers(2, 6, size=5 * PREDICT_CHUNK_BAGS)]
+        ds = MIMLDataset(bags=bags, feature_dim=4, label_count=3)
+        first = pack_bags(bags[:PREDICT_CHUNK_BAGS])
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = classifier_forward(model, first)
+            chunk_peak = tracemalloc.get_traced_memory()[1] - base
+            del out
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            predict_dataset(model, ds)
+            pass_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert pass_peak < 2 * chunk_peak
 
     def test_identical_bags_identical_rows(self):
         model = init_classifier(4, 3, depth=2, seed=8)

@@ -1,5 +1,8 @@
 import json
 import os
+import socket
+import subprocess
+import sys
 
 import pytest
 
@@ -116,6 +119,48 @@ class TestTrainCommand:
         (out / ".lock").touch()
         assert run_train(out) == 1
 
+    @staticmethod
+    def write_lock(out, pid, host=None):
+        out.mkdir()
+        (out / ".lock").write_text(json.dumps({"host": host or socket.gethostname(), "pid": pid}))
+
+    def test_lock_of_dead_process_is_taken_over(self, tmp_path):
+        proc = subprocess.Popen([sys.executable, "-c", "pass"])
+        proc.wait()  # reaped, so its PID names no process
+        out = tmp_path / "run"
+        self.write_lock(out, proc.pid)
+        assert run_train(out) == 0
+        assert (out / "report.json").exists()
+        assert not (out / ".lock").exists()
+
+    @pytest.mark.parametrize("host", [None, "another-host.invalid"], ids=["live-pid", "foreign-host"])
+    def test_lock_of_live_or_foreign_owner_blocks(self, tmp_path, capsys, host):
+        out = tmp_path / "run"
+        self.write_lock(out, os.getpid(), host)
+        assert run_train(out) == 1
+        assert str(os.getpid()) in capsys.readouterr().err
+        assert (out / ".lock").exists() and not (out / "manifest.json").exists()
+
+    def test_lock_without_owner_blocks_and_says_delete(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / ".lock").write_text("")
+        assert run_train(out) == 1
+        assert "delete it" in capsys.readouterr().err
+
+    def test_lock_records_owner_while_held(self, tmp_path, monkeypatch):
+        import glemiml.cli as cli_mod
+        seen = []
+        real_train = cli_mod.train
+
+        def train_reading_lock(*args, **kwargs):
+            seen.append(json.loads((tmp_path / "run" / ".lock").read_text()))
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "train", train_reading_lock)
+        assert run_train(tmp_path / "run") == 0
+        assert seen == [{"host": socket.gethostname(), "pid": os.getpid()}]
+
     def test_lock_released_after_run(self, tmp_path):
         out = tmp_path / "run"
         assert run_train(out) == 0
@@ -192,6 +237,26 @@ class TestSynthAndEvaluate:
                      "--classifier", str(clf)]) == 2
         err = capsys.readouterr().err
         assert str(enh) in err and "'sigma'" in err
+
+    def test_checkpoint_schema(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_train(out) == 0
+        enh, clf = out / "enhancer.json", out / "classifier.json"
+        assert json.loads(enh.read_text())["schema"] == 1
+        assert json.loads(clf.read_text())["schema"] == 1
+        evaluate = ["evaluate", *FAST, "--enhancer", str(enh), "--classifier", str(clf)]
+
+        doc = json.loads(clf.read_text())
+        del doc["schema"]  # written before checkpoints carried one: schema 1
+        clf.write_text(json.dumps(doc))
+        assert main(evaluate) == 0
+        capsys.readouterr()
+
+        doc["schema"] = 2
+        clf.write_text(json.dumps(doc))
+        assert main(evaluate) == 2
+        err = capsys.readouterr().err
+        assert str(clf) in err and "schema 2" in err
 
 
 class TestReportCommand:

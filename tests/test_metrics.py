@@ -84,6 +84,22 @@ def row_loop_ranking_loss(scores, truth):
     return float(np.mean(per_bag))
 
 
+def label_loop_macro_average_precision(scores, truth):
+    aps = []
+    for j in range(scores.shape[1]):
+        pos_mask = truth[:, j] == 1
+        if not pos_mask.any():
+            continue
+        order = np.lexsort((np.arange(scores.shape[0]), -scores[:, j]))
+        ranked_pos = pos_mask[order]
+        cum_pos = np.cumsum(ranked_pos)
+        ranks = np.arange(1, scores.shape[0] + 1)
+        aps.append(float(np.mean((cum_pos / ranks)[ranked_pos])))
+    if not aps:
+        return None
+    return float(np.mean(aps))
+
+
 def label_loop_macro_f1(pred, truth):
     f1s = []
     for j in range(pred.shape[1]):
@@ -226,6 +242,12 @@ class TestOracleEquivalence:
                 ranking_loss(scores, truth)
         else:
             assert ranking_loss(scores, truth) == expect
+        expect = label_loop_macro_average_precision(scores, truth)
+        if expect is None:
+            with pytest.raises(DegenerateInputError):
+                macro_average_precision(scores, truth)
+        else:
+            assert macro_average_precision(scores, truth) == expect
         value, per_label = macro_f1(pred, truth)
         expect_value, expect_per_label = label_loop_macro_f1(pred, truth)
         assert value == expect_value

@@ -7,11 +7,13 @@ largest reference magnitude.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import per_bag_reference as ref
 from glemiml.classifier import (
+    _RANK_POOL_MIN_CELLS,
+    _max_pool,
     classifier_backward,
     classifier_forward,
     init_classifier,
@@ -99,6 +101,47 @@ def test_classifier_matches_per_bag(seed, sizes, duplicates, depth):
     assert_close(P_all, P_ref)
     assert_close(classifier_backward(model, cache, upstream),
                  ref.classifier_backward(model, ref_caches, upstream))
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_classifier_on_the_rank_pooling_path_matches_per_bag(depth):
+    """160 bags of 1-6 rows at hidden width 32 pool rank by rank."""
+    model = init_classifier(D, T, depth=depth, seed=depth)
+    sizes = np.random.default_rng(depth).integers(1, 7, size=160)
+    bags = make_bags(depth, sizes, duplicates=True)
+    batch = pack_bags(bags)
+    width = model.head.input_dim
+    assert len(batch.instances) * width >= _RANK_POOL_MIN_CELLS * batch.counts.max()
+    upstream = np.random.default_rng(depth + 1).normal(size=(len(bags), T))
+
+    S, P, cache = classifier_forward(model, batch)
+    S_ref, P_ref, ref_caches = ref.classifier_forward(model, bags)
+    assert_close(S, S_ref)
+    assert_close(P, P_ref)
+    S_all, P_all = predict_dataset(model, MIMLDataset(bags, D, T))
+    assert S_all.tobytes() == S.tobytes() and P_all.tobytes() == P.tobytes()
+    assert_close(classifier_backward(model, cache, upstream),
+                 ref.classifier_backward(model, ref_caches, upstream))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_bags=st.integers(1, 300), max_rows=st.integers(1, 60),
+       width=st.integers(1, 64))
+@example(seed=0, n_bags=300, max_rows=5, width=60)  # rank by rank
+@example(seed=0, n_bags=32, max_rows=50, width=32)  # reduceat
+@settings(max_examples=100, deadline=None)
+def test_max_pool_equals_reduceat(seed, n_bags, max_rows, width):
+    """Both sides of the shape rule take each bag's maxima. Rounded values tie
+    often, among them +0 and -0, whose sign either side may keep: the
+    comparison is by value."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, max_rows + 1, size=n_bags)
+    counts[rng.integers(n_bags)] = max_rows
+    starts = np.cumsum(counts) - counts
+    hidden = np.round(rng.normal(size=(counts.sum(), width)))
+    before = hidden.tobytes()
+    pooled = _max_pool(hidden, counts, starts)
+    np.testing.assert_array_equal(pooled, np.maximum.reduceat(hidden, starts, axis=0))
+    assert pooled.shape == (n_bags, width) and hidden.tobytes() == before
 
 
 @given(k=st.integers(1, 8), **batches)
