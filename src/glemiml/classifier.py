@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import atomic_open
-from .data import Bag, MIMLDataset, PackedBags, pack_bags
+from .data import MIMLDataset, PackedBags, pack_bags
 from .errors import ConfigError, ShapeError
 from .nets import (
     CHECKPOINT_SCHEMA,
@@ -88,12 +88,6 @@ PREDICT_CHUNK_BAGS = 256
 # 49 us), and 256 bags of 20-50 rows at width 32 about 5,500 (1,017 against
 # 513 us).
 _RANK_POOL_MIN_CELLS = 2048
-
-
-def predict_bag(model: ClassifierModel, bag: Bag):
-    """Returns (logits, sigmoid probabilities) for one bag."""
-    s, p, _ = classifier_forward(model, pack_bags([bag]))
-    return s[0], p[0]
 
 
 def predict_dataset(model: ClassifierModel, ds: MIMLDataset):

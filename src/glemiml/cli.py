@@ -33,9 +33,10 @@ from .data import (
 )
 from .enhancer import enhance_batch, load_enhancer, save_enhancer
 from .errors import ConfigError, DataFormatError, DegenerateInputError, NumericError, ShapeError
-from .graph import laplacian, median_width, mutual_knn_adjacency
+from .graph import mutual_knn_median
 from .losses import LossWeights
-from .metrics import METRIC_DIRECTIONS, METRIC_LABELS, average_rank, format_report_table
+from .metrics import METRIC_DIRECTIONS, average_rank, format_report_table
+from .nets import forward_batch
 from .training import LOSS_COLUMNS, TrainConfig, evaluate, run_ablation, train
 
 OUTPUT_ROOT_ENV = "GLEMIML_OUTPUT_ROOT"
@@ -271,12 +272,13 @@ def _export_distributions(enh, splits, out_dir: str) -> None:
                 writer.writerow([i] + [repr(float(v)) for v in row])
 
 
-def _dump_graph_debug(ds: MIMLDataset, cfg: dict, out_dir: str) -> None:
-    bag = ds.bags[0]
-    width = median_width(bag.instances)
-    g = mutual_knn_adjacency(bag.instances, cfg["instance_k"], width)
-    lap = laplacian(g)
-    for name, mat in (("adjacency", g.adjacency), ("laplacian", lap.matrix)):
+def _dump_graph_debug(enh, ds: MIMLDataset, out_dir: str) -> None:
+    """The instance graph the trained enhancer builds for the first bag of `ds`,
+    and its Laplacian diag(A 1) - A."""
+    emb, _ = forward_batch(enh.sigma_net, ds.bags[0].instances)
+    adj = mutual_knn_median(emb[None], [len(emb)], enh.instance_k)[0][0]
+    lap = np.diag(adj.sum(axis=1)) - adj
+    for name, mat in (("adjacency", adj), ("laplacian", lap)):
         with atomic_open(os.path.join(out_dir, f"graph_{name}.csv")) as fh:
             np.savetxt(fh, mat, delimiter=",")
 
@@ -317,7 +319,7 @@ def cmd_train(args) -> int:
         if cfg["export_distributions"]:
             _export_distributions(enh, splits, out_dir)
         if cfg["dump_graph"]:
-            _dump_graph_debug(train_ds, cfg, out_dir)
+            _dump_graph_debug(enh, train_ds, out_dir)
     print(format_report_table({cfg["method_name"]: report}), end="")
     return 0
 
@@ -443,7 +445,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--export-distributions", action="store_const", const=True,
                         default=None, help="write enhanced distributions per split as CSV")
     parser.add_argument("--dump-graph", action="store_const", const=True, default=None,
-                        help="write adjacency/Laplacian of the first train bag as CSV")
+                        help="write the trained instance graph of the first train bag and its "
+                             "Laplacian as CSV")
 
 
 def build_parser() -> argparse.ArgumentParser:

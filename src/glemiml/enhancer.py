@@ -9,12 +9,12 @@ the refined logits, confidences their elementwise sigmoid.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .atomic import atomic_open
-from .data import Bag, PackedBags, pack_bags
+from .data import PackedBags, pack_bags
 from .errors import ConfigError, ShapeError
 from .graph import mutual_knn_median, mutual_knn_median_backward
 from .nets import (
@@ -70,6 +70,9 @@ class EnhancerModel:
             raise ConfigError("omega nets must share the label-count output dim")
         if self.sigma_net.output_dim != self.omega2_net.input_dim:
             raise ConfigError("sigma output dim must match omega2 input dim")
+        if self.instance_k < 1 or self.k_label < 1:
+            raise ConfigError(
+                f"instance_k and k_label must be >= 1, got {self.instance_k} and {self.k_label}")
 
     @property
     def label_count(self) -> int:
@@ -107,16 +110,6 @@ def init_enhancer(feature_dim: int, label_count: int, embed_dim: int = 8,
         k_label=k_label,
         use_instance_graph=use_instance_graph,
     )
-
-
-def embed_instances(model: EnhancerModel, bag: Bag) -> np.ndarray:
-    """Row k is the sigma-net embedding of instance k (order preserving)."""
-    if bag.instances.shape[1] != model.sigma_net.input_dim:
-        raise ShapeError(
-            f"bag feature dim {bag.instances.shape[1]} != sigma input {model.sigma_net.input_dim}"
-        )
-    out, _ = forward_batch(model.sigma_net, bag.instances)
-    return out
 
 
 def _graph_means(model: EnhancerModel, batch: PackedBags):
@@ -173,21 +166,11 @@ def _base_forward(model: EnhancerModel, batch: PackedBags):
     return base, {"graph": graph_cache, "nets": net_caches}
 
 
-def recover_logits(model: EnhancerModel, bag: Bag) -> np.ndarray:
-    """Base (pre-refinement) logits for one bag: sum of the three branches."""
-    return _base_forward(model, pack_bags([bag], bag_features=True))[0][0]
-
-
 def _row_normalize(adj: np.ndarray):
     """Scale rows with sum > 1 down to sum exactly 1; smaller rows untouched."""
     sums = adj.sum(axis=1)
     scale = np.where(sums > 1.0, sums, 1.0)
     return adj / scale[:, None], scale
-
-
-def refine_with_label_graph(model: EnhancerModel, batch_logits: np.ndarray) -> EnhancedBatch:
-    batch, _ = _refine_forward(model, np.asarray(batch_logits, dtype=np.float64))
-    return batch
 
 
 def _refine_forward(model: EnhancerModel, base_logits: np.ndarray):

@@ -1,20 +1,12 @@
-"""Mutual-KNN graphs with Gaussian edge weights, Laplacians, and propagation.
+"""Median-width mutual-KNN graphs with Gaussian edge weights, and their backward pass.
 
-The enhancer builds its instance and label graphs with ``mutual_knn_median``
-and aggregates over them with its own batched product ``A @ E``
-(``enhancer._graph_means``). ``mutual_knn_adjacency``, ``laplacian``,
-``propagate_embeddings`` and the ``smoothness_energy`` quadratic form serve
-the single-graph diagnostics (``train --dump-graph``) and the invariant
-checks.
+``mutual_knn_median`` builds the enhancer's instance graphs and its label
+graph, a batch of zero-padded point sets at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import ConfigError, NumericError, ShapeError
 
 WIDTH_FLOOR = 1e-8
 
@@ -35,22 +27,6 @@ _DIST_BLOCK = 1 << 15
 # 56 us; 64 x 66: 66 against 73 us). Small-bag instance graphs and label
 # graphs fall below it, 20-50-point bags above.
 _SORTED_MEDIAN_MIN_PAIRS = 1 << 12
-
-
-@dataclass(frozen=True)
-class WeightedGraph:
-    adjacency: np.ndarray  # (n, n) symmetric, zero diagonal, entries in [0, 1]
-    width: float
-    k_neighbors: int
-
-    @property
-    def num_nodes(self) -> int:
-        return self.adjacency.shape[0]
-
-
-@dataclass(frozen=True)
-class LaplacianMatrix:
-    matrix: np.ndarray  # degree minus adjacency
 
 
 def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
@@ -89,16 +65,6 @@ def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
     return d2
 
 
-def median_width(points: np.ndarray) -> float:
-    """Median of squared pairwise distances, floored; 1.0 when < 2 points."""
-    n = points.shape[0]
-    if n < 2:
-        return 1.0
-    d2 = pairwise_sq_dists(points)
-    vals = d2[np.triu_indices(n, k=1)]
-    return float(max(np.median(vals), WIDTH_FLOOR))
-
-
 def _mutual_mask(d2: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
     """(B, N, N) mask of mutually-K-nearest pairs among each set's first counts[b] nodes.
 
@@ -121,48 +87,6 @@ def _mutual_mask(d2: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
         remaining[nearest] = np.inf
     nbr = nbr.reshape(n_sets, n, n)
     return nbr & nbr.transpose(0, 2, 1)
-
-
-def mutual_knn_adjacency(points: np.ndarray, k: int, width: float) -> WeightedGraph:
-    """Gaussian-weighted mutual-KNN adjacency; K is clamped to n-1 internally."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[0] < 1:
-        raise ShapeError("points must be a non-empty 2-D matrix")
-    if not np.all(np.isfinite(points)):
-        raise NumericError("points contain non-finite values")
-    if width <= 0:
-        raise ConfigError(f"width must be positive, got {width!r}")
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    d2 = pairwise_sq_dists(points)
-    mask = _mutual_mask(d2[None], np.array([points.shape[0]]), k)[0]
-    adj = np.where(mask, np.exp(-d2 / (2.0 * width)), 0.0)
-    return WeightedGraph(adjacency=adj, width=float(width), k_neighbors=int(k))
-
-
-def laplacian(g: WeightedGraph) -> LaplacianMatrix:
-    adj = g.adjacency
-    return LaplacianMatrix(matrix=np.diag(adj.sum(axis=1)) - adj)
-
-
-def propagate_embeddings(embeddings: np.ndarray, g: WeightedGraph) -> np.ndarray:
-    """Adjacency-weighted neighbor aggregation: row k becomes sum_m a_km * row m."""
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    if embeddings.shape[0] != g.num_nodes:
-        raise ShapeError(
-            f"embedding rows {embeddings.shape[0]} != graph nodes {g.num_nodes}"
-        )
-    return g.adjacency @ embeddings
-
-
-def smoothness_energy(embeddings: np.ndarray, lap: LaplacianMatrix) -> float:
-    """trace(E^T L E); equals half the weighted sum of squared neighbor gaps."""
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    if embeddings.shape[0] != lap.matrix.shape[0]:
-        raise ShapeError(
-            f"embedding rows {embeddings.shape[0]} != Laplacian size {lap.matrix.shape[0]}"
-        )
-    return float(np.trace(embeddings.T @ lap.matrix @ embeddings))
 
 
 def _ranked_pairs(vals: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -195,7 +119,8 @@ def mutual_knn_median(points: np.ndarray, counts, k: int):
     is the median of the set's squared pairwise distances, floored at
     WIDTH_FLOOR. The cache records everything needed to push a gradient on
     the adjacency entries back onto the points, including the dependence of
-    each width on its median pair(s).
+    each width on its median pair(s). `k` must be at least 1; TrainConfig and
+    EnhancerModel check it where it enters.
     """
     points = np.asarray(points, dtype=np.float64)
     counts = np.asarray(counts, dtype=np.int64)

@@ -8,11 +8,10 @@ All arithmetic is double precision.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import atomic_open
 from .errors import ConfigError, DataFormatError, NumericError, ShapeError
 
 _ACTIVATIONS = ("identity", "relu", "tanh", "sigmoid")
@@ -109,14 +108,6 @@ def init_net(dims, activation: str, seed: int, output_activation: str = "identit
     return FeedForwardNet(layers=layers)
 
 
-def forward(net: FeedForwardNet, x: np.ndarray) -> np.ndarray:
-    """Single-vector forward pass."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.input_dim,):
-        raise ShapeError(f"input shape {x.shape} != ({net.input_dim},)")
-    return forward_batch(net, x[None, :])[0][0]
-
-
 def forward_batch(net: FeedForwardNet, x: np.ndarray):
     """Batched forward pass. Returns (output (n, out), cache for backward)."""
     x = np.asarray(x, dtype=np.float64)
@@ -146,13 +137,6 @@ def backward_batch(net: FeedForwardNet, cache, grad_out: np.ndarray):
         param_grads[i] = (gz.T @ a_in, gz.sum(axis=0))
         g = gz @ layer.weights
     return param_grads, g
-
-
-def backward(net: FeedForwardNet, x: np.ndarray, upstream: np.ndarray):
-    """Single-vector backward. Returns (flat param gradient, input gradient)."""
-    _, cache = forward_batch(net, np.asarray(x, dtype=np.float64)[None, :])
-    param_grads, g_in = backward_batch(net, cache, np.asarray(upstream, dtype=np.float64)[None, :])
-    return grads_to_vector(param_grads), g_in[0]
 
 
 def net_to_vector(net: FeedForwardNet) -> np.ndarray:
@@ -272,12 +256,3 @@ def read_checkpoint(path, from_json_dict):
         raise DataFormatError(f"{path}: missing key {exc.args[0]!r}") from exc
     except (ConfigError, ShapeError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
-
-
-def save_net(net: FeedForwardNet, path) -> None:
-    with atomic_open(path) as fh:
-        json.dump(net_to_json_dict(net), fh)
-
-
-def load_net(path) -> FeedForwardNet:
-    return read_checkpoint(path, net_from_json_dict)

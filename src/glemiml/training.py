@@ -79,6 +79,9 @@ class TrainConfig:
             raise ConfigError("learning_rate must be positive")
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        if self.instance_k < 1 or self.k_label < 1:
+            raise ConfigError(
+                f"instance_k and k_label must be >= 1, got {self.instance_k} and {self.k_label}")
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"unknown ablation {self.ablation!r}")
 

@@ -4,7 +4,8 @@ Each test is a single pass/fail line under `pytest -v`.  Tolerances:
 
 1. gradient fidelity     max relative error < 1e-4 (central FD, eps = 1e-6)
 2. metric oracles        agreement within 1e-12
-3. graph invariants      row sums < 1e-10, quadratic form >= -1e-10,
+3. graph invariants      of mutual_knn_median's instance and label graphs:
+                         row sums < 1e-10, quadratic form >= -1e-10,
                          pairwise-sum identity within 1e-9
 4. synthetic recovery    cosine margin >= 0.02 over the normalized logical
                          baseline; trained ranking loss strictly below the
@@ -49,12 +50,7 @@ from glemiml.enhancer import (
     enhancer_params,
     set_enhancer_params,
 )
-from glemiml.graph import (
-    laplacian,
-    median_width,
-    mutual_knn_adjacency,
-    smoothness_energy,
-)
+from glemiml.graph import mutual_knn_median
 from glemiml.losses import (
     LossWeights,
     asymmetric_interaction_loss,
@@ -83,6 +79,7 @@ from glemiml.nets import (
     grads_to_vector,
     init_net,
     net_to_vector,
+    softmax_rows,
     vector_to_net,
 )
 from glemiml.training import TrainConfig, build_models, evaluate, train
@@ -319,17 +316,14 @@ def test_criterion_2_metric_oracle_equivalence():
 
 # ---------------------------------------------------------------- criterion 3
 
-def test_criterion_3_graph_invariants():
-    rng = np.random.default_rng(np.uint64(7))
-    for _ in range(100):
-        n = int(rng.integers(3, 9))
-        pts = rng.normal(size=(n, int(rng.integers(2, 5))))
-        k = int(rng.integers(1, n))
-        g = mutual_knn_adjacency(pts, k, median_width(pts))
-        A = g.adjacency
+def _check_graph_invariants(adj, counts, rng):
+    """Symmetry, Laplacian row sums, PSD and the pairwise identity for each set's graph."""
+    for A, n in zip(adj, counts):
         np.testing.assert_array_equal(A, A.T)
         assert np.all(np.diag(A) == 0.0)
-        L = laplacian(g).matrix
+        assert not A[n:].any() and not A[:, n:].any()  # padded nodes have no edges
+        A = A[:n, :n]
+        L = np.diag(A.sum(axis=1)) - A
         assert np.abs(L.sum(axis=1)).max() < 1e-10
         for _ in range(10):
             x = rng.normal(size=n)
@@ -338,7 +332,25 @@ def test_criterion_3_graph_invariants():
         pairwise = 0.5 * sum(
             A[i, j] * float(np.sum((emb[i] - emb[j]) ** 2))
             for i in range(n) for j in range(n))
-        assert smoothness_energy(emb, laplacian(g)) == pytest.approx(pairwise, abs=1e-9)
+        assert float(np.trace(emb.T @ L @ emb)) == pytest.approx(pairwise, abs=1e-9)
+
+
+def test_criterion_3_graph_invariants():
+    """The graphs the enhancer builds: padded batches of instance graphs, and
+    the label graph over the columns of a batch's softmax."""
+    rng = np.random.default_rng(np.uint64(7))
+    for _ in range(100):
+        counts = rng.integers(1, 9, size=int(rng.integers(1, 7)))
+        real = np.arange(counts.max()) < counts[:, None]
+        pts = np.where(real[:, :, None],
+                       rng.normal(size=real.shape + (int(rng.integers(2, 5)),)), 0.0)
+        k = int(rng.integers(1, 8))
+        _check_graph_invariants(mutual_knn_median(pts, counts, k)[0], counts, rng)
+
+        logits = rng.normal(size=(int(rng.integers(1, 33)), int(rng.integers(2, 9))))
+        t = logits.shape[1]
+        labels = mutual_knn_median(softmax_rows(logits).T[None], [t], k)[0]
+        _check_graph_invariants(labels, [t], rng)
 
 
 # ---------------------------------------------------------------- criterion 4

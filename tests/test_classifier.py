@@ -14,14 +14,24 @@ from glemiml.classifier import (
     classifier_to_json_dict,
     init_classifier,
     load_classifier,
-    predict_bag,
     predict_dataset,
     save_classifier,
     set_classifier_params,
 )
 from glemiml.data import Bag, MIMLDataset, pack_bags
 from glemiml.errors import ConfigError, DataFormatError, ShapeError
-from glemiml.nets import DenseLayer, FeedForwardNet, forward
+from glemiml.nets import DenseLayer, FeedForwardNet, forward_batch
+
+
+def predict_bag(model, bag):
+    """(logits, sigmoid probabilities) of one bag."""
+    s, p, _ = classifier_forward(model, pack_bags([bag]))
+    return s[0], p[0]
+
+
+def forward(net, x):
+    """forward_batch on a batch of one row."""
+    return forward_batch(net, x[None, :])[0][0]
 
 
 def make_bag(rng, n=3, d=4, t=3):
@@ -72,7 +82,6 @@ class TestPredictBag:
         model = init_classifier(4, 3, depth=2, seed=4)
         rng = np.random.default_rng(5)
         bag = make_bag(rng, n=3)
-        from glemiml.nets import forward_batch
         hidden, _ = forward_batch(model.instance_net, bag.instances)
         pooled = hidden.max(axis=0)
         grown = Bag(np.vstack([bag.instances, rng.normal(size=(1, 4))]), bag.logical_labels)

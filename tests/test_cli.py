@@ -4,9 +4,14 @@ import socket
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from glemiml.cli import config_hash, main, resolve_config, build_parser
+from glemiml.data import SplitSpec, SyntheticConfig, generate_synthetic, split_dataset
+from glemiml.enhancer import load_enhancer
+from glemiml.graph import mutual_knn_median
+from glemiml.nets import forward_batch
 
 FAST = [
     "--synth", "--num-bags", "20", "--feature-dim", "4", "--label-count", "3",
@@ -177,8 +182,24 @@ class TestTrainCommand:
         out = tmp_path / "run"
         assert run_train(out, ["--export-distributions", "--dump-graph"]) == 0
         assert (out / "distributions_train.csv").exists()
-        assert (out / "graph_adjacency.csv").exists()
-        assert (out / "graph_laplacian.csv").exists()
+        # the instance graph the trained enhancer builds for the first train bag
+        ds, _ = generate_synthetic(SyntheticConfig(num_bags=20, feature_dim=4, label_count=3))
+        X0 = split_dataset(ds, SplitSpec())[0].bags[0].instances
+        enh = load_enhancer(out / "enhancer.json")
+        expect = mutual_knn_median(forward_batch(enh.sigma_net, X0)[0][None], [len(X0)],
+                                   enh.instance_k)[0][0]
+        adj = np.loadtxt(out / "graph_adjacency.csv", delimiter=",", ndmin=2)
+        assert adj.tobytes() == expect.tobytes()
+        lap = np.loadtxt(out / "graph_laplacian.csv", delimiter=",", ndmin=2)
+        assert np.abs(lap.sum(axis=1)).max() < 1e-10
+
+    @pytest.mark.parametrize("flags", [["--instance-k", "0"], ["--k-label", "-2"]],
+                             ids=["instance-k-0", "k-label-negative"])
+    def test_graph_size_below_one_is_config_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "run"
+        assert run_train(out, [*flags, "--dump-graph"]) == 1
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GLEMIML_OUTPUT_ROOT", str(tmp_path / "root"))
@@ -237,6 +258,18 @@ class TestSynthAndEvaluate:
                      "--classifier", str(clf)]) == 2
         err = capsys.readouterr().err
         assert str(enh) in err and "'sigma'" in err
+
+    def test_checkpoint_with_k_below_one_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_train(out) == 0
+        enh = out / "enhancer.json"
+        doc = json.loads(enh.read_text())
+        doc["k_label"] = 0
+        enh.write_text(json.dumps(doc))
+        assert main(["evaluate", *FAST, "--enhancer", str(enh),
+                     "--classifier", str(out / "classifier.json")]) == 2
+        err = capsys.readouterr().err
+        assert str(enh) in err and "k_label must be >= 1" in err
 
     def test_checkpoint_schema(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -8,20 +8,19 @@ import glemiml.enhancer as enh_mod
 from glemiml.data import Bag, SyntheticConfig, generate_synthetic, pack_bags
 from glemiml.enhancer import (
     EnhancerModel,
-    embed_instances,
+    _base_forward,
+    _refine_forward,
     enhance_batch,
     enhancer_backward,
     enhancer_forward,
     enhancer_params,
     init_enhancer,
     load_enhancer,
-    recover_logits,
-    refine_with_label_graph,
     save_enhancer,
     set_enhancer_params,
 )
 from glemiml.errors import ConfigError, DataFormatError, ShapeError
-from glemiml.nets import DenseLayer, FeedForwardNet, net_to_vector, num_params, vector_to_net
+from glemiml.nets import DenseLayer, FeedForwardNet, forward_batch
 
 
 def identity_net(dim):
@@ -30,6 +29,20 @@ def identity_net(dim):
 
 def zero_net(in_dim, out_dim):
     return FeedForwardNet([DenseLayer(np.zeros((out_dim, in_dim)), np.zeros(out_dim), "identity")])
+
+
+def embed_instances(model, bag):
+    """Sigma-net embedding of each instance of the bag, in order."""
+    return forward_batch(model.sigma_net, bag.instances)[0]
+
+
+def recover_logits(model, bag):
+    """Base (pre-refinement) logits of one bag: the sum of the three branches."""
+    return _base_forward(model, pack_bags([bag], bag_features=True))[0][0]
+
+
+def refine_with_label_graph(model, logits):
+    return _refine_forward(model, np.asarray(logits, dtype=np.float64))[0]
 
 
 def make_bag(rng, n, d, t):
@@ -85,11 +98,10 @@ class TestRecoverLogits:
     def test_single_instance_isolated_node(self, model):
         bag = make_bag(np.random.default_rng(4), 1, 4, 3)
         m1 = bag.instances.mean(axis=0)
-        from glemiml.nets import forward
-        expect = (forward(model.omega1_net, m1)
-                  + forward(model.omega2_net, np.zeros(4))
-                  + forward(model.omega3_net, bag.logical_labels.astype(float)))
-        np.testing.assert_allclose(recover_logits(model, bag), expect, atol=1e-12)
+        expect = (forward_batch(model.omega1_net, m1[None])[0]
+                  + forward_batch(model.omega2_net, np.zeros((1, 4)))[0]
+                  + forward_batch(model.omega3_net, bag.logical_labels[None].astype(float))[0])
+        np.testing.assert_allclose(recover_logits(model, bag), expect[0], atol=1e-12)
 
     def test_omega3_identity_branch_isolation(self):
         m = EnhancerModel(
@@ -228,7 +240,10 @@ def test_checkpoint_roundtrip(tmp_path, model):
     (lambda doc: doc["omega1"]["weights"][0].pop(), "omega1"),
     (lambda doc: doc["omega3"]["activations"].append("relu"), "omega3"),
     (lambda doc: doc["sigma"]["biases"][-1].append(0.0), "sigma"),
-], ids=["no-sigma", "no-omega2-biases", "short-omega1-weights", "extra-omega3-activation", "long-sigma-bias"])
+    (lambda doc: doc.update(k_label=0), "k_label must be >= 1"),
+    (lambda doc: doc.update(instance_k=-1), "instance_k and k_label must be >= 1"),
+], ids=["no-sigma", "no-omega2-biases", "short-omega1-weights", "extra-omega3-activation",
+        "long-sigma-bias", "zero-k-label", "negative-instance-k"])
 def test_malformed_checkpoint_names_file_and_key(tmp_path, model, edit, named):
     path = tmp_path / "enh.json"
     doc = enh_mod.enhancer_to_json_dict(model)

@@ -2,26 +2,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
-from glemiml.errors import ConfigError, NumericError, ShapeError
-from glemiml.graph import (
-    LaplacianMatrix,
-    WeightedGraph,
-    laplacian,
-    median_width,
-    mutual_knn_adjacency,
-    mutual_knn_median,
-    mutual_knn_median_backward,
-    pairwise_sq_dists,
-    propagate_embeddings,
-    smoothness_energy,
-)
+from glemiml.data import Bag, pack_bags
+from glemiml.enhancer import EnhancerModel, _graph_means
+from glemiml.errors import ShapeError
+from glemiml.graph import mutual_knn_median, mutual_knn_median_backward
+from glemiml.nets import DenseLayer, FeedForwardNet
 
 
-def random_graph(rng, n, k=2):
-    pts = rng.normal(size=(n, 3))
-    return mutual_knn_adjacency(pts, k, median_width(pts))
+def random_batch(rng, max_sets=4, max_points=8, p=3):
+    """A zero-padded (sets, n, p) block of random point sets of 1..max_points points."""
+    counts = rng.integers(1, max_points + 1, size=int(rng.integers(1, max_sets + 1)))
+    real = np.arange(counts.max()) < counts[:, None]
+    pts = np.where(real[:, :, None], rng.normal(size=real.shape + (p,)), 0.0)
+    return pts, counts
+
+
+def laplacians(adj):
+    """diag(A 1) - A for each adjacency of a (sets, n, n) stack."""
+    return adj.sum(axis=2)[:, :, None] * np.eye(adj.shape[1]) - adj
 
 
 def brute_force_energy(adj, emb):
@@ -33,134 +32,170 @@ def brute_force_energy(adj, emb):
     return 0.5 * total
 
 
+def identity_net(dim):
+    return FeedForwardNet([DenseLayer(np.eye(dim), np.zeros(dim), "identity")])
+
+
+def zero_net(in_dim, out_dim):
+    return FeedForwardNet([DenseLayer(np.zeros((out_dim, in_dim)), np.zeros(out_dim), "identity")])
+
+
+def graph_means(instance_sets, k=3):
+    """Mean propagated embedding of each bag under an identity sigma net.
+
+    The embeddings are then the instances themselves, so each row is the mean
+    of A @ X over the bag, with A the bag's median-width mutual-KNN graph.
+    """
+    instance_sets = [np.asarray(x, dtype=float) for x in instance_sets]
+    d = instance_sets[0].shape[1]
+    model = EnhancerModel(sigma_net=identity_net(d), omega1_net=zero_net(d, 2),
+                          omega2_net=zero_net(d, 2), omega3_net=zero_net(2, 2), instance_k=k)
+    bags = [Bag(x, np.array([1, 0])) for x in instance_sets]
+    return _graph_means(model, pack_bags(bags))[0]
+
+
 class TestMutualKnnAdjacency:
     def test_line_points_asymmetric_neighbors(self):
-        pts = np.array([[0.0], [1.0], [10.0]])
-        g = mutual_knn_adjacency(pts, 1, 0.5)
-        assert g.adjacency[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-12)
-        assert g.adjacency[1, 0] == pytest.approx(np.exp(-1.0), abs=1e-12)
+        pts = np.array([[[0.0], [1.0], [10.0]]])
+        adj = mutual_knn_median(pts, [3], 1)[0][0]
+        # squared distances 1, 100 and 81: the median width is 81
+        assert adj[0, 1] == pytest.approx(np.exp(-1.0 / 162.0), abs=1e-12)
+        assert adj[1, 0] == adj[0, 1]
         # node 2's neighbor (node 1) does not reciprocate
-        assert np.all(g.adjacency[2] == 0.0) and np.all(g.adjacency[:, 2] == 0.0)
+        assert np.all(adj[2] == 0.0) and np.all(adj[:, 2] == 0.0)
 
     def test_identical_points_weight_one(self):
-        g = mutual_knn_adjacency(np.array([[1.0, 2.0], [1.0, 2.0]]), 1, 0.5)
-        assert g.adjacency[0, 1] == 1.0
+        adj = mutual_knn_median(np.array([[[1.0, 2.0], [1.0, 2.0]]]), [2], 1)[0][0]
+        assert adj[0, 1] == 1.0
 
     def test_full_k_matches_all_pairs_oracle(self):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(6, 2))
-        width = 0.7
-        g = mutual_knn_adjacency(pts, 10, width)
+        adj = mutual_knn_median(pts[None], [6], 10)[0][0]
+        d2 = np.array([[np.sum((a - b) ** 2) for b in pts] for a in pts])
+        width = np.median(d2[np.triu_indices(6, k=1)])
         for a in range(6):
             for b in range(6):
-                expect = 0.0 if a == b else np.exp(
-                    -np.sum((pts[a] - pts[b]) ** 2) / (2 * width))
-                assert g.adjacency[a, b] == pytest.approx(expect, abs=1e-12)
+                expect = 0.0 if a == b else np.exp(-d2[a, b] / (2 * width))
+                assert adj[a, b] == pytest.approx(expect, abs=1e-12)
 
     def test_symmetry_and_diagonal(self):
         rng = np.random.default_rng(1)
-        for n in (1, 2, 5, 9):
-            g = random_graph(rng, n)
-            assert np.array_equal(g.adjacency, g.adjacency.T)
-            assert np.all(np.diag(g.adjacency) == 0.0)
-            assert g.adjacency.min() >= 0.0 and g.adjacency.max() <= 1.0
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(NumericError):
-            mutual_knn_adjacency(np.array([[np.nan]]), 1, 1.0)
-
-    def test_bad_width_rejected(self):
-        with pytest.raises(ConfigError):
-            mutual_knn_adjacency(np.zeros((2, 1)), 1, 0.0)
+        counts = np.array([1, 2, 5, 9])
+        real = np.arange(9) < counts[:, None]
+        pts = np.where(real[:, :, None], rng.normal(size=(4, 9, 3)), 0.0)
+        adj = mutual_knn_median(pts, counts, 2)[0]
+        assert np.array_equal(adj, adj.transpose(0, 2, 1))
+        assert np.all(np.diagonal(adj, axis1=1, axis2=2) == 0.0)
+        assert adj.min() >= 0.0 and adj.max() <= 1.0
+        # padded rows and columns stay empty
+        assert not adj[~(real[:, :, None] & real[:, None, :])].any()
 
 
 class TestLaplacian:
     def test_unit_triangle(self):
-        adj = np.ones((3, 3)) - np.eye(3)
-        lap = laplacian(WeightedGraph(adj, 1.0, 2))
-        expect = np.array([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], dtype=float)
-        np.testing.assert_array_equal(lap.matrix, expect)
+        # three unit vectors are pairwise at squared distance 2, the median width
+        adj = mutual_knn_median(np.eye(3)[None], [3], 2)[0]
+        a = np.exp(-0.5)
+        expect = a * np.array([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], dtype=float)
+        np.testing.assert_array_equal(laplacians(adj)[0], expect)
 
     def test_single_node(self):
-        g = mutual_knn_adjacency(np.zeros((1, 2)), 1, 1.0)
-        np.testing.assert_array_equal(laplacian(g).matrix, [[0.0]])
+        adj = mutual_knn_median(np.zeros((1, 1, 2)), [1], 1)[0]
+        np.testing.assert_array_equal(laplacians(adj)[0], [[0.0]])
+        # a one-point set padded in a batch
+        pts = np.zeros((2, 3, 2))
+        pts[1] = np.random.default_rng(0).normal(size=(3, 2))
+        np.testing.assert_array_equal(laplacians(mutual_knn_median(pts, [1, 3], 1)[0])[0],
+                                      np.zeros((3, 3)))
 
     def test_row_sums_zero(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            lap = laplacian(random_graph(rng, int(rng.integers(2, 8))))
-            assert np.abs(lap.matrix.sum(axis=1)).max() < 1e-10
+            pts, counts = random_batch(rng)
+            lap = laplacians(mutual_knn_median(pts, counts, 2)[0])
+            assert np.abs(lap.sum(axis=2)).max() < 1e-10
 
     def test_psd_quadratic_form(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
-            g = random_graph(rng, int(rng.integers(2, 8)))
-            lap = laplacian(g).matrix
-            for _ in range(10):
-                x = rng.normal(size=lap.shape[0])
-                x /= np.linalg.norm(x)
-                assert x @ lap @ x >= -1e-10
+            pts, counts = random_batch(rng)
+            for lap in laplacians(mutual_knn_median(pts, counts, 2)[0]):
+                for _ in range(10):
+                    x = rng.normal(size=lap.shape[0])
+                    x /= np.linalg.norm(x)
+                    assert x @ lap @ x >= -1e-10
 
 
 class TestPropagation:
-    def test_zero_adjacency_zero_output(self):
-        g = WeightedGraph(np.zeros((3, 3)), 1.0, 1)
-        emb = np.arange(6.0).reshape(3, 2)
-        np.testing.assert_array_equal(propagate_embeddings(emb, g), np.zeros((3, 2)))
+    """The enhancer's propagation: the mean of A @ E over each bag."""
 
-    def test_unit_edge_swaps_rows(self):
-        adj = np.array([[0.0, 1.0], [1.0, 0.0]])
-        g = WeightedGraph(adj, 1.0, 1)
+    def test_zero_adjacency_zero_output(self):
+        # a one-instance bag has no edges
+        np.testing.assert_array_equal(graph_means([[[1.0, 2.0]], [[3.0, -4.0]]]),
+                                      np.zeros((2, 2)))
+
+    def test_two_instance_bag_exchanges_rows(self):
+        # the one pair sets the median width, so its weight is exp(-1/2) and
+        # each row becomes the other's, scaled by it
         emb = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(propagate_embeddings(emb, g), emb[::-1])
+        np.testing.assert_allclose(graph_means([emb])[0],
+                                   np.exp(-0.5) * emb[::-1].mean(axis=0), rtol=1e-15)
 
     def test_triangle_neighbor_sums(self):
-        adj = np.ones((3, 3)) - np.eye(3)
-        g = WeightedGraph(adj, 1.0, 2)
         emb = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
-        out = propagate_embeddings(emb, g)
-        np.testing.assert_allclose(out[0], emb[1] + emb[2])
-        np.testing.assert_allclose(out[1], emb[0] + emb[2])
-        np.testing.assert_allclose(out[2], emb[0] + emb[1])
+        # squared distances 2, 5 and 5: width 5, and every pair is mutual
+        a01, a02 = np.exp(-0.2), np.exp(-0.5)
+        rows = [a01 * emb[1] + a02 * emb[2], a01 * emb[0] + a02 * emb[2],
+                a02 * emb[0] + a02 * emb[1]]
+        np.testing.assert_allclose(graph_means([emb], k=2)[0], np.mean(rows, axis=0),
+                                   rtol=1e-14)
 
     def test_shape_mismatch(self):
-        g = WeightedGraph(np.zeros((3, 3)), 1.0, 1)
+        model = EnhancerModel(sigma_net=identity_net(3), omega1_net=zero_net(3, 2),
+                              omega2_net=zero_net(3, 2), omega3_net=zero_net(2, 2))
+        bag = Bag(np.zeros((4, 2)), np.array([1, 0]))
         with pytest.raises(ShapeError):
-            propagate_embeddings(np.zeros((4, 2)), g)
+            _graph_means(model, pack_bags([bag]))
 
-    @given(alpha=st.floats(-3, 3), beta=st.floats(-3, 3), seed=st.integers(0, 1000))
+    @given(scale=st.floats(0.1, 10.0), sign=st.sampled_from([-1.0, 1.0]),
+           seed=st.integers(0, 1000))
     @settings(max_examples=30, deadline=None)
-    def test_linearity(self, alpha, beta, seed):
+    def test_linearity(self, scale, sign, seed):
+        # A @ E is linear in E for a fixed graph, and the median width leaves
+        # the graph unchanged when the embeddings are scaled
         rng = np.random.default_rng(seed)
-        g = random_graph(rng, 5)
-        a = rng.normal(size=(5, 3))
-        b = rng.normal(size=(5, 3))
-        combined = propagate_embeddings(alpha * a + beta * b, g)
-        split = alpha * propagate_embeddings(a, g) + beta * propagate_embeddings(b, g)
-        np.testing.assert_allclose(combined, split, atol=1e-10)
+        emb = [rng.normal(size=(n, 3)) for n in (5, 2, 4)]
+        c = sign * scale
+        np.testing.assert_allclose(graph_means([c * e for e in emb]), c * graph_means(emb),
+                                   rtol=1e-10, atol=1e-12)
 
 
 class TestSmoothnessEnergy:
+    """trace(E^T L E) over the Laplacian of a mutual_knn_median graph."""
+
     def test_constant_rows_zero(self):
         rng = np.random.default_rng(4)
-        g = random_graph(rng, 5)
+        lap = laplacians(mutual_knn_median(rng.normal(size=(1, 5, 3)), [5], 2)[0])[0]
         emb = np.tile([1.0, 2.0], (5, 1))
-        assert smoothness_energy(emb, laplacian(g)) == pytest.approx(0.0, abs=1e-12)
+        assert np.trace(emb.T @ lap @ emb) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_node_hand_value(self):
-        adj = np.array([[0.0, 1.0], [1.0, 0.0]])
-        lap = laplacian(WeightedGraph(adj, 1.0, 1))
+        # one pair: the median width is its squared distance, the weight exp(-1/2)
+        lap = laplacians(mutual_knn_median(np.array([[[0.0], [3.0]]]), [2], 1)[0])[0]
         emb = np.array([[0.0], [2.0]])
-        assert smoothness_energy(emb, lap) == pytest.approx(4.0, abs=1e-12)
+        assert np.trace(emb.T @ lap @ emb) == pytest.approx(4.0 * np.exp(-0.5), abs=1e-12)
 
     def test_matches_pairwise_identity(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
-            g = random_graph(rng, int(rng.integers(2, 8)))
-            emb = rng.normal(size=(g.num_nodes, 4))
-            energy = smoothness_energy(emb, laplacian(g))
-            assert energy >= 0.0
-            assert energy == pytest.approx(brute_force_energy(g.adjacency, emb), abs=1e-9)
+            pts, counts = random_batch(rng)
+            adj = mutual_knn_median(pts, counts, 2)[0]
+            for a, lap, n in zip(adj, laplacians(adj), counts):
+                emb = rng.normal(size=(n, 4))
+                energy = np.trace(emb.T @ lap[:n, :n] @ emb)
+                assert energy >= 0.0
+                assert energy == pytest.approx(brute_force_energy(a[:n, :n], emb), abs=1e-9)
 
 
 class TestMedianWidthGradients:
@@ -192,5 +227,6 @@ class TestMedianWidthGradients:
                     1e-8, abs(analytic[b, i, j]) + abs(numeric)) < 1e-4
 
     def test_median_width_floor(self):
-        assert median_width(np.zeros((3, 2))) == 1e-8
-        assert median_width(np.zeros((1, 2))) == 1.0
+        # coincident points are floored; a set with no pairs gets width 1
+        _, cache = mutual_knn_median(np.zeros((2, 3, 2)), [3, 1], 1)
+        np.testing.assert_array_equal(cache["width"], [1e-8, 1.0])

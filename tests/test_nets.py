@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,23 +9,34 @@ from glemiml.errors import ConfigError, ShapeError
 from glemiml.nets import (
     DenseLayer,
     FeedForwardNet,
-    backward,
     backward_batch,
-    forward,
     forward_batch,
     grad_check,
     grads_to_vector,
     init_net,
-    load_net,
+    net_from_json_dict,
+    net_to_json_dict,
     net_to_vector,
     num_params,
-    save_net,
+    read_checkpoint,
     vector_to_net,
 )
 
 
 def identity_net(dim):
     return FeedForwardNet([DenseLayer(np.eye(dim), np.zeros(dim), "identity")])
+
+
+def forward(net, x):
+    """forward_batch on a batch of one row."""
+    return forward_batch(net, np.asarray(x, dtype=np.float64)[None, :])[0][0]
+
+
+def backward(net, x, upstream):
+    """backward_batch on a batch of one row: (flat parameter gradient, input gradient)."""
+    _, cache = forward_batch(net, x[None, :])
+    param_grads, g_in = backward_batch(net, cache, upstream[None, :])
+    return grads_to_vector(param_grads), g_in[0]
 
 
 class TestForward:
@@ -142,7 +155,7 @@ class TestParameterVector:
 def test_checkpoint_roundtrip(tmp_path):
     net = init_net([4, 8, 3], "tanh", seed=2)
     path = tmp_path / "net.json"
-    save_net(net, path)
-    loaded = load_net(path)
+    path.write_text(json.dumps(net_to_json_dict(net)))
+    loaded = read_checkpoint(path, net_from_json_dict)
     assert (net_to_vector(loaded) == net_to_vector(net)).all()
     assert [l.activation for l in loaded.layers] == [l.activation for l in net.layers]

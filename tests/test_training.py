@@ -55,7 +55,7 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("kw", [
         {"epochs": 0}, {"batch_size": 1}, {"learning_rate": 0.0},
-        {"optimizer": "rmsprop"}, {"ablation": "D"},
+        {"optimizer": "rmsprop"}, {"ablation": "D"}, {"instance_k": 0}, {"k_label": -2},
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ConfigError):
