@@ -70,10 +70,22 @@ def init_classifier(feature_dim: int, label_count: int, depth: int = 2,
                            head=init_net([h, label_count], "relu", seed=seed * 2 + 2))
 
 
-# Bags per forward pass in predict_dataset. Each chunk's caches are dropped
-# before the next chunk runs, so the pass holds one chunk's activations plus
-# the (B, t) outputs, however large the dataset is.
+# Bags per head pass in predict_dataset. The head's BLAS rounding depends on
+# its row count, so each chunk's pooled rows go through the head together.
+# The instance net runs over at most PREDICT_BLOCK_ROWS packed rows at a time,
+# so the pass holds one row block's activations plus a chunk's packed
+# instances and pooled rows and the (B, t) outputs, however large the dataset
+# and its bags are.
 PREDICT_CHUNK_BAGS = 256
+
+# Packed rows per instance-net block in predict_dataset. A chunk of 256 bags
+# of 20-50 rows holds about 9k rows, and each of its hidden arrays takes
+# 2.3 MB of fresh pages. Over 500 such bags, in a process that trains between
+# passes (2-vCPU Xeon, BLAS on one thread), a pass in one block per chunk took
+# 8.5 ms and 1.7k minor faults; in blocks of at most 256, 512, 1024, 2048 and
+# 4096 rows it took 5.7, 4.6, 4.0, 4.6 and 6.3 ms, with 149, 0, 0, 128 and
+# 383 faults. Chunks of short bags (about 900 rows) stay in one block.
+PREDICT_BLOCK_ROWS = 1024
 
 # Smallest number of stacked cells (rows x width) per rank of the largest bag
 # at which _max_pool takes the maxima rank by rank. np.maximum.reduceat pays
@@ -91,13 +103,61 @@ _RANK_POOL_MIN_CELLS = 2048
 
 
 def predict_dataset(model: ClassifierModel, ds: MIMLDataset):
-    """Stacked (B, t) logits and probabilities, one row per bag."""
+    """Stacked (B, t) logits and probabilities, one row per bag.
+
+    Equal to classifier_forward on each PREDICT_CHUNK_BAGS chunk of bags,
+    byte for byte where BLAS rounds as _predict_chunk describes.
+    """
     logits, probs = [], []
     for lo in range(0, len(ds), PREDICT_CHUNK_BAGS):
-        s, p = classifier_forward(model, pack_bags(ds.bags[lo:lo + PREDICT_CHUNK_BAGS]))[:2]
+        s, p = _predict_chunk(model, pack_bags(ds.bags[lo:lo + PREDICT_CHUNK_BAGS]))
         logits.append(s)
         probs.append(p)
     return np.concatenate(logits), np.concatenate(probs)
+
+
+def _predict_chunk(model: ClassifierModel, batch: PackedBags):
+    """classifier_forward's logits and probabilities, the instance net run a row block at a time.
+
+    A chunk of more than PREDICT_BLOCK_ROWS rows is split into blocks, each a
+    run of whole bags holding at most PREDICT_BLOCK_ROWS rows, or one larger
+    bag, and the head runs once over all the chunk's pooled rows. A chunk of
+    no more rows is one classifier_forward call: the block loop gives it the
+    same bytes, but in alternating benchmark pairs (2-vCPU Xeon, BLAS on one
+    thread) it read 1.7% and 2.9% lower predict_bags_per_s on the default and
+    many-labels-c workloads, whose chunks hold about 900 rows.
+
+    BLAS may round a small product with another kernel: OpenBLAS 0.3.31 with
+    its SkylakeX kernels does so for a 1-row product and for one of at most
+    1200 output cells over 32 or more inputs. So a block of fewer than half
+    the budget's rows (the last of a chunk, or one before a larger bag) runs
+    in a window of that many rows ending at its last row, or starting at row
+    0. Where BLAS rounds each row of such a window as it rounds that row in
+    the chunk's single product, as that build does, the outputs equal
+    classifier_forward's byte for byte; other BLAS builds or CPUs may round
+    differently, and then they agree to within rounding.
+    """
+    X, counts, starts = batch.instances, batch.counts, batch.starts
+    if model.instance_net is None or len(X) <= PREDICT_BLOCK_ROWS:
+        return classifier_forward(model, batch)[:2]
+    if X.shape[1] != model.feature_dim:
+        raise ShapeError(f"bag feature dim {X.shape[1]} != model feature dim {model.feature_dim}")
+    least = PREDICT_BLOCK_ROWS // 2
+    ends = starts + counts
+    pooled = np.empty((len(counts), model.instance_net.output_dim))
+    lo = 0
+    while lo < len(counts):
+        first = starts[lo]
+        hi = max(lo + 1, np.searchsorted(ends, first + PREDICT_BLOCK_ROWS, side="right"))
+        last = ends[hi - 1]
+        start = min(first, max(last - least, 0))  # the chunk holds more than `least` rows
+        hidden = forward_batch(model.instance_net, X[start:max(last, start + least)])[0]
+        pooled[lo:hi] = _max_pool(hidden[first - start:last - start], counts[lo:hi],
+                                  starts[lo:hi] - first)
+        del hidden  # before the next block's activations are allocated
+        lo = hi
+    S = forward_batch(model.head, pooled)[0]
+    return S, sigmoid(S)
 
 
 def binarize(probs: np.ndarray, threshold: float = 0.5) -> np.ndarray:

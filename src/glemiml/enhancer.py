@@ -16,7 +16,7 @@ import numpy as np
 from .atomic import atomic_open
 from .data import PackedBags, pack_bags
 from .errors import ConfigError, ShapeError
-from .graph import mutual_knn_median, mutual_knn_median_backward
+from .graph import GraphBuffers, mutual_knn_median, mutual_knn_median_backward, scratch
 from .nets import (
     CHECKPOINT_SCHEMA,
     FeedForwardNet,
@@ -112,11 +112,12 @@ def init_enhancer(feature_dim: int, label_count: int, embed_dim: int = 8,
     )
 
 
-def _graph_means(model: EnhancerModel, batch: PackedBags):
+def _graph_means(model: EnhancerModel, batch: PackedBags, buffers: GraphBuffers | None = None):
     """Mean graph-propagated embedding of each bag (B, p), plus the cache backprop needs.
 
     One sigma-net pass over the stacked instances, then one batched graph
-    build over the zero-padded (B, N, p) block of their embeddings.
+    build over the zero-padded (B, N, p) block of their embeddings, in
+    `buffers` when given.
     """
     global _instance_graph_builds
     counts = batch.counts
@@ -125,10 +126,10 @@ def _graph_means(model: EnhancerModel, batch: PackedBags):
     E_pad = np.zeros(real.shape + (E.shape[1],))
     E_pad[real] = E
     _instance_graph_builds += len(counts)
-    A, gcache = mutual_knn_median(E_pad, counts, model.instance_k)
+    A, gcache = mutual_knn_median(E_pad, counts, model.instance_k, buffers)
     M2 = (A @ E_pad).sum(axis=1) / counts[:, None]
     return M2, {"sig_cache": sig_cache, "E_pad": E_pad, "A": A, "gcache": gcache,
-                "counts": counts, "real": real}
+                "counts": counts, "real": real, "buffers": buffers}
 
 
 def _graph_means_backward(model: EnhancerModel, cache, g_m2: np.ndarray):
@@ -136,7 +137,7 @@ def _graph_means_backward(model: EnhancerModel, cache, g_m2: np.ndarray):
     E_pad, A = cache["E_pad"], cache["A"]
     g_p = np.broadcast_to((g_m2 / cache["counts"][:, None])[:, None, :], E_pad.shape)
     g_e = A.transpose(0, 2, 1) @ g_p
-    g_a = g_p @ E_pad.transpose(0, 2, 1)
+    g_a = np.matmul(g_p, E_pad.transpose(0, 2, 1), out=scratch(cache["buffers"], "g_a", A.shape))
     g_e += mutual_knn_median_backward(cache["gcache"], g_a)
     sg, _ = backward_batch(model.sigma_net, cache["sig_cache"], g_e[cache["real"]])
     return sg
@@ -156,10 +157,10 @@ def _branch_logits(model: EnhancerModel, batch: PackedBags, M2: np.ndarray):
     return o1 + o2 + o3, (c1, c2, c3)
 
 
-def _base_forward(model: EnhancerModel, batch: PackedBags):
+def _base_forward(model: EnhancerModel, batch: PackedBags, buffers: GraphBuffers | None = None):
     """Base (pre-refinement) logits (B, t) of a batch, plus the caches backprop needs."""
     if model.use_instance_graph:
-        M2, graph_cache = _graph_means(model, batch)
+        M2, graph_cache = _graph_means(model, batch, buffers)
     else:
         M2, graph_cache = np.zeros((len(batch), model.embed_dim)), None
     base, net_caches = _branch_logits(model, batch, M2)
@@ -213,11 +214,16 @@ def enhance_batch(model: EnhancerModel, bags) -> EnhancedBatch:
     return _refine_forward(model, base)[0]
 
 
-def enhancer_forward(model: EnhancerModel, batch: PackedBags):
-    """Full forward over a batch packed with its bag features; returns (EnhancedBatch, cache)."""
+def enhancer_forward(model: EnhancerModel, batch: PackedBags, buffers: GraphBuffers | None = None):
+    """Full forward over a batch packed with its bag features; returns (EnhancedBatch, cache).
+
+    The instance graph is built in `buffers` when given, so the cache is valid
+    only until the next forward with the same buffers. The label graph never
+    uses them: it is built while the instance graph's cache is still needed.
+    """
     if not len(batch):
         raise ShapeError("enhancer_forward needs at least one bag")
-    base, cache = _base_forward(model, batch)
+    base, cache = _base_forward(model, batch, buffers)
     batch, cache["refine"] = _refine_forward(model, base)
     return batch, cache
 

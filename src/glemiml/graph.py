@@ -6,6 +6,8 @@ graph, a batch of zero-padded point sets at a time.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 WIDTH_FLOOR = 1e-8
@@ -29,22 +31,52 @@ _DIST_BLOCK = 1 << 15
 _SORTED_MEDIAN_MIN_PAIRS = 1 << 12
 
 
-def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
+class GraphBuffers:
+    """Scratch arrays that successive mutual_knn_median builds and backward passes reuse.
+
+    One flat buffer per role, grown to the largest request seen; each request
+    gets a contiguous view of the buffer's front. Reusing them spares the
+    kernel from zeroing fresh pages for every (B, N, N) array of every batch.
+    A build's adjacency and cache live in these buffers, so they are valid
+    only until the next build with the same buffers, and two graphs that must
+    be alive at once (the instance and the label graph of one forward) must
+    not share them.
+    """
+
+    def __init__(self):
+        self._flat = {}
+
+    def get(self, role: str, shape) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(role)
+        if flat is None or flat.size < size:
+            flat = self._flat[role] = np.empty(size)
+        return flat[:size].reshape(shape)
+
+
+def scratch(buffers: GraphBuffers | None, role: str, shape) -> np.ndarray:
+    """An uninitialised float array for `role`: a view into `buffers`, or fresh when it is None."""
+    if buffers is None:
+        return np.empty(shape)
+    return buffers.get(role, shape)
+
+
+def pairwise_sq_dists(points: np.ndarray, buffers: GraphBuffers | None) -> np.ndarray:
     """Squared distances between the rows of each (n, p) matrix of a (..., n, p) stack.
 
     With no more features than rows, the squared differences are added one
     feature at a time, in feature order, into preallocated buffers, a block
     of _DIST_BLOCK elements' worth of sets at a time. Otherwise rows are taken
     a few at a time, so the difference tensor stays within _DIFF_BUDGET
-    elements.
+    elements. The result is written into `buffers` when given.
     """
     n, p = points.shape[-2:]
     if p <= n:
         # (sets, p, n): each feature's column is contiguous
         cols = np.ascontiguousarray(points.reshape((-1, n, p)).transpose(0, 2, 1))
-        d2 = np.empty((cols.shape[0], n, n))
+        d2 = scratch(buffers, "d2", (cols.shape[0], n, n))
         step = max(1, _DIST_BLOCK // (n * n))
-        buf = np.empty((min(step, cols.shape[0]), n, n))
+        buf = scratch(buffers, "d2_block", (min(step, cols.shape[0]), n, n))
         for lo in range(0, cols.shape[0], step):
             acc = d2[lo:lo + step]
             sq = buf[:acc.shape[0]]
@@ -57,7 +89,7 @@ def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
                 np.multiply(sq, sq, out=sq)
                 acc += sq
         return d2.reshape(points.shape[:-1] + (n,))
-    d2 = np.empty(points.shape[:-1] + (n,))
+    d2 = scratch(buffers, "d2", points.shape[:-1] + (n,))
     step = max(1, _DIFF_BUDGET // points.size)
     for lo in range(0, n, step):
         diff = points[..., lo:lo + step, None, :] - points[..., None, :, :]
@@ -65,7 +97,8 @@ def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _mutual_mask(d2: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
+def _mutual_mask(d2: np.ndarray, counts: np.ndarray, k: int,
+                 buffers: GraphBuffers | None) -> np.ndarray:
     """(B, N, N) mask of mutually-K-nearest pairs among each set's first counts[b] nodes.
 
     K is clamped to counts[b] - 1 per set and a node is never its own
@@ -76,7 +109,10 @@ def _mutual_mask(d2: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
     n_sets, n, _ = d2.shape
     real = np.arange(n) < counts[:, None]
     pairs = real[:, :, None] & real[:, None, :] & ~np.eye(n, dtype=bool)
-    remaining = np.where(pairs, d2, np.inf).reshape(-1)
+    remaining = scratch(buffers, "remaining", d2.shape)
+    np.copyto(remaining, np.inf)
+    np.copyto(remaining, d2, where=pairs)
+    remaining = remaining.reshape(-1)
     wanted = np.minimum(k, counts - 1)[:, None]
     row_starts = np.arange(0, remaining.size, n).reshape(n_sets, n)
     nbr = np.zeros(remaining.size, dtype=bool)
@@ -110,7 +146,7 @@ def _ranked_pairs(vals: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     return pick
 
 
-def mutual_knn_median(points: np.ndarray, counts, k: int):
+def mutual_knn_median(points: np.ndarray, counts, k: int, buffers: GraphBuffers | None = None):
     """Median-width mutual-KNN adjacencies of a batch of point sets, plus a cache for backprop.
 
     `points` is a zero-padded (B, N, p) block: set b is its first counts[b]
@@ -120,15 +156,18 @@ def mutual_knn_median(points: np.ndarray, counts, k: int):
     WIDTH_FLOOR. The cache records everything needed to push a gradient on
     the adjacency entries back onto the points, including the dependence of
     each width on its median pair(s). `k` must be at least 1; TrainConfig and
-    EnhancerModel check it where it enters.
+    EnhancerModel check it where it enters. With `buffers`, the (B, N, N)
+    float arrays of this build and of its backward pass are views into them,
+    so the adjacency and the cache stay valid only until the next build with
+    the same buffers; the arithmetic is the same either way.
     """
     points = np.asarray(points, dtype=np.float64)
     counts = np.asarray(counts, dtype=np.int64)
     n = points.shape[1]
     if n < 2:
         return np.zeros((points.shape[0], n, n)), {"points": points}
-    d2 = pairwise_sq_dists(points)
-    mask = _mutual_mask(d2, counts, k)
+    d2 = pairwise_sq_dists(points, buffers)
+    mask = _mutual_mask(d2, counts, k, buffers)
 
     # each set's pairs in np.triu_indices order, padded pairs sorted last
     rows, cols = np.nonzero(np.arange(n)[:, None] < np.arange(n))
@@ -146,13 +185,14 @@ def mutual_knn_median(points: np.ndarray, counts, k: int):
     med_weights *= ((m > 0) & (med_raw >= WIDTH_FLOOR))[:, None]
 
     # exp(-d2 / (2 w)) on mutual pairs, 0 elsewhere (the weights are positive)
-    adj = np.negative(d2)
+    adj = np.negative(d2, out=scratch(buffers, "adj", d2.shape))
     adj /= (2.0 * width)[:, None, None]
     np.exp(adj, out=adj)
     adj *= mask
     cache = {
         "points": points, "d2": d2, "mask": mask, "adj": adj, "width": width,
         "med_rows": rows[pick], "med_cols": cols[pick], "med_weights": med_weights,
+        "buffers": buffers,
     }
     return adj, cache
 
@@ -168,11 +208,14 @@ def mutual_knn_median_backward(cache, grad_adj: np.ndarray) -> np.ndarray:
     if "d2" not in cache:
         return np.zeros_like(points)
     d2, mask, adj, width = cache["d2"], cache["mask"], cache["adj"], cache["width"]
+    buffers = cache["buffers"]
 
-    g_d2 = np.where(mask, grad_adj, 0.0)
+    g_d2 = scratch(buffers, "g_d2", d2.shape)
+    np.copyto(g_d2, 0.0)
+    np.copyto(g_d2, grad_adj, where=mask)
     g_d2 *= adj
     # width dependence: da/dw = a * d2 / (2 w^2), routed to the median pair(s)
-    work = np.multiply(g_d2, d2)
+    work = np.multiply(g_d2, d2, out=scratch(buffers, "work", d2.shape))
     g_width = work.sum(axis=(1, 2)) / (2.0 * width * width)
     # direct dependence: a = exp(-d2 / (2 w))  =>  da/dd2 = -a / (2 w)
     g_d2 *= -1.0 / (2.0 * width[:, None, None])

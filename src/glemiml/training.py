@@ -30,7 +30,9 @@ from .enhancer import (
     set_enhancer_params,
 )
 from .errors import ConfigError, DegenerateInputError, NumericError
+from .graph import GraphBuffers
 from .losses import (
+    SIM_MODES,
     LossWeights,
     asymmetric_interaction_loss,
     asymmetric_interaction_loss_grad,
@@ -82,6 +84,12 @@ class TrainConfig:
         if self.instance_k < 1 or self.k_label < 1:
             raise ConfigError(
                 f"instance_k and k_label must be >= 1, got {self.instance_k} and {self.k_label}")
+        if self.embed_dim < 1:
+            raise ConfigError(f"embed_dim must be >= 1, got {self.embed_dim}")
+        if self.classifier_depth not in (1, 2, 3):
+            raise ConfigError(f"classifier_depth must be 1, 2 or 3, got {self.classifier_depth}")
+        if self.sim_mode not in SIM_MODES:
+            raise ConfigError(f"unknown sim_mode {self.sim_mode!r}, expected one of {SIM_MODES}")
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"unknown ablation {self.ablation!r}")
 
@@ -140,14 +148,15 @@ def build_models(feature_dim: int, label_count: int, cfg: TrainConfig):
     return enh, clf
 
 
-def _enhancer_batch(enh, bags: PackedBags, clf_probs, cfg):
+def _enhancer_batch(enh, bags: PackedBags, clf_probs, cfg, buffers: GraphBuffers | None = None):
     """Forward + loss components + gradient on enhancer parameters.
 
-    `bags` is the mini-batch packed with its bag features.
+    `bags` is the mini-batch packed with its bag features; its instance graph
+    is built in `buffers` when given.
     """
     w = cfg.loss_weights
     logical = bags.logical
-    batch, cache = enhancer_forward(enh, bags)
+    batch, cache = enhancer_forward(enh, bags, buffers)
     d, p_star = batch.distributions, batch.confidences
 
     l_cl = asymmetric_interaction_loss(clf_probs, p_star, logical, w.gamma_pos, w.gamma_neg)
@@ -213,6 +222,9 @@ def train(train_ds: MIMLDataset, val_ds: MIMLDataset | None, cfg: TrainConfig,
         order = rng.permutation(len(train_ds))
         sums = {k: 0.0 for k in LOSS_COLUMNS}
         n_batches = 0
+        # the epoch's instance graphs reuse these arrays; they are dropped
+        # before validation, so the process does not hold them between epochs
+        buffers = GraphBuffers()
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             if idx.size < 2:
@@ -222,12 +234,12 @@ def train(train_ds: MIMLDataset, val_ds: MIMLDataset | None, cfg: TrainConfig,
             # the enhancer step leaves the classifier unchanged, so its step
             # reuses this forward pass
             clf_out = classifier_forward(clf, bags)
-            _, enh_losses, enh_grad = _enhancer_batch(enh, bags, clf_out[1], cfg)
+            _, enh_losses, enh_grad = _enhancer_batch(enh, bags, clf_out[1], cfg, buffers)
             _check_finite(enh_losses, epoch, n_batches)
             enh_vec = enh_opt.step(enh_vec, enh_grad)
             set_enhancer_params(enh, enh_vec)
 
-            fresh = enhancer_forward(enh, bags)[0]
+            fresh = enhancer_forward(enh, bags, buffers)[0]
             clf_losses, clf_grad = _classifier_batch(clf, clf_out, bags.logical,
                                                      fresh.distributions, cfg)
             _check_finite(clf_losses, epoch, n_batches)
@@ -237,6 +249,7 @@ def train(train_ds: MIMLDataset, val_ds: MIMLDataset | None, cfg: TrainConfig,
             for k, v in {**enh_losses, **clf_losses}.items():
                 sums[k] += v
             n_batches += 1
+        del buffers
 
         record = {"epoch": epoch}
         record.update({k: sums[k] / max(n_batches, 1) for k in LOSS_COLUMNS})

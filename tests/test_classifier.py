@@ -1,11 +1,16 @@
 import json
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import glemiml.classifier as clf_mod
 from glemiml.classifier import (
+    PREDICT_BLOCK_ROWS,
     PREDICT_CHUNK_BAGS,
     ClassifierModel,
     binarize,
@@ -150,6 +155,56 @@ class TestPredictDataset:
         finally:
             tracemalloc.stop()
         assert pass_peak < 2 * chunk_peak
+
+    def test_memory_stays_within_two_row_blocks(self):
+        """Chunks of wide bags hold one row block's activations at a time."""
+        model = init_classifier(4, 3, depth=2, seed=10)
+        rng = np.random.default_rng(10)
+        bags = [make_bag(rng, n=int(n)) for n in rng.integers(20, 51, size=2 * PREDICT_CHUNK_BAGS)]
+        ds = MIMLDataset(bags=bags, feature_dim=4, label_count=3)
+        rows = np.cumsum([bag.num_instances for bag in bags])
+        block = pack_bags(bags[:np.searchsorted(rows, PREDICT_BLOCK_ROWS, side="right")])
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = classifier_forward(model, block)
+            block_peak = tracemalloc.get_traced_memory()[1] - base
+            del out
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            predict_dataset(model, ds)
+            pass_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert pass_peak < 2 * block_peak
+
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.sampled_from([1, 2, 3]),
+           sizes=st.lists(st.one_of(st.just(1), st.integers(1, 400)), min_size=1, max_size=40),
+           budget=st.sampled_from([2, 16, 76, 128, 300, PREDICT_BLOCK_ROWS]),
+           d=st.sampled_from([3, 40]))
+    # bags larger than the budget, with 1-row bags at block ends
+    @example(seed=0, depth=3, sizes=[1, 400, 1, 1, 400, 1], budget=128, d=3)
+    # two chunks, the second with fewer rows than half a budget
+    @example(seed=1, depth=3, sizes=[1] * (PREDICT_CHUNK_BAGS - 1) + [400] * 2, budget=76, d=40)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_one_forward_per_chunk(self, seed, depth, sizes, budget, d):
+        """Whatever the row blocks, within 16 units in the last place of the
+        chunk outputs' largest magnitude. Whether the outputs are equal byte
+        for byte depends on how the BLAS rounds small products (see
+        _predict_chunk); with budgets of 2 and 16 rows, whose windows are small
+        enough for OpenBLAS's other kernels, they differed by up to 4 units."""
+        rng = np.random.default_rng(seed)
+        bags = [make_bag(rng, n=n, d=d) for n in sizes]
+        model = init_classifier(d, 3, depth=depth, seed=seed % 97)
+        with mock.patch.object(clf_mod, "PREDICT_BLOCK_ROWS", budget):
+            S, P = predict_dataset(model, MIMLDataset(bags=bags, feature_dim=d, label_count=3))
+        chunks = [classifier_forward(model, pack_bags(bags[lo:lo + PREDICT_CHUNK_BAGS]))
+                  for lo in range(0, len(bags), PREDICT_CHUNK_BAGS)]
+        for got, want in ((S, np.concatenate([c[0] for c in chunks])),
+                          (P, np.concatenate([c[1] for c in chunks]))):
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=16 * np.spacing(np.abs(want).max()))
 
     def test_identical_bags_identical_rows(self):
         model = init_classifier(4, 3, depth=2, seed=8)

@@ -201,6 +201,17 @@ class TestTrainCommand:
         assert "must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--embed-dim", "0"], "embed_dim must be >= 1"),
+        (["--classifier-depth", "4"], "classifier_depth must be 1, 2 or 3"),
+        (["--sim-mode", "bogus"], "unknown sim_mode 'bogus'"),
+    ], ids=["embed-dim-0", "classifier-depth-4", "sim-mode-bogus"])
+    def test_bad_model_setting_is_config_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "run"
+        assert run_train(out, flags) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GLEMIML_OUTPUT_ROOT", str(tmp_path / "root"))
         assert main(["train", *FAST]) == 0
