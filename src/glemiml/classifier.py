@@ -105,8 +105,9 @@ _RANK_POOL_MIN_CELLS = 2048
 def predict_dataset(model: ClassifierModel, ds: MIMLDataset):
     """Stacked (B, t) logits and probabilities, one row per bag.
 
-    Equal to classifier_forward on each PREDICT_CHUNK_BAGS chunk of bags,
-    byte for byte where BLAS rounds as _predict_chunk describes.
+    Equal to classifier_forward on each PREDICT_CHUNK_BAGS chunk of bags to
+    within rounding: each row block is its own instance-net product, and BLAS
+    may round a row differently in a product of another row count.
     """
     logits, probs = [], []
     for lo in range(0, len(ds), PREDICT_CHUNK_BAGS):
@@ -126,34 +127,20 @@ def _predict_chunk(model: ClassifierModel, batch: PackedBags):
     same bytes, but in alternating benchmark pairs (2-vCPU Xeon, BLAS on one
     thread) it read 1.7% and 2.9% lower predict_bags_per_s on the default and
     many-labels-c workloads, whose chunks hold about 900 rows.
-
-    BLAS may round a small product with another kernel: OpenBLAS 0.3.31 with
-    its SkylakeX kernels does so for a 1-row product and for one of at most
-    1200 output cells over 32 or more inputs. So a block of fewer than half
-    the budget's rows (the last of a chunk, or one before a larger bag) runs
-    in a window of that many rows ending at its last row, or starting at row
-    0. Where BLAS rounds each row of such a window as it rounds that row in
-    the chunk's single product, as that build does, the outputs equal
-    classifier_forward's byte for byte; other BLAS builds or CPUs may round
-    differently, and then they agree to within rounding.
     """
     X, counts, starts = batch.instances, batch.counts, batch.starts
     if model.instance_net is None or len(X) <= PREDICT_BLOCK_ROWS:
         return classifier_forward(model, batch)[:2]
     if X.shape[1] != model.feature_dim:
         raise ShapeError(f"bag feature dim {X.shape[1]} != model feature dim {model.feature_dim}")
-    least = PREDICT_BLOCK_ROWS // 2
     ends = starts + counts
     pooled = np.empty((len(counts), model.instance_net.output_dim))
     lo = 0
     while lo < len(counts):
         first = starts[lo]
         hi = max(lo + 1, np.searchsorted(ends, first + PREDICT_BLOCK_ROWS, side="right"))
-        last = ends[hi - 1]
-        start = min(first, max(last - least, 0))  # the chunk holds more than `least` rows
-        hidden = forward_batch(model.instance_net, X[start:max(last, start + least)])[0]
-        pooled[lo:hi] = _max_pool(hidden[first - start:last - start], counts[lo:hi],
-                                  starts[lo:hi] - first)
+        hidden = forward_batch(model.instance_net, X[first:ends[hi - 1]])[0]
+        pooled[lo:hi] = _max_pool(hidden, counts[lo:hi], starts[lo:hi] - first)
         del hidden  # before the next block's activations are allocated
         lo = hi
     S = forward_batch(model.head, pooled)[0]

@@ -13,6 +13,7 @@ import configparser
 import csv
 import hashlib
 import json
+import math
 import os
 import socket
 import sys
@@ -41,53 +42,42 @@ from .training import LOSS_COLUMNS, TrainConfig, evaluate, run_ablation, train
 
 OUTPUT_ROOT_ENV = "GLEMIML_OUTPUT_ROOT"
 
-_CONFIG_FIELDS = {
-    # section, key, type
-    "dataset": ("data", str), "synth": ("data", str),
-    "num_bags": ("data", int), "feature_dim": ("data", int),
-    "label_count": ("data", int), "instances_min": ("data", int),
-    "instances_max": ("data", int), "data_seed": ("data", int),
-    "train_frac": ("split", float), "test_frac": ("split", float),
-    "val_frac": ("split", float), "split_seed": ("split", int),
-    "epochs": ("train", int), "batch_size": ("train", int),
-    "learning_rate": ("train", float), "optimizer": ("train", str),
-    "instance_k": ("train", int), "k_label": ("train", int),
-    "embed_dim": ("train", int), "classifier_depth": ("train", int),
-    "sim_mode": ("train", str), "seed": ("train", int),
-    "checkpoint_every": ("train", int),
-    "beta1": ("loss", float), "beta2": ("loss", float), "beta3": ("loss", float),
-    "rho": ("loss", float), "gamma_pos": ("loss", float), "gamma_neg": ("loss", float),
-    "out": ("output", str), "method_name": ("output", str),
-    "export_distributions": ("output", bool), "dump_graph": ("output", bool),
-}
 
-_DEFAULTS = {
-    "dataset": None, "synth": None,
-    "num_bags": 500, "feature_dim": 10, "label_count": 6,
-    "instances_min": 2, "instances_max": 5, "data_seed": 7,
-    "train_frac": 0.7, "test_frac": 0.2, "val_frac": 0.1, "split_seed": 0,
-    "epochs": 50, "batch_size": 32, "learning_rate": 1e-3, "optimizer": "adam",
-    "instance_k": 3, "k_label": 3, "embed_dim": 8, "classifier_depth": 2,
-    "sim_mode": "mse", "seed": 0, "checkpoint_every": 0,
-    "beta1": 1.0 / 3.0, "beta2": 1.0 / 3.0, "beta3": 1.0 / 3.0,
-    "rho": 0.5, "gamma_pos": 0.0, "gamma_neg": 4.0,
-    "out": None, "method_name": "GLEMIML",
-    "export_distributions": False, "dump_graph": False,
+def _held(section: str, config, names: str, **renamed) -> dict:
+    """Settings that a config dataclass holds, with its defaults: `names` are
+    its field names, and `renamed` maps a setting key to the field it sets."""
+    pairs = [(name, name) for name in names.split()] + list(renamed.items())
+    return {key: (section, type(getattr(config, name)), getattr(config, name))
+            for key, name in pairs}
+
+
+_SETTINGS = {
+    # key: (section, type, default)
+    "dataset": ("data", str, None), "synth": ("data", str, None),
+    **_held("data", SyntheticConfig, "num_bags feature_dim label_count instances_min instances_max",
+            data_seed="seed"),
+    **_held("split", SplitSpec, "train_frac test_frac val_frac", split_seed="seed"),
+    **_held("train", TrainConfig, "epochs batch_size learning_rate optimizer instance_k k_label "
+            "embed_dim classifier_depth sim_mode seed"),
+    "checkpoint_every": ("train", int, 0),
+    **_held("loss", LossWeights, "beta1 beta2 beta3 rho gamma_pos gamma_neg"),
+    "out": ("output", str, None), "method_name": ("output", str, "GLEMIML"),
+    "export_distributions": ("output", bool, False), "dump_graph": ("output", bool, False),
 }
 
 
 def _reject_unknown_config(parser: configparser.ConfigParser) -> None:
     """Names a section or key that no setting reads (a typo) instead of ignoring it."""
-    sections = {section for section, _ in _CONFIG_FIELDS.values()}
+    sections = {section for section, _, _ in _SETTINGS.values()}
     defaults = parser.defaults()
     for key in defaults:
-        if key not in _CONFIG_FIELDS:
+        if key not in _SETTINGS:
             raise ConfigError(f"config [{parser.default_section}] {key}: unknown key")
     for section in parser.sections():
         if section not in sections:
             raise ConfigError(f"config [{section}]: unknown section")
         for key in parser.options(section):
-            home = _CONFIG_FIELDS[key][0] if key in _CONFIG_FIELDS else None
+            home = _SETTINGS[key][0] if key in _SETTINGS else None
             if key not in defaults and home != section:
                 hint = f" (it belongs in [{home}])" if home else ""
                 raise ConfigError(f"config [{section}] {key}: unknown key{hint}")
@@ -95,21 +85,21 @@ def _reject_unknown_config(parser: configparser.ConfigParser) -> None:
 
 def resolve_config(args) -> dict:
     """Layer defaults < config file < command-line flags."""
-    cfg = dict(_DEFAULTS)
+    cfg = {key: default for key, (_, _, default) in _SETTINGS.items()}
     if getattr(args, "config", None):
         parser = configparser.ConfigParser()
         read = parser.read(args.config)
         if not read:
             raise DataFormatError(f"config file not found: {args.config}")
         _reject_unknown_config(parser)
-        for key, (section, typ) in _CONFIG_FIELDS.items():
+        for key, (section, typ, _) in _SETTINGS.items():
             if parser.has_option(section, key):
                 raw = parser.get(section, key)
                 try:
                     cfg[key] = parser.getboolean(section, key) if typ is bool else typ(raw)
                 except ValueError as exc:
                     raise ConfigError(f"config [{section}] {key}: {exc}") from exc
-    for key in _CONFIG_FIELDS:
+    for key in _SETTINGS:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
@@ -137,18 +127,26 @@ def _train_config(cfg: dict, ablation: str = "full") -> TrainConfig:
     )
 
 
+def _synthetic_config(cfg: dict) -> SyntheticConfig:
+    return SyntheticConfig(
+        num_bags=cfg["num_bags"], feature_dim=cfg["feature_dim"],
+        label_count=cfg["label_count"], instances_min=cfg["instances_min"],
+        instances_max=cfg["instances_max"], seed=cfg["data_seed"],
+    )
+
+
+def _split(ds: MIMLDataset, cfg: dict) -> tuple:
+    """The (train, test, val) split of `ds` that the split settings name."""
+    spec = SplitSpec(cfg["train_frac"], cfg["test_frac"], cfg["val_frac"], cfg["split_seed"])
+    return split_dataset(ds, spec)
+
+
 def _load_data(cfg: dict) -> MIMLDataset:
     if cfg["dataset"] is not None:
         if not os.path.exists(cfg["dataset"]):
             raise DataFormatError(f"dataset file not found: {cfg['dataset']}")
         return load_dataset(cfg["dataset"])
-    synth_cfg = SyntheticConfig(
-        num_bags=cfg["num_bags"], feature_dim=cfg["feature_dim"],
-        label_count=cfg["label_count"], instances_min=cfg["instances_min"],
-        instances_max=cfg["instances_max"], seed=cfg["data_seed"],
-    )
-    ds, _ = generate_synthetic(synth_cfg)
-    return ds
+    return generate_synthetic(_synthetic_config(cfg))[0]
 
 
 def _output_dir(cfg: dict) -> str:
@@ -285,12 +283,8 @@ def _dump_graph_debug(enh, ds: MIMLDataset, out_dir: str) -> None:
 
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
-    if getattr(args, "print_config", False):
-        print(json.dumps(cfg, sort_keys=True, indent=2, default=str))
-        return 0
     ds = _load_data(cfg)
-    spec = SplitSpec(cfg["train_frac"], cfg["test_frac"], cfg["val_frac"], cfg["split_seed"])
-    splits = split_dataset(ds, spec)
+    splits = _split(ds, cfg)
     train_ds, test_ds, val_ds = splits
     tcfg = _train_config(cfg)
 
@@ -326,12 +320,8 @@ def cmd_train(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = resolve_config(args)
-    if getattr(args, "print_config", False):
-        print(json.dumps(cfg, sort_keys=True, indent=2, default=str))
-        return 0
     ds = _load_data(cfg)
-    spec = SplitSpec(cfg["train_frac"], cfg["test_frac"], cfg["val_frac"], cfg["split_seed"])
-    splits = split_dataset(ds, spec)
+    splits = _split(ds, cfg)
     tcfg = _train_config(cfg)
 
     out_dir = _output_dir(cfg)
@@ -359,9 +349,7 @@ def cmd_evaluate(args) -> int:
     clf = load_classifier(args.classifier)
     ds = _load_data(cfg)
     if args.split:
-        spec = SplitSpec(cfg["train_frac"], cfg["test_frac"], cfg["val_frac"], cfg["split_seed"])
-        splits = dict(zip(("train", "test", "val"), split_dataset(ds, spec)))
-        ds = splits[args.split]
+        ds = dict(zip(("train", "test", "val"), _split(ds, cfg)))[args.split]
     report = evaluate(enh, clf, ds)
     doc = {
         "method": cfg["method_name"], "dataset": ds.name,
@@ -374,13 +362,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = resolve_config(args)
-    synth_cfg = SyntheticConfig(
-        num_bags=cfg["num_bags"], feature_dim=cfg["feature_dim"],
-        label_count=cfg["label_count"], instances_min=cfg["instances_min"],
-        instances_max=cfg["instances_max"], seed=cfg["data_seed"],
-    )
-    ds, truths = generate_synthetic(synth_cfg)
+    ds, truths = generate_synthetic(_synthetic_config(resolve_config(args)))
     save_dataset(ds, args.out_file)
     if args.truth_out:
         with atomic_open(args.truth_out, newline="") as fh:
@@ -392,26 +374,38 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _read_report(path: str) -> dict:
+    """A report JSON file as written by train or evaluate; a data error names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+        raise DataFormatError(f"cannot read report {path}: {exc}") from exc
+    if not (isinstance(doc, dict) and isinstance(doc.get("method"), str)
+            and isinstance(doc.get("dataset"), str) and isinstance(doc.get("metrics"), dict)):
+        raise DataFormatError(f"report {path}: expected an object with string 'method' and "
+                              "'dataset' and a 'metrics' object")
+    for metric in METRIC_DIRECTIONS:
+        value = doc["metrics"].get(metric)
+        if value is not None and not (isinstance(value, (int, float)) and math.isfinite(value)):
+            raise DataFormatError(f"report {path}: metric {metric!r} is not a finite number: "
+                                  f"{value!r}")
+    return doc
+
+
 def cmd_report(args) -> int:
     if not args.reports:
         raise ConfigError("report needs at least one report JSON file")
     table: dict = {}
+    directions = {}
     for path in args.reports:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        method, dataset = doc["method"], doc["dataset"]
-        row = table.setdefault(method, {})
-        for metric in METRIC_DIRECTIONS:
-            row[f"{dataset}:{metric}"] = doc["metrics"].get(metric)
-    col_directions = {}
-    for method_scores in table.values():
-        for col in method_scores:
-            metric = col.split(":")[-1]
-            col_directions[col] = METRIC_DIRECTIONS[metric]
-    ranks = average_rank(
-        {m: {c: v for c, v in scores.items()} for m, scores in table.items()},
-        {c: d for c, d in col_directions.items()},
-    )
+        doc = _read_report(path)
+        row = table.setdefault(doc["method"], {})
+        for metric, direction in METRIC_DIRECTIONS.items():
+            col = f"{doc['dataset']}:{metric}"
+            row[col] = doc["metrics"].get(metric)
+            directions[col] = direction
+    ranks = average_rank(table, directions)
     methods = sorted(table, key=lambda m: ranks[m])
     columns = sorted({c for scores in table.values() for c in scores})
     width = max(18, max(len(c) for c in columns) + 2)
@@ -434,7 +428,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset", help="JSON-lines dataset file")
     parser.add_argument("--synth", nargs="?", const="default",
                         help="use the synthetic generator (default settings unless overridden)")
-    for key, (section, typ) in _CONFIG_FIELDS.items():
+    for key, (_, typ, _) in _SETTINGS.items():
         if key in ("dataset", "synth", "export_distributions", "dump_graph"):
             continue
         flag = "--" + key.replace("_", "-")
@@ -487,6 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "print_config", False):
+            print(json.dumps(resolve_config(args), sort_keys=True, indent=2, default=str))
+            return 0
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

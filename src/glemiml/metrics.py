@@ -121,12 +121,21 @@ def compute_report(probs: np.ndarray, pred: np.ndarray, truth: np.ndarray) -> Me
     )
 
 
+def _column_ranks(values: list, higher: bool) -> list[int]:
+    """Rank of each score in one column: 1 is best (the highest score if
+    `higher`, else the lowest), tied scores share the minimum rank and a
+    missing score (None) takes the worst, len(values)."""
+    present = [v for v in values if v is not None]
+    return [len(values) if v is None else 1 + sum((o > v) if higher else (o < v) for o in present)
+            for v in values]
+
+
 def average_rank(table: dict, directions: dict) -> dict:
     """Mean rank per method over all (dataset, metric) columns.
 
-    `table` maps method -> column -> score (None for missing cells, which get
-    the worst rank). Rank 1 is best per the column's direction; ties share the
-    minimum rank.
+    `table` maps method -> column -> score (None for missing cells) and
+    `directions` maps column -> "higher" or "lower" (the default). Rank 1 is
+    best; ties share the minimum rank and a missing cell takes the worst.
     """
     if not table:
         raise DegenerateInputError("empty score grid")
@@ -134,59 +143,27 @@ def average_rank(table: dict, directions: dict) -> dict:
     columns = sorted({col for scores in table.values() for col in scores})
     if not columns:
         raise DegenerateInputError("score grid has no columns")
-    totals = {m: 0.0 for m in methods}
-    for col in columns:
-        metric = col[1] if isinstance(col, tuple) else col
-        higher = directions.get(metric, "lower") == "higher"
-        vals = {m: table[m].get(col) for m in methods}
-        worst_rank = len(methods)
-        for m in methods:
-            v = vals[m]
-            if v is None:
-                totals[m] += worst_rank
-                continue
-            better = sum(
-                1 for other, ov in vals.items()
-                if other != m and ov is not None
-                and ((ov > v) if higher else (ov < v))
-            )
-            totals[m] += better + 1
-        # ties naturally share the minimum rank: equal scores count no 'better'
-    return {m: totals[m] / len(columns) for m in methods}
+    ranks = [_column_ranks([table[m].get(col) for m in methods], directions.get(col) == "higher")
+             for col in columns]
+    return {m: sum(col[i] for col in ranks) / len(columns) for i, m in enumerate(methods)}
 
 
 def format_report_table(reports: dict) -> str:
     """Aligned text table: metric rows with direction markers, one method per column.
 
-    `reports` maps method name -> MetricsReport. Parenthesized ranks follow
-    each value when more than one method is present.
+    `reports` maps method name -> MetricsReport. Each value is followed by its
+    rank in parentheses (_column_ranks) when more than one method is present;
+    a missing value reads N/A with the worst rank.
     """
     methods = list(reports.keys())
-    metric_keys = list(METRIC_DIRECTIONS.keys())
-    table = {
-        m: {k: getattr(reports[m], k) for k in metric_keys} for m in methods
-    }
-    lines = []
-    header = f"{'Metric':<10}" + "".join(f"{m:>18}" for m in methods)
-    lines.append(header)
-    for k in metric_keys:
-        arrow = "v" if METRIC_DIRECTIONS[k] == "lower" else "^"
-        row = f"{METRIC_LABELS[k] + arrow:<10}"
-        vals = {m: table[m][k] for m in methods}
-        for m in methods:
-            v = vals[m]
-            if v is None:
-                cell = f"N/A({len(methods)})"
-            elif len(methods) > 1:
-                higher = METRIC_DIRECTIONS[k] == "higher"
-                better = sum(
-                    1 for other, ov in vals.items()
-                    if other != m and ov is not None
-                    and ((ov > v) if higher else (ov < v))
-                )
-                cell = f"{v:.4f}({better + 1})"
-            else:
-                cell = f"{v:.4f}"
+    lines = [f"{'Metric':<10}" + "".join(f"{m:>18}" for m in methods)]
+    for k, direction in METRIC_DIRECTIONS.items():
+        row = f"{METRIC_LABELS[k] + ('v' if direction == 'lower' else '^'):<10}"
+        values = [getattr(reports[m], k) for m in methods]
+        for v, rank in zip(values, _column_ranks(values, direction == "higher")):
+            cell = "N/A" if v is None else f"{v:.4f}"
+            if v is None or len(methods) > 1:
+                cell += f"({rank})"
             row += f"{cell:>18}"
         lines.append(row)
     return "\n".join(lines) + "\n"

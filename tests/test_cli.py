@@ -12,6 +12,7 @@ from glemiml.data import SplitSpec, SyntheticConfig, generate_synthetic, split_d
 from glemiml.enhancer import load_enhancer
 from glemiml.graph import mutual_knn_median
 from glemiml.nets import forward_batch
+from glemiml.training import TrainConfig
 
 FAST = [
     "--synth", "--num-bags", "20", "--feature-dim", "4", "--label-count", "3",
@@ -29,6 +30,10 @@ class TestConfigResolution:
         cfg = resolve_config(args)
         assert cfg["epochs"] == 50 and cfg["batch_size"] == 32
         assert cfg["rho"] == 0.5 and cfg["gamma_neg"] == 4.0
+        # a setting a config dataclass holds takes its default from it
+        train, synth, split = TrainConfig(), SyntheticConfig(), SplitSpec()
+        assert cfg["learning_rate"] == train.learning_rate and cfg["beta1"] == train.loss_weights.beta1
+        assert cfg["data_seed"] == synth.seed and cfg["split_seed"] == split.seed
 
     def test_flag_overrides_file(self, tmp_path):
         ini = tmp_path / "cfg.ini"
@@ -79,6 +84,16 @@ class TestConfigResolution:
         assert main(["train", "--synth", "--epochs", "5", "--print-config"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["epochs"] == 5 and doc["synth"] == "default"
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--num-bags", "9", "{tmp}/data.jsonl"],
+        ["evaluate", "--num-bags", "9", "--enhancer", "{tmp}/e.json", "--classifier", "{tmp}/c.json"],
+    ], ids=["synth", "evaluate"])
+    def test_print_config_runs_nothing(self, tmp_path, capsys, argv):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert main([*argv, "--print-config"]) == 0
+        assert json.loads(capsys.readouterr().out)["num_bags"] == 9
+        assert list(tmp_path.iterdir()) == []  # no dataset written, no checkpoint read
 
 
 class TestTrainCommand:
@@ -342,3 +357,54 @@ class TestReportCommand:
 
     def test_no_reports_is_config_error(self):
         assert main(["report"]) == 1
+
+    @pytest.mark.parametrize("text", [
+        "{}", "[]", "not json", '{"method": "m", "dataset": "d"}',
+        '{"method": "m", "dataset": "d", "metrics": {"hamming_loss": "low"}}',
+        '{"method": "m", "dataset": "d", "metrics": {"hamming_loss": NaN}}',
+    ], ids=["empty-object", "list", "not-json", "no-metrics", "text-metric", "nan-metric"])
+    def test_malformed_report_is_data_error(self, tmp_path, capsys, text):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        self.make_report(good, "m", "d", {"hamming_loss": 0.1})
+        bad.write_text(text)
+        assert main(["report", str(good), str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("data error:")
+        assert str(bad) in captured.err
+
+    def test_ranked_output_golden(self, tmp_path, capsys):
+        """Ties share the minimum rank, a null metric and a dataset a method
+        lacks read N/A and rank worst; equal average ranks keep file order."""
+        rows = [
+            ("GLEMIML", "d1", [0.1, 0.2, 0.8, 0.7]), ("tied", "d1", [0.1, 0.25, 0.8, 0.6]),
+            ("gaps", "d1", [0.3, 0.2, None, 0.75]), ("GLEMIML", "d2", [0.15, 0.1, 0.9, 0.8]),
+        ]
+        paths = []
+        for i, (method, dataset, values) in enumerate(rows):
+            paths.append(str(tmp_path / f"r{i}.json"))
+            self.make_report(tmp_path / f"r{i}.json", method, dataset, dict(zip(
+                ("hamming_loss", "ranking_loss", "macro_avg_precision", "macro_f1"), values)))
+        assert main(["report", *paths]) == 0
+        assert capsys.readouterr().out == (
+            'Method                 d1:hamming_loss  d1:macro_avg_precision'
+            '             d1:macro_f1         d1:ranking_loss         d2:hamming_loss'
+            '  d2:macro_avg_precision             d2:macro_f1         d2:ranking_loss'
+            '   AvgRank\n'
+            'GLEMIML                         0.1000                  0.8000'
+            '                  0.7000                  0.2000                  0.1500'
+            '                  0.9000                  0.8000                  0.1000'
+            '      1.12\n'
+            'tied                            0.1000                  0.8000'
+            '                  0.6000                  0.2500                     N/A'
+            '                     N/A                     N/A                     N/A'
+            '      2.50\n'
+            'gaps                            0.3000                     N/A'
+            '                  0.7500                  0.2000                     N/A'
+            '                     N/A                     N/A                     N/A'
+            '      2.50\n')
+        assert main(["report", paths[0]]) == 0
+        assert capsys.readouterr().out == (
+            'Method                 d1:hamming_loss  d1:macro_avg_precision'
+            '             d1:macro_f1         d1:ranking_loss   AvgRank\n'
+            'GLEMIML                         0.1000                  0.8000'
+            '                  0.7000                  0.2000      1.00\n')

@@ -312,3 +312,26 @@ def test_format_report_table_smoke():
     rep = MetricsReport(0.1, 0.2, 0.8, 0.7)
     out = format_report_table({"GLEMIML": rep, "other": rep})
     assert "HLv" in out and "mAP^" in out and "(1)" in out
+
+
+def test_format_report_table_golden():
+    """Ties share the minimum rank and a missing value reads N/A with the
+    worst; a single method's table carries no ranks."""
+    from glemiml.metrics import MetricsReport
+    grid = {
+        "GLEMIML": MetricsReport(0.1, 0.2, 0.8, 0.7),
+        "tied": MetricsReport(0.1, 0.25, 0.8, 0.6),
+        "gaps": MetricsReport(0.3, 0.2, None, 0.75),
+    }
+    assert format_report_table(grid) == (
+        'Metric               GLEMIML              tied              gaps\n'
+        'HLv                0.1000(1)         0.1000(1)         0.3000(3)\n'
+        'RLv                0.2000(1)         0.2500(3)         0.2000(1)\n'
+        'mAP^               0.8000(1)         0.8000(1)            N/A(3)\n'
+        'Ma-F1^             0.7000(2)         0.6000(3)         0.7500(1)\n')
+    assert format_report_table({"GLEMIML": grid["GLEMIML"]}) == (
+        'Metric               GLEMIML\n'
+        'HLv                   0.1000\n'
+        'RLv                   0.2000\n'
+        'mAP^                  0.8000\n'
+        'Ma-F1^                0.7000\n')
