@@ -274,7 +274,7 @@ def _dump_graph_debug(enh, ds: MIMLDataset, out_dir: str) -> None:
     """The instance graph the trained enhancer builds for the first bag of `ds`,
     and its Laplacian diag(A 1) - A."""
     emb, _ = forward_batch(enh.sigma_net, ds.bags[0].instances)
-    adj = mutual_knn_median(emb[None], [len(emb)], enh.instance_k)[0][0]
+    adj = mutual_knn_median(emb[None], [len(emb)], enh.instance_k, grad=False)[0][0]
     lap = np.diag(adj.sum(axis=1)) - adj
     for name, mat in (("adjacency", adj), ("laplacian", lap)):
         with atomic_open(os.path.join(out_dir, f"graph_{name}.csv")) as fh:
@@ -305,7 +305,7 @@ def cmd_train(args) -> int:
         save_classifier(clf, os.path.join(out_dir, "classifier.json"))
         _write_history_csv(os.path.join(out_dir, "history.csv"), history)
         _write_json(os.path.join(out_dir, "report.json"), {
-            "method": cfg["method_name"], "dataset": ds.name,
+            "method": cfg["method_name"], "dataset": test_ds.name,
             "metrics": report.as_dict(), "config_hash": h, "version": __version__,
         })
         with atomic_open(os.path.join(out_dir, "report.txt")) as fh:

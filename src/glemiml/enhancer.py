@@ -112,12 +112,14 @@ def init_enhancer(feature_dim: int, label_count: int, embed_dim: int = 8,
     )
 
 
-def _graph_means(model: EnhancerModel, batch: PackedBags, buffers: GraphBuffers | None = None):
+def _graph_means(model: EnhancerModel, batch: PackedBags, buffers: GraphBuffers | None = None,
+                 grad: bool = True):
     """Mean graph-propagated embedding of each bag (B, p), plus the cache backprop needs.
 
     One sigma-net pass over the stacked instances, then one batched graph
     build over the zero-padded (B, N, p) block of their embeddings, in
-    `buffers` when given.
+    `buffers` when given. With grad=False the build is forward only and the
+    cache is None.
     """
     global _instance_graph_builds
     counts = batch.counts
@@ -126,8 +128,10 @@ def _graph_means(model: EnhancerModel, batch: PackedBags, buffers: GraphBuffers 
     E_pad = np.zeros(real.shape + (E.shape[1],))
     E_pad[real] = E
     _instance_graph_builds += len(counts)
-    A, gcache = mutual_knn_median(E_pad, counts, model.instance_k, buffers)
+    A, gcache = mutual_knn_median(E_pad, counts, model.instance_k, buffers, grad=grad)
     M2 = (A @ E_pad).sum(axis=1) / counts[:, None]
+    if not grad:
+        return M2, None
     return M2, {"sig_cache": sig_cache, "E_pad": E_pad, "A": A, "gcache": gcache,
                 "counts": counts, "real": real, "buffers": buffers}
 
@@ -157,10 +161,11 @@ def _branch_logits(model: EnhancerModel, batch: PackedBags, M2: np.ndarray):
     return o1 + o2 + o3, (c1, c2, c3)
 
 
-def _base_forward(model: EnhancerModel, batch: PackedBags, buffers: GraphBuffers | None = None):
+def _base_forward(model: EnhancerModel, batch: PackedBags, buffers: GraphBuffers | None = None,
+                  grad: bool = True):
     """Base (pre-refinement) logits (B, t) of a batch, plus the caches backprop needs."""
     if model.use_instance_graph:
-        M2, graph_cache = _graph_means(model, batch, buffers)
+        M2, graph_cache = _graph_means(model, batch, buffers, grad)
     else:
         M2, graph_cache = np.zeros((len(batch), model.embed_dim)), None
     base, net_caches = _branch_logits(model, batch, M2)
@@ -174,14 +179,18 @@ def _row_normalize(adj: np.ndarray):
     return adj / scale[:, None], scale
 
 
-def _refine_forward(model: EnhancerModel, base_logits: np.ndarray):
+def _refine_forward(model: EnhancerModel, base_logits: np.ndarray,
+                    buffers: GraphBuffers | None = None, grad: bool = True):
+    """Label-graph refinement of base logits (B, t), its label graph built in
+    `buffers` when given; returns (EnhancedBatch, cache), the cache None with
+    grad=False."""
     if base_logits.ndim != 2 or base_logits.shape[0] < 1:
         raise ShapeError("batch logits must be a non-empty 2-D matrix")
     t = base_logits.shape[1]
     if t < 2:
         raise ConfigError("label-graph refinement needs label_count >= 2")
     d0 = softmax_rows(base_logits)
-    adj, lab_cache = mutual_knn_median(d0.T[None], [t], model.k_label)
+    adj, lab_cache = mutual_knn_median(d0.T[None], [t], model.k_label, buffers, grad=grad)
     adj = adj[0]
     adj_n, scale = _row_normalize(adj)
     refined = base_logits + base_logits @ adj_n.T
@@ -190,6 +199,8 @@ def _refine_forward(model: EnhancerModel, base_logits: np.ndarray):
         distributions=softmax_rows(refined),
         confidences=sigmoid(refined),
     )
+    if not grad:
+        return batch, None
     cache = {"base": base_logits, "d0": d0, "adj": adj, "adj_n": adj_n,
              "scale": scale, "lab_cache": lab_cache}
     return batch, cache
@@ -198,8 +209,10 @@ def _refine_forward(model: EnhancerModel, base_logits: np.ndarray):
 def enhance_batch(model: EnhancerModel, bags) -> EnhancedBatch:
     """Forward over a batch of bags, keeping no backward caches.
 
-    Instance graphs are built GRAPH_CHUNK_BAGS bags at a time, smallest bags
-    first; the label graph spans the whole batch, as in enhancer_forward.
+    Instance graphs are built forward only, GRAPH_CHUNK_BAGS bags at a time,
+    smallest bags first; the label graph spans the whole batch, as in
+    enhancer_forward. A bag's instance graph, and so its logits, can differ
+    in the last bits between chunk sizes (see mutual_knn_median).
     """
     if not bags:
         raise ShapeError("enhance_batch needs at least one bag")
@@ -209,22 +222,29 @@ def enhance_batch(model: EnhancerModel, bags) -> EnhancedBatch:
         by_size = np.argsort(batch.counts, kind="stable")
         for lo in range(0, len(batch), GRAPH_CHUNK_BAGS):
             idx = by_size[lo:lo + GRAPH_CHUNK_BAGS]
-            M2[idx] = _graph_means(model, batch.take(idx))[0]
+            M2[idx] = _graph_means(model, batch.take(idx), grad=False)[0]
     base, _ = _branch_logits(model, batch, M2)
-    return _refine_forward(model, base)[0]
+    return _refine_forward(model, base, grad=False)[0]
 
 
-def enhancer_forward(model: EnhancerModel, batch: PackedBags, buffers: GraphBuffers | None = None):
+def enhancer_forward(model: EnhancerModel, batch: PackedBags, buffers: GraphBuffers | None = None,
+                     label_buffers: GraphBuffers | None = None, grad: bool = True):
     """Full forward over a batch packed with its bag features; returns (EnhancedBatch, cache).
 
-    The instance graph is built in `buffers` when given, so the cache is valid
-    only until the next forward with the same buffers. The label graph never
-    uses them: it is built while the instance graph's cache is still needed.
+    The instance graph is built in `buffers` and the label graph in
+    `label_buffers` when given, so the cache is valid only until the next
+    forward with the same buffers. The two graphs never share buffers: the
+    label graph is built while the instance graph's cache is still needed.
+    With grad=False both graphs are built forward only and the cache is None;
+    the outputs are the same bit for bit.
     """
     if not len(batch):
         raise ShapeError("enhancer_forward needs at least one bag")
-    base, cache = _base_forward(model, batch, buffers)
-    batch, cache["refine"] = _refine_forward(model, base)
+    base, cache = _base_forward(model, batch, buffers, grad)
+    batch, refine_cache = _refine_forward(model, base, label_buffers, grad)
+    if not grad:
+        return batch, None
+    cache["refine"] = refine_cache
     return batch, cache
 
 

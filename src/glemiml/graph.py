@@ -31,6 +31,39 @@ _DIST_BLOCK = 1 << 15
 _SORTED_MEDIAN_MIN_PAIRS = 1 << 12
 
 
+class GraphPlan:
+    """The arrays of a mutual_knn_median build that depend only on (counts, N, k).
+
+    Two builds of the same set sizes at the same padded size N and the same
+    k share them, so a batch's forward, backward and forward-only rebuild
+    need one plan between them.
+    """
+
+    def __init__(self, counts: np.ndarray, n: int, k: int):
+        n_sets = len(counts)
+        real = np.arange(n) < counts[:, None]
+        # real pairs of distinct nodes; the rest never count as neighbours
+        self.pairs = real[:, :, None] & real[:, None, :] & ~np.eye(n, dtype=bool)
+        # rows that take a neighbour at each rank: K is clamped to counts[b] - 1
+        wanted = np.minimum(k, counts - 1)[:, None]
+        self.rank_masks = real & (np.arange(min(k, n - 1))[:, None, None] < wanted)
+        # flat index of each row's first entry in the (B, N, N) block
+        self.row_starts = np.arange(0, n_sets * n * n, n).reshape(n_sets, n)
+        # each set's pairs in np.triu_indices order, and their flat index in an
+        # (N, N) matrix
+        self.rows, self.cols = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+        self.flat = self.rows * n + self.cols
+        m = counts * (counts - 1) // 2
+        # the middle pair(s) of each set's sorted pairs, ranks (m-1)//2 and
+        # m//2: one when m is odd
+        self.ranks = np.maximum((m[:, None] - [1, 0]) // 2, 0)
+        self.has_pairs = m > 0
+        # share of the width's gradient each middle pair takes, before the floor
+        self.med_pattern = np.where((m % 2 == 1)[:, None], [1.0, 0.0], [0.5, 0.5])
+        self.med_pattern *= self.has_pairs[:, None]
+        self.sets = np.arange(n_sets)[:, None]
+
+
 class GraphBuffers:
     """Scratch arrays that successive mutual_knn_median builds and backward passes reuse.
 
@@ -40,11 +73,13 @@ class GraphBuffers:
     A build's adjacency and cache live in these buffers, so they are valid
     only until the next build with the same buffers, and two graphs that must
     be alive at once (the instance and the label graph of one forward) must
-    not share them.
+    not share them. The buffers also keep the GraphPlan of their last build.
     """
 
     def __init__(self):
         self._flat = {}
+        self._plan_key = None
+        self._plan = None
 
     def get(self, role: str, shape) -> np.ndarray:
         size = math.prod(shape)
@@ -52,6 +87,13 @@ class GraphBuffers:
         if flat is None or flat.size < size:
             flat = self._flat[role] = np.empty(size)
         return flat[:size].reshape(shape)
+
+    def plan(self, counts: np.ndarray, n: int, k: int) -> GraphPlan:
+        """The plan for (counts, n, k): the last one when it matches, else a new one."""
+        key = (counts.tobytes(), n, k)
+        if key != self._plan_key:
+            self._plan, self._plan_key = GraphPlan(counts, n, k), key
+        return self._plan
 
 
 def scratch(buffers: GraphBuffers | None, role: str, shape) -> np.ndarray:
@@ -97,43 +139,35 @@ def pairwise_sq_dists(points: np.ndarray, buffers: GraphBuffers | None) -> np.nd
     return d2
 
 
-def _mutual_mask(d2: np.ndarray, counts: np.ndarray, k: int,
-                 buffers: GraphBuffers | None) -> np.ndarray:
+def _mutual_mask(remaining: np.ndarray, plan: GraphPlan) -> np.ndarray:
     """(B, N, N) mask of mutually-K-nearest pairs among each set's first counts[b] nodes.
 
-    K is clamped to counts[b] - 1 per set and a node is never its own
-    neighbour. Neighbours are taken nearest first, ties to the lower index
-    as in a stable sort; self and padded pairs are never nearer than +inf,
-    so each set's neighbours are those of the set alone.
+    `remaining` holds the squared distances of the plan's pairs and +inf
+    elsewhere, and is used up. K is clamped to counts[b] - 1 per set and a
+    node is never its own neighbour. Neighbours are taken nearest first, ties
+    to the lower index as in a stable sort; self and padded pairs are never
+    nearer than +inf, so each set's neighbours are those of the set alone.
     """
-    n_sets, n, _ = d2.shape
-    real = np.arange(n) < counts[:, None]
-    pairs = real[:, :, None] & real[:, None, :] & ~np.eye(n, dtype=bool)
-    remaining = scratch(buffers, "remaining", d2.shape)
-    np.copyto(remaining, np.inf)
-    np.copyto(remaining, d2, where=pairs)
-    remaining = remaining.reshape(-1)
-    wanted = np.minimum(k, counts - 1)[:, None]
-    row_starts = np.arange(0, remaining.size, n).reshape(n_sets, n)
-    nbr = np.zeros(remaining.size, dtype=bool)
-    for rank in range(min(k, n - 1)):
+    flat = remaining.reshape(-1)
+    nbr = np.zeros(flat.size, dtype=bool)
+    for rank_mask in plan.rank_masks:
         # flat index of each row's nearest remaining node
-        nearest = row_starts + remaining.reshape(n_sets, n, n).argmin(axis=2)
-        nbr[nearest] |= real & (rank < wanted)
-        remaining[nearest] = np.inf
-    nbr = nbr.reshape(n_sets, n, n)
+        nearest = plan.row_starts + remaining.argmin(axis=2)
+        nbr[nearest] |= rank_mask
+        flat[nearest] = np.inf
+    nbr = nbr.reshape(remaining.shape)
     return nbr & nbr.transpose(0, 2, 1)
 
 
-def _ranked_pairs(vals: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """Column that a stable argsort of each row of `vals` puts at each of the row's `ranks`.
+def _ranked_pairs(vals: np.ndarray, plan: GraphPlan) -> np.ndarray:
+    """Column that a stable argsort of each row of `vals` puts at each of the plan's ranks.
 
-    `vals` is (B, P) and `ranks` (B, r). Blocks of at least
+    `vals` is (B, P) and the ranks (B, r). Blocks of at least
     _SORTED_MEDIAN_MIN_PAIRS values find each ranked value with np.sort; a
     value held by one column of its row names that column, and only rows
     where a ranked value is tied (or NaN) get a stable argsort.
     """
-    rows = np.arange(len(vals))[:, None]
+    rows, ranks = plan.sets, plan.ranks
     if vals.size < _SORTED_MEDIAN_MIN_PAIRS:
         return np.argsort(vals, axis=1, kind="stable")[rows, ranks]
     ranked = np.sort(vals, axis=1)[rows, ranks]
@@ -146,53 +180,69 @@ def _ranked_pairs(vals: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     return pick
 
 
-def mutual_knn_median(points: np.ndarray, counts, k: int, buffers: GraphBuffers | None = None):
+def mutual_knn_median(points: np.ndarray, counts, k: int, buffers: GraphBuffers | None = None,
+                      grad: bool = True):
     """Median-width mutual-KNN adjacencies of a batch of point sets, plus a cache for backprop.
 
     `points` is a zero-padded (B, N, p) block: set b is its first counts[b]
-    rows. Returns (adjacency (B, N, N), cache). Each set's adjacency is the
-    one the set alone would get, zero on padded rows and columns; its width
-    is the median of the set's squared pairwise distances, floored at
-    WIDTH_FLOOR. The cache records everything needed to push a gradient on
-    the adjacency entries back onto the points, including the dependence of
-    each width on its median pair(s). `k` must be at least 1; TrainConfig and
-    EnhancerModel check it where it enters. With `buffers`, the (B, N, N)
-    float arrays of this build and of its backward pass are views into them,
-    so the adjacency and the cache stay valid only until the next build with
-    the same buffers; the arithmetic is the same either way.
+    rows. Returns (adjacency (B, N, N), cache). Each set's adjacency is zero
+    on padded rows and columns and is the one the set alone would get, up to
+    rounding: pairwise_sq_dists takes its per-feature or its einsum path from
+    the block's padded N against p, and the two can differ in the last bits
+    (between graph chunk sizes 7, 64 and 500, enhance_batch logits of
+    untrained enhancers moved by up to 8.9e-16 on a 500-bag synthetic set of
+    2-40 instances a bag, seed 1). The width is the median of the set's
+    squared pairwise distances, floored at WIDTH_FLOOR. The cache records
+    everything needed to push a gradient on the adjacency entries back onto
+    the points, including the dependence of each width on its median
+    pair(s). `k` must be at least 1; TrainConfig and EnhancerModel check it
+    where it enters.
+
+    With `buffers`, the (B, N, N) float arrays of this build and of its
+    backward pass are views into them, so the adjacency and the cache stay
+    valid only until the next build with the same buffers, and the build's
+    GraphPlan is the buffers' last one when (counts, N, k) match; the
+    arithmetic is the same either way. With grad=False the build is forward
+    only: it reads the median from a sort of the pair values instead of
+    locating the median pair(s), writes the adjacency over the distances and
+    returns None for the cache; the adjacency is the same bit for bit.
     """
     points = np.asarray(points, dtype=np.float64)
     counts = np.asarray(counts, dtype=np.int64)
     n = points.shape[1]
     if n < 2:
-        return np.zeros((points.shape[0], n, n)), {"points": points}
+        return np.zeros((points.shape[0], n, n)), ({"points": points} if grad else None)
+    plan = GraphPlan(counts, n, k) if buffers is None else buffers.plan(counts, n, k)
     d2 = pairwise_sq_dists(points, buffers)
-    mask = _mutual_mask(d2, counts, k, buffers)
+    remaining = scratch(buffers, "remaining", d2.shape)
+    np.copyto(remaining, np.inf)
+    np.copyto(remaining, d2, where=plan.pairs)
+    # each set's pairs in np.triu_indices order, padded pairs +inf so they sort last
+    vals = remaining.reshape(len(counts), -1)[:, plan.flat]
+    mask = _mutual_mask(remaining, plan)
 
-    # each set's pairs in np.triu_indices order, padded pairs sorted last
-    rows, cols = np.nonzero(np.arange(n)[:, None] < np.arange(n))
-    vals = np.where(cols < counts[:, None], d2[:, rows, cols], np.inf)
-    m = counts * (counts - 1) // 2
-    # the middle pair(s) of each set's sorted pairs, ranks (m-1)//2 and m//2:
-    # one when m is odd
-    pick = _ranked_pairs(vals, np.maximum((m[:, None] - [1, 0]) // 2, 0))
-    sets = np.arange(len(counts))
-    lo, hi = pick.T
-    med_raw = np.where(m > 0, 0.5 * (vals[sets, lo] + vals[sets, hi]), 1.0)
+    if grad:
+        pick = _ranked_pairs(vals, plan)
+        mid = vals[plan.sets, pick]
+    else:
+        vals.sort(axis=1)
+        mid = vals[plan.sets, plan.ranks]
+    med_raw = np.where(plan.has_pairs, 0.5 * (mid[:, 0] + mid[:, 1]), 1.0)
     width = np.maximum(med_raw, WIDTH_FLOOR)
-    # share of the width's gradient each middle pair takes; none when floored
-    med_weights = np.where((m % 2 == 1)[:, None], [1.0, 0.0], [0.5, 0.5])
-    med_weights *= ((m > 0) & (med_raw >= WIDTH_FLOOR))[:, None]
 
     # exp(-d2 / (2 w)) on mutual pairs, 0 elsewhere (the weights are positive)
-    adj = np.negative(d2, out=scratch(buffers, "adj", d2.shape))
+    adj = np.negative(d2, out=scratch(buffers, "adj", d2.shape) if grad else d2)
     adj /= (2.0 * width)[:, None, None]
     np.exp(adj, out=adj)
     adj *= mask
+    if not grad:
+        return adj, None
     cache = {
         "points": points, "d2": d2, "mask": mask, "adj": adj, "width": width,
-        "med_rows": rows[pick], "med_cols": cols[pick], "med_weights": med_weights,
-        "buffers": buffers,
+        "med_rows": plan.rows[pick], "med_cols": plan.cols[pick],
+        # no width gradient reaches the middle pairs of a floored width
+        "med_weights": plan.med_pattern * (med_raw >= WIDTH_FLOOR)[:, None],
+        "plan": plan, "buffers": buffers,
     }
     return adj, cache
 
@@ -219,8 +269,7 @@ def mutual_knn_median_backward(cache, grad_adj: np.ndarray) -> np.ndarray:
     g_width = work.sum(axis=(1, 2)) / (2.0 * width * width)
     # direct dependence: a = exp(-d2 / (2 w))  =>  da/dd2 = -a / (2 w)
     g_d2 *= -1.0 / (2.0 * width[:, None, None])
-    sets = np.arange(width.shape[0])[:, None]
-    np.add.at(g_d2, (sets, cache["med_rows"], cache["med_cols"]),
+    np.add.at(g_d2, (cache["plan"].sets, cache["med_rows"], cache["med_cols"]),
               cache["med_weights"] * g_width[:, None])
     # d d2[k,m] / d p_k = 2 (p_k - p_m); both (k,m) and (m,k) entries contribute.
     # Coincident points contribute exactly nothing; dropping their entries keeps

@@ -43,17 +43,25 @@ def _act(name: str, z: np.ndarray) -> np.ndarray:
     raise ConfigError(f"unknown activation {name!r}")
 
 
-def _act_grad(name: str, z: np.ndarray) -> np.ndarray:
+def _act_backward(name: str, z: np.ndarray, a: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """`grad` times the activation's derivative at z, given its output a = _act(name, z).
+
+    tanh and sigmoid take their derivative from `a`, so nothing is recomputed.
+    """
     if name == "identity":
-        return np.ones_like(z)
+        return grad
     if name == "relu":
-        return (z > 0.0).astype(np.float64)
-    if name == "tanh":
-        return 1.0 - np.tanh(z) ** 2
-    if name == "sigmoid":
-        s = sigmoid(z)
-        return s * (1.0 - s)
-    raise ConfigError(f"unknown activation {name!r}")
+        d = (z > 0.0).astype(np.float64)
+    elif name == "tanh":
+        d = np.square(a)
+        np.subtract(1.0, d, out=d)
+    elif name == "sigmoid":
+        d = np.subtract(1.0, a)
+        d *= a
+    else:
+        raise ConfigError(f"unknown activation {name!r}")
+    d *= grad
+    return d
 
 
 @dataclass
@@ -133,7 +141,9 @@ def backward_batch(net: FeedForwardNet, cache, grad_out: np.ndarray):
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         a_in, z = cache[i]
-        gz = g * _act_grad(layer.activation, z)
+        # the layer's output is the next layer's input; only the last recomputes it
+        a_out = cache[i + 1][0] if i + 1 < len(cache) else _act(layer.activation, z)
+        gz = _act_backward(layer.activation, z, a_out, g)
         param_grads[i] = (gz.T @ a_in, gz.sum(axis=0))
         g = gz @ layer.weights
     return param_grads, g

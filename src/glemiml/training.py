@@ -148,15 +148,16 @@ def build_models(feature_dim: int, label_count: int, cfg: TrainConfig):
     return enh, clf
 
 
-def _enhancer_batch(enh, bags: PackedBags, clf_probs, cfg, buffers: GraphBuffers | None = None):
+def _enhancer_batch(enh, bags: PackedBags, clf_probs, cfg, buffers: GraphBuffers | None = None,
+                    label_buffers: GraphBuffers | None = None):
     """Forward + loss components + gradient on enhancer parameters.
 
     `bags` is the mini-batch packed with its bag features; its instance graph
-    is built in `buffers` when given.
+    is built in `buffers` and its label graph in `label_buffers` when given.
     """
     w = cfg.loss_weights
     logical = bags.logical
-    batch, cache = enhancer_forward(enh, bags, buffers)
+    batch, cache = enhancer_forward(enh, bags, buffers, label_buffers)
     d, p_star = batch.distributions, batch.confidences
 
     l_cl = asymmetric_interaction_loss(clf_probs, p_star, logical, w.gamma_pos, w.gamma_neg)
@@ -217,6 +218,8 @@ def train(train_ds: MIMLDataset, val_ds: MIMLDataset | None, cfg: TrainConfig,
     history = TrainHistory()
     # every mini-batch is gathered from this one pack of the split
     packed = pack_bags(train_ds.bags, bag_features=True)
+    # every batch's label graph has the same shape, so one plan serves the call
+    label_buffers = GraphBuffers()
 
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(train_ds))
@@ -234,12 +237,14 @@ def train(train_ds: MIMLDataset, val_ds: MIMLDataset | None, cfg: TrainConfig,
             # the enhancer step leaves the classifier unchanged, so its step
             # reuses this forward pass
             clf_out = classifier_forward(clf, bags)
-            _, enh_losses, enh_grad = _enhancer_batch(enh, bags, clf_out[1], cfg, buffers)
+            _, enh_losses, enh_grad = _enhancer_batch(enh, bags, clf_out[1], cfg, buffers,
+                                                      label_buffers)
             _check_finite(enh_losses, epoch, n_batches)
             enh_vec = enh_opt.step(enh_vec, enh_grad)
             set_enhancer_params(enh, enh_vec)
 
-            fresh = enhancer_forward(enh, bags, buffers)[0]
+            # the classifier step needs no enhancer gradient: build forward only
+            fresh = enhancer_forward(enh, bags, buffers, label_buffers, grad=False)[0]
             clf_losses, clf_grad = _classifier_batch(clf, clf_out, bags.logical,
                                                      fresh.distributions, cfg)
             _check_finite(clf_losses, epoch, n_batches)

@@ -11,6 +11,7 @@ from glemiml.cli import config_hash, main, resolve_config, build_parser
 from glemiml.data import SplitSpec, SyntheticConfig, generate_synthetic, split_dataset
 from glemiml.enhancer import load_enhancer
 from glemiml.graph import mutual_knn_median
+from glemiml.metrics import METRIC_DIRECTIONS
 from glemiml.nets import forward_batch
 from glemiml.training import TrainConfig
 
@@ -270,6 +271,27 @@ class TestSynthAndEvaluate:
         doc = json.loads(rep.read_text())
         assert doc["method"] == "GLEMIML"
         assert 0.0 <= doc["metrics"]["hamming_loss"] <= 1.0
+
+    def test_train_report_ranks_with_test_split_evaluation(self, tmp_path, capsys):
+        # train's report.json holds test-split metrics, so it names the test
+        # split as `evaluate --split test` does and both share one column set
+        run = tmp_path / "run"
+        assert run_train(run) == 0
+        rep = tmp_path / "eval.json"
+        assert main(["evaluate", *FAST, "--method-name", "evaluated",
+                     "--enhancer", str(run / "enhancer.json"),
+                     "--classifier", str(run / "classifier.json"),
+                     "--split", "test", "--report-out", str(rep)]) == 0
+        trained = json.loads((run / "report.json").read_text())
+        evaluated = json.loads(rep.read_text())
+        assert trained["dataset"] == evaluated["dataset"]
+        assert trained["dataset"].endswith("/test")
+        assert trained["metrics"] == evaluated["metrics"]
+        capsys.readouterr()
+        assert main(["report", str(run / "report.json"), str(rep)]) == 0
+        header = capsys.readouterr().out.splitlines()[0].split()
+        assert header == (["Method"] + sorted(f"{trained['dataset']}:{m}" for m in METRIC_DIRECTIONS)
+                          + ["AvgRank"])
 
     def test_evaluate_missing_checkpoint_exit_2(self, tmp_path):
         assert main(["evaluate", "--synth",

@@ -23,6 +23,7 @@ from glemiml.enhancer import (
 from glemiml.errors import ConfigError, DataFormatError, ShapeError
 from glemiml.graph import GraphBuffers
 from glemiml.nets import DenseLayer, FeedForwardNet, forward_batch
+from glemiml.training import TrainConfig, train
 
 
 def identity_net(dim):
@@ -143,9 +144,9 @@ class TestRefine:
     def test_zero_adjacency_is_identity(self, model, monkeypatch):
         logits = np.random.default_rng(8).normal(size=(4, 3))
 
-        def fake(points, counts, k):
+        def fake(points, counts, k, buffers=None, grad=True):
             n_sets, n, _ = points.shape
-            return np.zeros((n_sets, n, n)), {"points": points}
+            return np.zeros((n_sets, n, n)), {"points": points} if grad else None
 
         monkeypatch.setattr(enh_mod, "mutual_knn_median", fake)
         batch = refine_with_label_graph(model, logits)
@@ -210,6 +211,58 @@ class TestInstanceGraphFlag:
         assert enh_mod.instance_graph_build_count() == 5
 
 
+@pytest.mark.parametrize("seed", [0, 2])
+def test_graph_chunk_size_moves_logits_by_rounding_only(monkeypatch, seed):
+    """A bag's padded size in its chunk picks pairwise_sq_dists' path, so its
+    graph, and the logits, may change in the last bits with the chunk size."""
+    ds, _ = generate_synthetic(SyntheticConfig(instances_min=2, instances_max=40, seed=1))
+    model = init_enhancer(ds.feature_dim, ds.label_count, seed=seed)
+    out = {}
+    for chunk in (64, 7, 500):
+        monkeypatch.setattr(enh_mod, "GRAPH_CHUNK_BAGS", chunk)
+        out[chunk] = enhance_batch(model, ds.bags)
+    for chunk in (7, 500):
+        for name in ("logits", "distributions", "confidences"):
+            np.testing.assert_allclose(getattr(out[chunk], name), getattr(out[64], name),
+                                       rtol=0, atol=1e-12)
+
+
+class TestForwardOnlyCounts:
+    """Forward-only builds go through enhancer.mutual_knn_median, where the
+    benchmark's tracer counts graph builds, and count as instance graphs."""
+
+    @staticmethod
+    def record_builds(monkeypatch):
+        """(sets, grad) of each build made through enhancer.mutual_knn_median."""
+        builds = []
+        real = enh_mod.mutual_knn_median
+
+        def recorded(*args, **kwargs):
+            builds.append((len(args[0]), kwargs.get("grad", True)))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(enh_mod, "mutual_knn_median", recorded)
+        return builds
+
+    def test_forward_only_forward_is_called_and_counted(self, model, monkeypatch):
+        builds = self.record_builds(monkeypatch)
+        bags = [make_bag(np.random.default_rng(s), 3, 4, 3) for s in range(5)]
+        enh_mod.reset_instance_graph_build_count()
+        enhancer_forward(model, pack_bags(bags, bag_features=True), grad=False)
+        assert builds == [(5, False), (1, False)]
+        assert enh_mod.instance_graph_build_count() == 5
+
+    def test_train_builds_each_graph_twice_per_batch(self, monkeypatch):
+        ds, _ = generate_synthetic(SyntheticConfig(num_bags=20, feature_dim=4, label_count=3))
+        builds = self.record_builds(monkeypatch)
+        enh_mod.reset_instance_graph_build_count()
+        train(ds, None, TrainConfig(epochs=1, batch_size=8))
+        # the enhancer step's instance and label graphs, then the forward-only pair
+        assert builds == [build for size in (8, 8, 4)
+                          for build in ((size, True), (1, True), (size, False), (1, False))]
+        assert enh_mod.instance_graph_build_count() == 2 * len(ds)
+
+
 class TestGraphBuffers:
     """Instance graphs built in reused buffers, as train() builds them within an epoch."""
 
@@ -222,49 +275,55 @@ class TestGraphBuffers:
         return model, pack_bags(ds.bags, bag_features=True)
 
     @staticmethod
-    def step(model, batch, upstream, buffers):
-        """A training step's enhancer work: forward, backward, forward again.
+    def step(model, batch, upstream, buffers, label_buffers):
+        """A training step's enhancer work: forward, backward, then the
+        forward-only pass that train() runs for the classifier step.
         Returns the gradient and both forwards' outputs."""
-        out, cache = enhancer_forward(model, batch, buffers)
+        out, cache = enhancer_forward(model, batch, buffers, label_buffers)
         grad = enhancer_backward(model, cache, upstream)
         del cache
-        again = enhancer_forward(model, batch, buffers)[0]
+        again, no_cache = enhancer_forward(model, batch, buffers, label_buffers, grad=False)
+        assert no_cache is None
         return [grad] + [getattr(b, name) for b in (out, again)
                          for name in ("logits", "distributions", "confidences")]
 
     def test_shared_buffers_change_no_bit(self):
         model, packed = self.wide_setup()
         # the second batch is smaller and its bags shorter, so it gets smaller
-        # views of buffers that still hold the first batch's values
+        # views of buffers that still hold the first batch's values and plan
         batches = [packed.take(np.arange(32)), packed.take(np.argsort(packed.counts)[:20])]
-        buffers = GraphBuffers()
+        buffers, label_buffers = GraphBuffers(), GraphBuffers()
         for i, batch in enumerate(batches):
             upstream = np.random.default_rng(i).normal(size=(len(batch), model.label_count))
-            shared = self.step(model, batch, upstream, buffers)
-            fresh = self.step(model, batch, upstream, None)
+            shared = self.step(model, batch, upstream, buffers, label_buffers)
+            fresh = self.step(model, batch, upstream, None, None)
             assert [a.tobytes() for a in shared] == [b.tobytes() for b in fresh]
+            # at unchanged parameters the forward-only pass repeats the first
+            assert [a.tobytes() for a in shared[1:4]] == [a.tobytes() for a in shared[4:]]
 
     def test_warm_buffers_allocate_no_graph_arrays(self):
         """With fresh arrays the step peaked at 6.6 (B, N, N) float arrays, with
-        warm buffers at 2.0. That peak is no graph array: it falls in the sigma
-        net's backward, which holds the forward's sigma-net caches, padded
-        embeddings and neighbour mask and forms its own (rows, width)
-        temporaries."""
+        warm buffers at 2.0 in the sigma net's backward. That backward now takes
+        tanh's derivative from the cached activations, and the step peaks at
+        1.82, in the first forward's graph build: the sorted copy of the
+        (B, N(N-1)/2) pair values that locates the median pairs, held with the
+        distance and neighbour buffers, the bool neighbour mask and the
+        sigma-net caches."""
         model, packed = self.wide_setup()
         batch = packed.take(np.arange(32))
         upstream = np.random.default_rng(0).normal(size=(32, model.label_count))
-        buffers = GraphBuffers()
-        self.step(model, batch, upstream, buffers)
+        buffers, label_buffers = GraphBuffers(), GraphBuffers()
+        self.step(model, batch, upstream, buffers, label_buffers)
         graph_array = 8 * len(batch) * int(batch.counts.max()) ** 2
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            self.step(model, batch, upstream, buffers)
+            self.step(model, batch, upstream, buffers, label_buffers)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * graph_array
+        assert peak < 2.0 * graph_array
 
 
 class TestGradients:

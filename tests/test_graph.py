@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 from glemiml.data import Bag, pack_bags
 from glemiml.enhancer import EnhancerModel, _graph_means
 from glemiml.errors import ShapeError
-from glemiml.graph import mutual_knn_median, mutual_knn_median_backward
+from glemiml.graph import (
+    _SORTED_MEDIAN_MIN_PAIRS,
+    GraphBuffers,
+    mutual_knn_median,
+    mutual_knn_median_backward,
+)
 from glemiml.nets import DenseLayer, FeedForwardNet
 
 
@@ -230,3 +235,75 @@ class TestMedianWidthGradients:
         # coincident points are floored; a set with no pairs gets width 1
         _, cache = mutual_knn_median(np.zeros((2, 3, 2)), [3, 1], 1)
         np.testing.assert_array_equal(cache["width"], [1e-8, 1.0])
+
+
+# The cache entries that mutual_knn_median_backward reads.
+CACHE_ARRAYS = ("points", "d2", "mask", "adj", "width", "med_rows", "med_cols", "med_weights")
+
+
+def ragged_block(rng, counts, p, ties):
+    """A zero-padded (sets, max(counts), p) block; `ties` makes equal distances or points."""
+    points = np.zeros((len(counts), counts.max(), p))
+    for i, c in enumerate(counts):
+        x = rng.normal(size=(c, p))
+        if ties == "rounded":
+            x = np.round(x)
+        elif ties == "duplicates":
+            x[1:c // 2 + 1] = x[0]
+        elif ties == "coincident" and i % 2 == 0:
+            x[:] = x[0]
+        points[i, :c] = x
+    return points
+
+
+class TestPlansAndForwardOnly:
+    @given(seed=st.integers(0, 2**32 - 1), wide=st.booleans(), p=st.integers(1, 50),
+           ties=st.sampled_from(["none", "rounded", "duplicates", "coincident"]),
+           k=st.integers(1, 50), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_forward_only_and_warm_plans_change_no_bit(self, seed, wide, p, ties, k, data):
+        """Forward-only and warm-plan builds equal a cold full build bit for bit.
+
+        Padded N falls below and above the width p, so both distance paths
+        run; wide blocks have at least _SORTED_MEDIAN_MIN_PAIRS pairs and take
+        the sorted median search, narrow ones the stable argsort. Rounded
+        coordinates and duplicate points tie distances, coincident points
+        floor a width, and sets of one point and k >= n occur.
+        """
+        def draw_counts():
+            n_sets = data.draw(st.integers(6, 10) if wide else st.integers(1, 5))
+            counts = np.array(data.draw(st.lists(st.integers(1, 45 if wide else 30),
+                                                 min_size=n_sets, max_size=n_sets)))
+            if wide:
+                counts[0] = 45
+            return counts
+
+        rng = np.random.default_rng(seed)
+        counts = draw_counts()
+        n = counts.max()
+        assert (len(counts) * (n * (n - 1) // 2) >= _SORTED_MEDIAN_MIN_PAIRS) == wide
+        points = ragged_block(rng, counts, p, ties)
+
+        cold, cold_cache = mutual_knn_median(points, counts, k)
+        forward_only, no_cache = mutual_knn_median(points, counts, k, grad=False)
+        assert no_cache is None and forward_only.tobytes() == cold.tobytes()
+        if n < 2:
+            return
+        upstream = rng.normal(size=cold.shape)
+        cold_grad = mutual_knn_median_backward(cold_cache, upstream)
+
+        # another block first leaves other values and another plan in the buffers
+        buffers = GraphBuffers()
+        other = draw_counts()
+        mutual_knn_median(ragged_block(rng, other, p, ties), other, k, buffers)
+        mutual_knn_median(points, counts, k, buffers)
+        plan = buffers.plan(counts, n, k)
+        warm, warm_cache = mutual_knn_median(points, counts, k, buffers)
+        assert warm_cache["plan"] is plan
+        assert warm.tobytes() == cold.tobytes()
+        for key in CACHE_ARRAYS:
+            assert warm_cache[key].tobytes() == cold_cache[key].tobytes(), key
+        assert mutual_knn_median_backward(warm_cache, upstream).tobytes() == cold_grad.tobytes()
+        # the forward-only build in the same buffers, as train()'s second pass runs it
+        forward_only = mutual_knn_median(points, counts, k, buffers, grad=False)[0]
+        assert forward_only.tobytes() == cold.tobytes()
