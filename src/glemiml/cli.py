@@ -332,8 +332,9 @@ def cmd_ablate(args) -> int:
         table = f"config {h}\n" + format_report_table(reports)
         with atomic_open(os.path.join(out_dir, "ablation.txt")) as fh:
             fh.write(table)
+        # the variants are evaluated on the test split
         _write_json(os.path.join(out_dir, "ablation.json"), {
-            "dataset": ds.name, "config_hash": h, "version": __version__,
+            "dataset": splits[1].name, "config_hash": h, "version": __version__,
             "variants": {name: rep.as_dict() for name, rep in reports.items()},
         })
     print(table, end="")
@@ -374,23 +375,36 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _read_report(path: str) -> dict:
-    """A report JSON file as written by train or evaluate; a data error names the file."""
+def _read_report(path: str) -> list:
+    """The (method, dataset, metrics) rows of a report JSON file; a data error names the file.
+
+    A train or evaluate report is one row. An ablation file is one row per
+    variant (GLEMIML, GLEMIML-A, ...), all on its dataset.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
         raise DataFormatError(f"cannot read report {path}: {exc}") from exc
-    if not (isinstance(doc, dict) and isinstance(doc.get("method"), str)
-            and isinstance(doc.get("dataset"), str) and isinstance(doc.get("metrics"), dict)):
-        raise DataFormatError(f"report {path}: expected an object with string 'method' and "
-                              "'dataset' and a 'metrics' object")
-    for metric in METRIC_DIRECTIONS:
-        value = doc["metrics"].get(metric)
-        if value is not None and not (isinstance(value, (int, float)) and math.isfinite(value)):
-            raise DataFormatError(f"report {path}: metric {metric!r} is not a finite number: "
-                                  f"{value!r}")
-    return doc
+    if not isinstance(doc, dict):
+        doc = {}
+    if isinstance(doc.get("variants"), dict) and doc["variants"]:
+        rows = [(name, doc.get("dataset"), metrics) for name, metrics in doc["variants"].items()]
+    else:
+        rows = [(doc.get("method"), doc.get("dataset"), doc.get("metrics"))]
+    for method, dataset, metrics in rows:
+        if not (isinstance(method, str) and isinstance(dataset, str)
+                and isinstance(metrics, dict)):
+            raise DataFormatError(f"report {path}: expected an object with string 'method' and "
+                                  "'dataset' and a 'metrics' object, or an ablation's string "
+                                  "'dataset' and 'variants' of metrics objects")
+        for metric in METRIC_DIRECTIONS:
+            value = metrics.get(metric)
+            if value is not None and not (isinstance(value, (int, float))
+                                          and math.isfinite(value)):
+                raise DataFormatError(f"report {path}: metric {metric!r} of {method!r} is not "
+                                      f"a finite number: {value!r}")
+    return rows
 
 
 def cmd_report(args) -> int:
@@ -399,12 +413,12 @@ def cmd_report(args) -> int:
     table: dict = {}
     directions = {}
     for path in args.reports:
-        doc = _read_report(path)
-        row = table.setdefault(doc["method"], {})
-        for metric, direction in METRIC_DIRECTIONS.items():
-            col = f"{doc['dataset']}:{metric}"
-            row[col] = doc["metrics"].get(metric)
-            directions[col] = direction
+        for method, dataset, metrics in _read_report(path):
+            row = table.setdefault(method, {})
+            for metric, direction in METRIC_DIRECTIONS.items():
+                col = f"{dataset}:{metric}"
+                row[col] = metrics.get(metric)
+                directions[col] = direction
     ranks = average_rank(table, directions)
     methods = sorted(table, key=lambda m: ranks[m])
     columns = sorted({c for scores in table.values() for c in scores})

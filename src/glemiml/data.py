@@ -71,8 +71,8 @@ class MIMLDataset:
         )
 
     def logical_matrix(self) -> np.ndarray:
-        """Stacked (B, t) matrix of logical labels."""
-        return np.stack([b.logical_labels for b in self.bags]).astype(np.float64)
+        """Stacked (B, t) float matrix of logical labels, converted in one step."""
+        return np.array([b.logical_labels for b in self.bags], dtype=np.float64)
 
 
 @dataclass
@@ -119,7 +119,7 @@ def pack_bags(bags, bag_features: bool = False) -> PackedBags:
         raise ShapeError(f"cannot stack the bags' instances: {exc}") from exc
     packed = PackedBags(stacked, np.fromiter(map(len, arrays), dtype=np.int64, count=len(arrays)))
     if bag_features:
-        packed.logical = np.stack([b.logical_labels for b in bags]).astype(np.float64)
+        packed.logical = np.array([b.logical_labels for b in bags], dtype=np.float64)
         packed.means = np.add.reduceat(stacked, packed.starts, axis=0) / packed.counts[:, None]
     return packed
 

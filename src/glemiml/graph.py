@@ -16,10 +16,11 @@ WIDTH_FLOOR = 1e-8
 _DIFF_BUDGET = 1 << 17
 
 # Elements in each of the two (sets, n, n) buffers of pairwise_sq_dists'
-# feature-by-feature path (256 KiB each). On 32 sets of 20-50 points with
-# 8 features (2-vCPU Xeon, 48 KiB L1d and 2 MiB L2 per core, NumPy 2.4),
-# blocks of 2^15 took 1.15-1.26 ms, blocks of 2^12 2.0-2.2 ms, one block of
-# all sets 1.5-1.6 ms, and fresh temporaries per feature 2.1-2.2 ms.
+# feature-by-feature path (256 KiB each), and at most in the block buffer of
+# its feature-major path. On 32 sets of 20-50 points with 8 features (2-vCPU
+# Xeon, 48 KiB L1d and 2 MiB L2 per core, NumPy 2.4), blocks of 2^15 took
+# 1.15-1.26 ms, blocks of 2^12 2.0-2.2 ms, one block of all sets 1.5-1.6 ms,
+# and fresh temporaries per feature 2.1-2.2 ms.
 _DIST_BLOCK = 1 << 15
 
 # Smallest (sets x pairs) block on which mutual_knn_median finds the median
@@ -106,11 +107,20 @@ def scratch(buffers: GraphBuffers | None, role: str, shape) -> np.ndarray:
 def pairwise_sq_dists(points: np.ndarray, buffers: GraphBuffers | None) -> np.ndarray:
     """Squared distances between the rows of each (n, p) matrix of a (..., n, p) stack.
 
-    With no more features than rows, the squared differences are added one
-    feature at a time, in feature order, into preallocated buffers, a block
-    of _DIST_BLOCK elements' worth of sets at a time. Otherwise rows are taken
-    a few at a time, so the difference tensor stays within _DIFF_BUDGET
-    elements. The result is written into `buffers` when given.
+    The order in which each pair's squared differences are added depends on
+    the stack's shape and layout:
+
+    - no more features than rows (wide instance sets): one feature at a
+      time, in feature order, into preallocated buffers, a block of
+      _DIST_BLOCK elements' worth of sets at a time;
+    - a single set stored feature-major, each feature's n values contiguous
+      (the label graph, whose features are a batch's bags): one feature at
+      a time, in feature order, by _feature_major_sq_dists;
+    - otherwise (narrow contiguous sets, such as small-bag instance graphs):
+      einsum over the difference tensor, rows a few at a time so it stays
+      within _DIFF_BUDGET elements.
+
+    The result is written into `buffers` when given.
     """
     n, p = points.shape[-2:]
     if p <= n:
@@ -131,11 +141,44 @@ def pairwise_sq_dists(points: np.ndarray, buffers: GraphBuffers | None) -> np.nd
                 np.multiply(sq, sq, out=sq)
                 acc += sq
         return d2.reshape(points.shape[:-1] + (n,))
+    if points.ndim == 3 and points.shape[0] == 1 and points[0].T.flags.c_contiguous:
+        return _feature_major_sq_dists(points[0].T, buffers)[None]
     d2 = scratch(buffers, "d2", points.shape[:-1] + (n,))
     step = max(1, _DIFF_BUDGET // points.size)
     for lo in range(0, n, step):
         diff = points[..., lo:lo + step, None, :] - points[..., None, :, :]
         d2[..., lo:lo + step, :] = np.einsum("...ijk,...ijk->...ij", diff, diff)
+    return d2
+
+
+def _feature_major_sq_dists(cols: np.ndarray, buffers: GraphBuffers | None) -> np.ndarray:
+    """(n, n) squared distances between the n points whose p features are the rows of `cols`.
+
+    Each pair's squared differences are added one feature at a time, in
+    feature order, as einsum adds them over this layout. Features are taken
+    in blocks: a C-ordered (rows, n, n) buffer of at most _DIST_BLOCK
+    elements holds the running sum in its first row and one feature's
+    squared differences in each further row, and np.add.reduce over axis 0
+    adds its rows in order into the sum. (A block summed on its own and then
+    added, or a reduction along a contiguous axis, which NumPy sums
+    pairwise, would round differently.)
+    """
+    p, n = cols.shape
+    d2 = scratch(buffers, "d2", (n, n))
+    rows = min(max(2, _DIST_BLOCK // (n * n)), p)
+    buf = scratch(buffers, "d2_block", (rows, n, n))
+    lo, start = 0, 0  # the first block has no running sum yet
+    while lo < p:
+        hi = min(p, lo + rows - start)
+        block = buf[:start + hi - lo]
+        sq = block[start:]
+        col = cols[lo:hi]
+        np.subtract(col[:, :, None], col[:, None, :], out=sq)
+        np.multiply(sq, sq, out=sq)
+        if start:
+            block[0] = d2
+        np.add.reduce(block, axis=0, out=d2)
+        lo, start = hi, 1
     return d2
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from glemiml.enhancer import EnhancedBatch, _row_normalize, _row_normalize_backward
 from glemiml.errors import ShapeError
-from glemiml.graph import WIDTH_FLOOR
+from glemiml.graph import _DIFF_BUDGET, WIDTH_FLOOR
 from glemiml.nets import (
     backward_batch,
     forward_batch,
@@ -31,6 +31,23 @@ from glemiml.nets import (
 def sq_dists(points):
     diff = points[:, None, :] - points[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def strided_sq_dists(points):
+    """The former einsum path of graph.pairwise_sq_dists, for a (sets, n, p) stack.
+
+    Rows are taken a few at a time, so the difference tensor stays within
+    _DIFF_BUDGET elements. On a feature-major set such as the label graph's
+    `d0.T[None]`, einsum adds each pair's squared differences one feature
+    (bag) at a time, in feature order.
+    """
+    n = points.shape[-2]
+    d2 = np.empty(points.shape[:-1] + (n,))
+    step = max(1, _DIFF_BUDGET // points.size)
+    for lo in range(0, n, step):
+        diff = points[..., lo:lo + step, None, :] - points[..., None, :, :]
+        d2[..., lo:lo + step, :] = np.einsum("...ijk,...ijk->...ij", diff, diff)
+    return d2
 
 
 def mutual_mask(d2, k):
@@ -159,6 +176,7 @@ def bag_means(stacked, counts):
 
 
 def logical_matrix(bags):
+    """The float label matrix as the package formerly built it: stacked, then converted."""
     return np.stack([b.logical_labels for b in bags]).astype(np.float64)
 
 

@@ -250,6 +250,24 @@ class TestAblateCommand:
         assert set(doc["variants"]) == {
             "GLEMIML", "GLEMIML-A", "GLEMIML-B", "GLEMIML-C"}
 
+    def test_ablation_ranks_with_train_report(self, tmp_path, capsys):
+        # each variant is one method row on the test split, the split whose
+        # metrics train's report.json holds, so both share one column set
+        abl, run = tmp_path / "abl", tmp_path / "run"
+        assert main(["ablate", *FAST, "--out", str(abl), "--only", "C"]) == 0
+        assert run_train(run, ["--method-name", "trained"]) == 0
+        ablation = json.loads((abl / "ablation.json").read_text())
+        trained = json.loads((run / "report.json").read_text())
+        assert ablation["dataset"] == trained["dataset"]
+        assert ablation["dataset"].endswith("/test")
+        capsys.readouterr()
+        assert main(["report", str(abl / "ablation.json"), str(run / "report.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == (["Method"] + sorted(
+            f"{trained['dataset']}:{m}" for m in METRIC_DIRECTIONS) + ["AvgRank"])
+        assert sorted(line.split()[0] for line in lines[1:]) == ["GLEMIML-C", "trained"]
+        assert "N/A" not in "".join(lines)
+
 
 class TestSynthAndEvaluate:
     def test_synth_then_evaluate_roundtrip(self, tmp_path, capsys):

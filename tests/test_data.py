@@ -13,10 +13,13 @@ from glemiml.data import (
     generate_synthetic,
     load_dataset,
     normalized_logical_baseline,
+    pack_bags,
     save_dataset,
     split_dataset,
 )
 from glemiml.errors import ConfigError, DataFormatError
+
+from per_bag_reference import logical_matrix
 
 
 def tiny_dataset(n=12, d=2, t=3, seed=0):
@@ -185,3 +188,17 @@ def test_normalized_logical_baseline():
     ds = tiny_dataset()
     base = normalized_logical_baseline(ds)
     np.testing.assert_allclose(base.sum(axis=1), 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2000])
+def test_float_label_matrix_equals_stack_then_convert(n):
+    """The pack and the dataset build the float label matrix in one conversion;
+    it equals the former stack-then-astype byte for byte, as a C-ordered
+    float64 (bags, labels) array."""
+    ds, _ = generate_synthetic(SyntheticConfig(num_bags=n, feature_dim=3, label_count=30,
+                                               seed=n))
+    expected = logical_matrix(ds.bags)
+    for got in (pack_bags(ds.bags, bag_features=True).logical, ds.logical_matrix()):
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.shape == (n, 30)
+        assert got.tobytes() == expected.tobytes()

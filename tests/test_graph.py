@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glemiml.data import Bag, pack_bags
@@ -11,8 +13,11 @@ from glemiml.graph import (
     GraphBuffers,
     mutual_knn_median,
     mutual_knn_median_backward,
+    pairwise_sq_dists,
 )
-from glemiml.nets import DenseLayer, FeedForwardNet
+from glemiml.nets import DenseLayer, FeedForwardNet, softmax_rows
+
+from per_bag_reference import strided_sq_dists
 
 
 def random_batch(rng, max_sets=4, max_points=8, p=3):
@@ -307,3 +312,58 @@ class TestPlansAndForwardOnly:
         # the forward-only build in the same buffers, as train()'s second pass runs it
         forward_only = mutual_knn_median(points, counts, k, buffers, grad=False)[0]
         assert forward_only.tobytes() == cold.tobytes()
+
+
+def label_points(rng, bags, labels, rounded=False, tied=False):
+    """A label graph's points: the (1, labels, bags) feature-major view of a softmax batch."""
+    d0 = softmax_rows(rng.normal(size=(bags, labels)) * rng.uniform(0.1, 5.0))
+    if rounded:
+        d0 = np.round(d0, 2)
+    if tied:
+        d0[:, -1] = d0[:, 0]
+    return d0.T[None]
+
+
+class TestLabelLayoutDistances:
+    """pairwise_sq_dists on a single feature-major set, the label graph's layout."""
+
+    @given(seed=st.integers(0, 2**32 - 1), labels=st.integers(2, 40),
+           extra=st.integers(1, 560), rounded=st.booleans(), tied=st.booleans(),
+           buffered=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    @example(seed=7, labels=30, extra=1970, rounded=False, tied=False, buffered=False)
+    @example(seed=8, labels=40, extra=1, rounded=True, tied=True, buffered=True)
+    def test_equals_the_strided_einsum_bit_for_bit(self, seed, labels, extra, rounded, tied,
+                                                   buffered):
+        """Squared differences are added bag by bag, in bag order, as the former
+        einsum over this layout added them. 2,000 bags of 30 labels span 58
+        blocks, the last of four bags; 41 bags of 40 labels end in a two-bag
+        block. Rounded distributions tie distances, and a label column copied
+        onto another gives a pair at distance exactly zero."""
+        # more bags than labels: with t bags or fewer the per-feature path runs
+        bags = labels + extra
+        points = label_points(np.random.default_rng(seed), bags, labels, rounded, tied)
+        buffers = GraphBuffers() if buffered else None
+        if buffered:
+            pairwise_sq_dists(label_points(np.random.default_rng(seed + 1), bags + 7, labels),
+                              buffers)
+        d2 = pairwise_sq_dists(points, buffers)
+        assert d2.shape == (1, labels, labels)
+        assert d2.tobytes() == strided_sq_dists(points).tobytes()
+
+    def test_forward_only_label_graph_build_stays_small(self):
+        """A forward-only 30-label graph over 2,000 bags holds one block
+        buffer of at most _DIST_BLOCK elements (256 KiB) and a few (30, 30)
+        arrays. The former einsum formed (2, 30, 2000) difference chunks,
+        0.96 MB each."""
+        points = label_points(np.random.default_rng(0), 2000, 30)
+        mutual_knn_median(points, [30], 3, grad=False)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            mutual_knn_median(points, [30], 3, grad=False)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6
