@@ -145,36 +145,31 @@ def load_dataset(path) -> MIMLDataset:
         lines = fh.read().splitlines()
     if not lines:
         raise DataFormatError(f"{path}: empty file")
-    try:
+    lineno, bags = 1, []
+    try:  # JSON syntax and type errors; JSONDecodeError is a ValueError
         header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: malformed header at line 1: {exc}") from exc
-    for key in ("name", "feature_dim", "label_count"):
-        if key not in header:
-            raise DataFormatError(f"{path}: header missing field {key!r}")
-    d, t = int(header["feature_dim"]), int(header["label_count"])
-
-    bags = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
+        for key in ("name", "feature_dim", "label_count"):
+            if key not in header:
+                raise DataFormatError(f"{path}: header missing field {key!r}")
+        d, t = int(header["feature_dim"]), int(header["label_count"])
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: malformed line {lineno}: {exc}") from exc
-        bag_idx = len(bags)
-        inst = rec.get("instances")
-        lab = rec.get("labels")
-        if inst is None or lab is None:
-            raise DataFormatError(f"{path}: line {lineno}: bag record needs 'instances' and 'labels'")
-        if any(len(row) != d for row in inst):
-            raise DataFormatError(f"{path}: bag {bag_idx}: instance row width != feature_dim {d}")
-        if len(lab) != t:
-            raise DataFormatError(f"{path}: bag {bag_idx}: label vector length != label_count {t}")
-        inst = np.asarray(inst, dtype=np.float64)
-        if not np.all(np.isfinite(inst)):
-            raise DataFormatError(f"{path}: line {lineno}: bag {bag_idx}: non-finite instance value")
-        bags.append(Bag(inst, np.asarray(lab, dtype=np.int64)))
+            bag_idx = len(bags)
+            if not isinstance(rec, dict) or rec.get("instances") is None or rec.get("labels") is None:
+                raise DataFormatError(f"{path}: line {lineno}: bag record needs 'instances' and 'labels'")
+            inst, lab = rec["instances"], rec["labels"]
+            if any(len(row) != d for row in inst):
+                raise DataFormatError(f"{path}: bag {bag_idx}: instance row width != feature_dim {d}")
+            if len(lab) != t:
+                raise DataFormatError(f"{path}: bag {bag_idx}: label vector length != label_count {t}")
+            inst = np.asarray(inst, dtype=np.float64)
+            if not np.all(np.isfinite(inst)):
+                raise DataFormatError(f"{path}: line {lineno}: bag {bag_idx}: non-finite instance value")
+            bags.append(Bag(inst, np.asarray(lab, dtype=np.int64)))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataFormatError(f"{path}: malformed line {lineno}: {exc}") from exc
     return MIMLDataset(bags=bags, feature_dim=d, label_count=t, name=str(header["name"]))
 
 

@@ -249,9 +249,8 @@ def enhancer_forward(model: EnhancerModel, batch: PackedBags, buffers: GraphBuff
 
 
 def _row_normalize_backward(adj: np.ndarray, scale: np.ndarray, grad_n: np.ndarray) -> np.ndarray:
-    sums = adj.sum(axis=1)
     grad = grad_n / scale[:, None]
-    scaled = sums > 1.0
+    scaled = scale > 1.0  # the rows _row_normalize scaled down
     if scaled.any():
         inner = (grad_n * adj).sum(axis=1) / (scale * scale)
         grad = grad - np.where(scaled, inner, 0.0)[:, None]

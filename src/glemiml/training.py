@@ -35,19 +35,12 @@ from .losses import (
     SIM_MODES,
     LossWeights,
     asymmetric_interaction_loss,
-    asymmetric_interaction_loss_grad,
     classifier_total_loss,
-    cosine_matrix_backward,
     distribution_loss,
-    distribution_loss_grad,
     enhancer_total_loss,
     logical_bce_loss,
-    logical_bce_loss_grad,
     similarity_loss,
-    similarity_loss_grad,
-    similarity_matrices,
     threshold_loss,
-    threshold_loss_grad,
 )
 from .metrics import MetricsReport, compute_report
 from .nets import softmax_rows_backward
@@ -160,15 +153,11 @@ def _enhancer_batch(enh, bags: PackedBags, clf_probs, cfg, buffers: GraphBuffers
     batch, cache = enhancer_forward(enh, bags, buffers, label_buffers)
     d, p_star = batch.distributions, batch.confidences
 
-    l_cl = asymmetric_interaction_loss(clf_probs, p_star, logical, w.gamma_pos, w.gamma_neg)
-    _, g_pstar = asymmetric_interaction_loss_grad(clf_probs, p_star, logical,
-                                                  w.gamma_pos, w.gamma_neg)
-    sp = similarity_matrices(bags, d)
-    l_sim = similarity_loss(sp, cfg.sim_mode)
-    g_d_sim = cosine_matrix_backward(d, similarity_loss_grad(sp, cfg.sim_mode))
+    l_cl, g_pstar = asymmetric_interaction_loss(clf_probs, p_star, logical,
+                                                w.gamma_pos, w.gamma_neg)
+    l_sim, g_d_sim = similarity_loss(bags, d, cfg.sim_mode)
     try:
-        l_thr = threshold_loss(d, logical)
-        g_d_thr = threshold_loss_grad(d, logical)
+        l_thr, g_d_thr = threshold_loss(d, logical)
     except DegenerateInputError:
         # batch where no bag has both a positive and a negative label
         l_thr, g_d_thr = 0.0, np.zeros_like(d)
@@ -190,12 +179,9 @@ def _classifier_batch(clf, forward, logical, distributions, cfg):
     """
     w = cfg.loss_weights
     s, p, cache = forward
-    l_lc = logical_bce_loss(p, logical)
-    l_dc = distribution_loss(distributions, s)
-    l_c = classifier_total_loss(w.rho, l_lc, l_dc)
-
-    g_p = logical_bce_loss_grad(p, logical)
-    _, g_s_dc = distribution_loss_grad(distributions, s)
+    l_lc, g_p = logical_bce_loss(p, logical)
+    l_dc, g_s_dc = distribution_loss(distributions, s)
+    l_c = classifier_total_loss(w, l_lc, l_dc)
     grad_logits = w.rho * _sigmoid_backward(p, g_p) + (1.0 - w.rho) * g_s_dc
     grad = classifier_backward(clf, cache, grad_logits)
     return {"L_LC": l_lc, "L_DC": l_dc, "L_C": l_c}, grad

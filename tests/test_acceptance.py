@@ -54,17 +54,10 @@ from glemiml.graph import mutual_knn_median
 from glemiml.losses import (
     LossWeights,
     asymmetric_interaction_loss,
-    asymmetric_interaction_loss_grad,
-    cosine_matrix_backward,
     distribution_loss,
-    distribution_loss_grad,
     logical_bce_loss,
-    logical_bce_loss_grad,
     similarity_loss,
-    similarity_loss_grad,
-    similarity_matrices,
     threshold_loss,
-    threshold_loss_grad,
 )
 from glemiml.metrics import (
     hamming_loss,
@@ -146,8 +139,7 @@ def test_criterion_1_gradient_fidelity():
 
         def interaction(out, rng):
             p = _sigmoid(out)
-            loss = asymmetric_interaction_loss(clf_probs, p, logical, gp, gn)
-            _, g_p = asymmetric_interaction_loss_grad(clf_probs, p, logical, gp, gn)
+            loss, g_p = asymmetric_interaction_loss(clf_probs, p, logical, gp, gn)
             return loss, g_p * p * (1 - p)
 
         err = _net_loss_check(seed, interaction)
@@ -159,9 +151,7 @@ def test_criterion_1_gradient_fidelity():
         for mode in ("mse", "eq9-literal"):
             def similarity(out, rng, mode=mode):
                 d = _softmax(out)
-                sp = similarity_matrices(bags, d)
-                loss = similarity_loss(sp, mode)
-                g_d = cosine_matrix_backward(d, similarity_loss_grad(sp, mode))
+                loss, g_d = similarity_loss(bags, d, mode)
                 return loss, _softmax_back(d, g_d)
 
             err = _net_loss_check(seed, similarity)
@@ -169,8 +159,8 @@ def test_criterion_1_gradient_fidelity():
 
         def threshold(out, rng):
             d = _softmax(out)
-            loss = threshold_loss(d, logical)
-            return loss, _softmax_back(d, threshold_loss_grad(d, logical))
+            loss, g_d = threshold_loss(d, logical)
+            return loss, _softmax_back(d, g_d)
 
         err = _net_loss_check(seed, threshold)
         worst["threshold"] = max(worst.get("threshold", 0.0), err)
@@ -178,17 +168,15 @@ def test_criterion_1_gradient_fidelity():
         dist_const = rng0.dirichlet(np.ones(t), size=n)
 
         def distribution(out, rng):
-            loss = distribution_loss(dist_const, out)
-            _, g_s = distribution_loss_grad(dist_const, out)
-            return loss, g_s
+            return distribution_loss(dist_const, out)
 
         err = _net_loss_check(seed, distribution)
         worst["distribution"] = max(worst.get("distribution", 0.0), err)
 
         def bce(out, rng):
             p = _sigmoid(out)
-            loss = logical_bce_loss(p, logical)
-            return loss, logical_bce_loss_grad(p, logical) * p * (1 - p)
+            loss, g_p = logical_bce_loss(p, logical)
+            return loss, g_p * p * (1 - p)
 
         err = _net_loss_check(seed, bce)
         worst["bce"] = max(worst.get("bce", 0.0), err)

@@ -124,6 +124,30 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "run")]) == 2
         assert "line 7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header, bag", [
+        ({"feature_dim": "abc"}, None),
+        ({}, [1, 2]),
+        ({}, {"instances": [["a"]], "labels": [1, 0]}),
+        ({}, {"instances": 5, "labels": [1, 0]}),
+        ({}, {"instances": [[1.0]], "labels": [1, "z"]}),
+    ], ids=["header-dim", "bag-list", "instance-text", "instances-number", "label-text"])
+    def test_malformed_dataset_exit_2_without_traceback(self, tmp_path, header, bag):
+        path = tmp_path / "bad.jsonl"
+        good = {"instances": [[0.5]], "labels": [1, 0]}
+        lines = [{"name": "bad", "feature_dim": 1, "label_count": 2, **header}, bag or good]
+        path.write_text("\n".join(json.dumps(doc) for doc in lines + [good] * 11) + "\n")
+        out = tmp_path / "run"
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "glemiml.cli", "train", "--dataset", str(path), "--epochs", "1",
+             "--out", str(out)], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("data error:") and str(path) in proc.stderr
+        assert ("line 1:" if header else "line 2:") in proc.stderr
+        assert not out.exists()
+
     def test_identical_runs_byte_identical_outputs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run_train(a) == 0 and run_train(b) == 0

@@ -6,33 +6,27 @@ from hypothesis import strategies as st
 from glemiml.data import Bag, pack_bags
 from glemiml.errors import ConfigError, DegenerateInputError, ShapeError
 from glemiml.losses import (
+    SIM_MODES,
     LossWeights,
-    SimilarityPair,
     asymmetric_interaction_loss,
-    asymmetric_interaction_loss_grad,
     classifier_total_loss,
-    cosine_matrix_backward,
     distribution_loss,
-    distribution_loss_grad,
     enhancer_total_loss,
     logical_bce_loss,
-    logical_bce_loss_grad,
     similarity_loss,
-    similarity_loss_grad,
-    similarity_matrices,
     threshold_loss,
-    threshold_loss_grad,
 )
 
 
 def fd_grad(f, x, eps=1e-6):
+    """Central differences of the value f(x)[0] of a (value, gradient) loss."""
     g = np.zeros_like(x, dtype=float)
     it = np.nditer(x, flags=["multi_index"])
     for _ in it:
         idx = it.multi_index
         xp = x.copy(); xp[idx] += eps
         xm = x.copy(); xm[idx] -= eps
-        g[idx] = (f(xp) - f(xm)) / (2 * eps)
+        g[idx] = (f(xp)[0] - f(xm)[0]) / (2 * eps)
     return g
 
 
@@ -53,17 +47,17 @@ class TestLossWeights:
 class TestInteractionLoss:
     def test_perfect_confident_match(self):
         v = np.array([1.0 - 1e-7])
-        loss = asymmetric_interaction_loss(v, v, np.array([1]), 0.0, 4.0)
+        loss, _ = asymmetric_interaction_loss(v, v, np.array([1]), 0.0, 4.0)
         assert loss == pytest.approx(0.0, abs=1e-6)
 
     def test_single_positive_half(self):
-        loss = asymmetric_interaction_loss(
+        loss, _ = asymmetric_interaction_loss(
             np.array([0.5]), np.array([0.5]), np.array([1]), 0.0, 4.0)
         assert loss == pytest.approx(0.6931, abs=1e-4)
 
     def test_mixed_hand_value(self):
         # pos (p=0.8, p*=0.9, g+=1) and neg (p=0.3, p*=0.2, g-=2)
-        loss = asymmetric_interaction_loss(
+        loss, _ = asymmetric_interaction_loss(
             np.array([0.8, 0.3]), np.array([0.9, 0.2]), np.array([1, 0]), 1.0, 2.0)
         assert loss == pytest.approx(0.02058, abs=1e-5)
 
@@ -77,10 +71,8 @@ class TestInteractionLoss:
         p = rng.uniform(0.05, 0.95, size=(3, 4))
         ps = rng.uniform(0.05, 0.95, size=(3, 4))
         lab = rng.integers(0, 2, size=(3, 4))
-        g_p, g_ps = asymmetric_interaction_loss_grad(p, ps, lab, gp, gn)
-        fd_p = fd_grad(lambda x: asymmetric_interaction_loss(x, ps, lab, gp, gn), p)
+        _, g_ps = asymmetric_interaction_loss(p, ps, lab, gp, gn)
         fd_ps = fd_grad(lambda x: asymmetric_interaction_loss(p, x, lab, gp, gn), ps)
-        np.testing.assert_allclose(g_p, fd_p, rtol=1e-5, atol=1e-8)
         np.testing.assert_allclose(g_ps, fd_ps, rtol=1e-5, atol=1e-8)
 
     @given(seed=st.integers(0, 5000))
@@ -90,124 +82,155 @@ class TestInteractionLoss:
         p = rng.uniform(0, 1, size=5)
         ps = rng.uniform(0, 1, size=5)
         lab = rng.integers(0, 2, size=5)
-        assert asymmetric_interaction_loss(p, ps, lab, 0.5, 3.0) >= 0.0
+        assert asymmetric_interaction_loss(p, ps, lab, 0.5, 3.0)[0] >= 0.0
 
 
 def make_bag(rows, labels=(1, 0)):
     return Bag(np.asarray(rows, dtype=float), np.asarray(labels))
 
 
+def pack(bags):
+    return pack_bags(bags, bag_features=True)
+
+
+def one_instance_bags(rows):
+    """A batch of one-instance bags whose bag features are `rows`."""
+    return pack([make_bag([row]) for row in rows])
+
+
+def cosines(rows):
+    """Brute-force cosine matrix of non-zero rows."""
+    return np.array([[x @ y / (np.linalg.norm(x) * np.linalg.norm(y)) for y in rows]
+                     for x in np.asarray(rows, dtype=float)])
+
+
 class TestSimilarityMatrices:
+    """The two cosine matrices, read through the loss value."""
+
     def test_identical_bags_and_distributions(self):
-        bags = [make_bag([[1.0, 2.0]]), make_bag([[1.0, 2.0]])]
+        bags = pack([make_bag([[1.0, 2.0]]), make_bag([[1.0, 2.0]])])
         d = np.array([[0.7, 0.3], [0.7, 0.3]])
-        sp = similarity_matrices(pack_bags(bags, bag_features=True), d)
-        np.testing.assert_allclose(sp.Z, 1.0)
-        np.testing.assert_allclose(sp.A, 1.0)
+        for mode in SIM_MODES:
+            assert similarity_loss(bags, d, mode)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_pooled_features(self):
-        bags = [make_bag([[1.0, 0.0]]), make_bag([[0.0, 1.0]])]
-        sp = similarity_matrices(pack_bags(bags, bag_features=True), np.array([[0.5, 0.5], [0.5, 0.5]]))
-        assert sp.Z[0, 1] == pytest.approx(0.0, abs=1e-12)
+        bags = pack([make_bag([[1.0, 0.0]]), make_bag([[0.0, 1.0]])])
+        d = np.array([[0.5, 0.5], [0.5, 0.5]])
+        # Z = I against A = ones: the off-diagonal deviations are -1
+        assert similarity_loss(bags, d, "mse")[0] == pytest.approx(0.5, abs=1e-12)
+        assert similarity_loss(bags, d, "eq9-literal")[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
         bags = [make_bag(rng.normal(size=(int(rng.integers(1, 4)), 3))) for _ in range(5)]
         d = rng.uniform(0.01, 1.0, size=(5, 2))
-        sp = similarity_matrices(pack_bags(bags, bag_features=True), d)
-        for i in range(5):
-            for j in range(5):
-                xi = bags[i].instances.mean(axis=0)
-                xj = bags[j].instances.mean(axis=0)
-                expect_z = xi @ xj / (np.linalg.norm(xi) * np.linalg.norm(xj))
-                expect_a = d[i] @ d[j] / (np.linalg.norm(d[i]) * np.linalg.norm(d[j]))
-                assert sp.Z[i, j] == pytest.approx(expect_z, abs=1e-12)
-                assert sp.A[i, j] == pytest.approx(expect_a, abs=1e-12)
+        dev = cosines([bag.instances.mean(axis=0) for bag in bags]) - cosines(d)
+        assert similarity_loss(pack(bags), d, "mse")[0] == pytest.approx(
+            np.mean(dev * dev), abs=1e-12)
+        assert similarity_loss(pack(bags), d, "eq9-literal")[0] == pytest.approx(
+            (dev.sum() / 5) ** 2, abs=1e-12)
 
     def test_zero_vector_convention(self):
-        bags = [make_bag([[0.0, 0.0]]), make_bag([[1.0, 0.0]])]
-        sp = similarity_matrices(pack_bags(bags, bag_features=True), np.array([[0.5, 0.5], [0.5, 0.5]]))
-        assert sp.Z[0, 1] == 0.0 and sp.Z[0, 0] == 0.0
+        bags = pack([make_bag([[0.0, 0.0]]), make_bag([[1.0, 0.0]])])
+        d = np.array([[0.5, 0.5], [0.5, 0.5]])
+        # Z = [[0, 0], [0, 1]] against A = ones
+        assert similarity_loss(bags, d, "mse")[0] == pytest.approx(0.75, abs=1e-12)
+        # and a zero distribution row: A = [[0, 0], [0, 1]] against Z = ones
+        bags = pack([make_bag([[1.0, 1.0]]), make_bag([[2.0, 2.0]])])
+        d = np.array([[0.0, 0.0], [0.5, 0.5]])
+        assert similarity_loss(bags, d, "mse")[0] == pytest.approx(0.75, abs=1e-12)
 
 
 class TestSimilarityLoss:
     def test_zero_deviation_both_modes(self):
-        z = np.array([[1.0, 0.5], [0.5, 1.0]])
-        sp = SimilarityPair(Z=z, A=z.copy())
-        assert similarity_loss(sp, "mse") == 0.0
-        assert similarity_loss(sp, "eq9-literal") == 0.0
+        rows = np.random.default_rng(2).normal(size=(3, 2))
+        for mode in SIM_MODES:
+            value, grad = similarity_loss(one_instance_bags(rows), rows.copy(), mode)
+            assert value == 0.0
+            assert not grad.any()
 
     def test_hand_values(self):
-        z = np.array([[1.0, 0.9], [0.9, 1.0]])
-        a = np.array([[1.0, 0.5], [0.5, 1.0]])
-        sp = SimilarityPair(Z=z, A=a)  # off-diagonal deviations +0.4, +0.4
-        assert similarity_loss(sp, "eq9-literal") == pytest.approx(0.16, abs=1e-12)
-        assert similarity_loss(sp, "mse") == pytest.approx(0.08, abs=1e-12)
+        bags = one_instance_bags([[1.0, 0.0], [0.9, np.sqrt(1 - 0.81)]])  # cosine 0.9
+        d = np.array([[1.0, 0.0], [0.5, np.sqrt(0.75)]])  # cosine 0.5
+        # off-diagonal deviations +0.4, +0.4
+        assert similarity_loss(bags, d, "eq9-literal")[0] == pytest.approx(0.16, abs=1e-12)
+        assert similarity_loss(bags, d, "mse")[0] == pytest.approx(0.08, abs=1e-12)
 
     def test_cancellation(self):
-        z = np.array([[0.0, 0.3], [-0.3, 0.0]])
-        a = np.zeros((2, 2))
-        sp = SimilarityPair(Z=z, A=a)  # deviations +0.3 and -0.3
-        assert similarity_loss(sp, "eq9-literal") == pytest.approx(0.0, abs=1e-12)
-        assert similarity_loss(sp, "mse") == pytest.approx(0.045, abs=1e-12)
+        rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        # A is Z with rows and columns permuted: deviations -1/sqrt2 and +1/sqrt2
+        d = rows[[2, 1, 0]]
+        assert similarity_loss(one_instance_bags(rows), d, "eq9-literal")[0] == pytest.approx(
+            0.0, abs=1e-12)
+        assert similarity_loss(one_instance_bags(rows), d, "mse")[0] == pytest.approx(
+            2.0 / 9.0, abs=1e-12)
 
     def test_mse_zero_iff_equal(self):
         rng = np.random.default_rng(2)
-        z = rng.uniform(-1, 1, size=(3, 3))
-        a = z + rng.normal(scale=0.1, size=(3, 3))
-        assert similarity_loss(SimilarityPair(z, a), "mse") > 0.0
+        bags = one_instance_bags(rng.normal(size=(3, 3)))
+        assert similarity_loss(bags, rng.uniform(size=(3, 3)), "mse")[0] > 0.0
 
     def test_unknown_mode(self):
-        sp = SimilarityPair(np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(ConfigError):
-            similarity_loss(sp, "nope")
+            similarity_loss(one_instance_bags(np.eye(2)), np.eye(2), "nope")
 
-    @pytest.mark.parametrize("mode", ["mse", "eq9-literal"])
+    @pytest.mark.parametrize("mode", SIM_MODES)
     def test_grad_matches_fd(self, mode):
         rng = np.random.default_rng(3)
-        z = rng.uniform(-1, 1, size=(4, 4))
-        a = rng.uniform(-1, 1, size=(4, 4))
-        g = similarity_loss_grad(SimilarityPair(z, a), mode)
-        fd = fd_grad(lambda x: similarity_loss(SimilarityPair(z, x), mode), a)
-        np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-9)
+        bags = pack([make_bag(rng.normal(size=(int(rng.integers(1, 4)), 3))) for _ in range(4)])
+        d = rng.dirichlet(np.ones(4), size=4)
+        _, g = similarity_loss(bags, d, mode)
+        fd = fd_grad(lambda x: similarity_loss(bags, x, mode), d)
+        np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-9)
 
 
 class TestCosineBackward:
+    """The similarity gradient pushed back through the distributions' cosine matrix."""
+
     def test_matches_fd(self):
         rng = np.random.default_rng(4)
-        rows = rng.normal(size=(4, 3))
-        upstream = rng.normal(size=(4, 4))
-
-        def scalar(r):
-            norms = np.linalg.norm(r, axis=1, keepdims=True)
-            unit = r / norms
-            return float(np.sum((unit @ unit.T) * upstream))
-
-        g = cosine_matrix_backward(rows, upstream)
-        fd = fd_grad(scalar, rows)
+        bags = one_instance_bags(rng.normal(size=(4, 3)))
+        rows = rng.normal(size=(4, 3))  # signed rows: cosines of both signs
+        _, g = similarity_loss(bags, rows, "mse")
+        fd = fd_grad(lambda x: similarity_loss(bags, x, "mse"), rows)
         np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
+
+    @pytest.mark.parametrize("mode", SIM_MODES)
+    def test_zero_norm_rows(self, mode):
+        rng = np.random.default_rng(10)
+        bags = [make_bag(rng.normal(size=(2, 3))) for _ in range(4)]
+        bags[0] = make_bag([[1.0, -2.0, 0.5], [-1.0, 2.0, -0.5]])  # its mean is zero
+        d = rng.dirichlet(np.ones(3), size=4)
+        d[2] = 0.0
+        value, g = similarity_loss(pack(bags), d, mode)
+        assert np.isfinite(value) and np.isfinite(g).all()
+        assert (g[2] == 0.0).all()
+        # a zero row has no derivative; the others do, the zero-mean bag's row too
+        fd = fd_grad(lambda x: similarity_loss(pack(bags), x, mode), d)
+        others = [0, 1, 3]
+        np.testing.assert_allclose(g[others], fd[others], rtol=1e-5, atol=1e-9)
 
 
 class TestThresholdLoss:
     def test_separated_case(self):
         d = np.array([[0.7, 0.2, 0.4]])
         lab = np.array([[1, 0, 0]])
-        assert threshold_loss(d, lab) == 0.0
+        assert threshold_loss(d, lab)[0] == 0.0
 
     def test_violated_case(self):
         d = np.array([[0.3, 0.5, 0.1]])
         lab = np.array([[1, 0, 0]])
-        assert threshold_loss(d, lab) == pytest.approx(0.2, abs=1e-12)
+        assert threshold_loss(d, lab)[0] == pytest.approx(0.2, abs=1e-12)
 
     def test_two_bag_average(self):
         d = np.array([[0.3, 0.5, 0.1], [0.7, 0.2, 0.4]])
         lab = np.array([[1, 0, 0], [1, 0, 0]])
-        assert threshold_loss(d, lab) == pytest.approx(0.1, abs=1e-12)
+        assert threshold_loss(d, lab)[0] == pytest.approx(0.1, abs=1e-12)
 
     def test_skips_ineligible_bags(self):
         d = np.array([[0.3, 0.5], [0.6, 0.4]])
         lab = np.array([[1, 1], [1, 0]])  # first bag has no negative
-        assert threshold_loss(d, lab) == pytest.approx(0.0, abs=1e-12)
+        assert threshold_loss(d, lab)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_all_skipped_raises(self):
         with pytest.raises(DegenerateInputError):
@@ -218,7 +241,7 @@ class TestThresholdLoss:
         d = rng.uniform(0, 1, size=(4, 5))
         lab = np.array([[1, 0, 0, 1, 0], [0, 1, 1, 0, 0],
                         [1, 1, 0, 0, 1], [0, 0, 0, 1, 1]])
-        g = threshold_loss_grad(d, lab)
+        _, g = threshold_loss(d, lab)
         fd = fd_grad(lambda x: threshold_loss(x, lab), d)
         np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-9)
 
@@ -238,14 +261,14 @@ class TestEnhancerTotal:
 
 class TestDistributionLoss:
     def test_single_label_zero(self):
-        assert distribution_loss(np.array([[1.0]]), np.array([[3.2]])) == 0.0
+        assert distribution_loss(np.array([[1.0]]), np.array([[3.2]]))[0] == 0.0
 
     def test_one_hot_uniform_logits(self):
-        loss = distribution_loss(np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]]))
+        loss, _ = distribution_loss(np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]]))
         assert loss == pytest.approx(np.log(2.0), abs=1e-10)
 
     def test_uniform_d_uniform_logits(self):
-        loss = distribution_loss(np.array([[0.5, 0.5]]), np.array([[0.0, 0.0]]))
+        loss, _ = distribution_loss(np.array([[0.5, 0.5]]), np.array([[0.0, 0.0]]))
         assert loss == pytest.approx(np.log(2.0), abs=1e-10)
 
     def test_equals_softmax_cross_entropy(self):
@@ -254,22 +277,20 @@ class TestDistributionLoss:
         s = rng.normal(size=(4, 5))
         lse = np.log(np.exp(s).sum(axis=1, keepdims=True))
         expect = float(np.mean(np.sum(d * (lse - s), axis=1)))
-        assert distribution_loss(d, s) == pytest.approx(expect, abs=1e-12)
+        assert distribution_loss(d, s)[0] == pytest.approx(expect, abs=1e-12)
 
     def test_nonnegative_on_simplex(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             d = rng.dirichlet(np.ones(4), size=3)
             s = rng.normal(scale=5, size=(3, 4))
-            assert distribution_loss(d, s) >= 0.0
+            assert distribution_loss(d, s)[0] >= 0.0
 
     def test_grads_match_fd(self):
         rng = np.random.default_rng(8)
         d = rng.dirichlet(np.ones(4), size=3)
         s = rng.normal(size=(3, 4))
-        g_d, g_s = distribution_loss_grad(d, s)
-        np.testing.assert_allclose(g_d, fd_grad(lambda x: distribution_loss(x, s), d),
-                                   rtol=1e-6, atol=1e-9)
+        _, g_s = distribution_loss(d, s)
         np.testing.assert_allclose(g_s, fd_grad(lambda x: distribution_loss(d, x), s),
                                    rtol=1e-6, atol=1e-9)
 
@@ -278,36 +299,37 @@ class TestLogicalBce:
     def test_perfect_prediction(self):
         lab = np.array([[1.0, 0.0]])
         p = np.array([[1.0 - 1e-7, 1e-7]])
-        assert logical_bce_loss(p, lab) == pytest.approx(0.0, abs=1e-6)
+        assert logical_bce_loss(p, lab)[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_half_everywhere(self):
         p = np.full((3, 4), 0.5)
         lab = np.zeros((3, 4))
-        assert logical_bce_loss(p, lab) == pytest.approx(0.6931, abs=1e-4)
+        assert logical_bce_loss(p, lab)[0] == pytest.approx(0.6931, abs=1e-4)
 
     def test_flipping_label_increases_loss(self):
         p = np.array([[0.9, 0.1]])
-        base = logical_bce_loss(p, np.array([[1.0, 0.0]]))
-        flipped = logical_bce_loss(p, np.array([[0.0, 0.0]]))
+        base, _ = logical_bce_loss(p, np.array([[1.0, 0.0]]))
+        flipped, _ = logical_bce_loss(p, np.array([[0.0, 0.0]]))
         assert flipped > base
 
     def test_grad_matches_fd(self):
         rng = np.random.default_rng(9)
         p = rng.uniform(0.05, 0.95, size=(3, 4))
         lab = rng.integers(0, 2, size=(3, 4)).astype(float)
-        g = logical_bce_loss_grad(p, lab)
+        _, g = logical_bce_loss(p, lab)
         fd = fd_grad(lambda x: logical_bce_loss(x, lab), p)
         np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
 
 
 class TestClassifierTotal:
     def test_boundaries(self):
-        assert classifier_total_loss(1.0, 0.4, 0.8) == 0.4
-        assert classifier_total_loss(0.0, 0.4, 0.8) == 0.8
+        assert classifier_total_loss(LossWeights(rho=1.0), 0.4, 0.8) == 0.4
+        assert classifier_total_loss(LossWeights(rho=0.0), 0.4, 0.8) == 0.8
 
     def test_midpoint(self):
-        assert classifier_total_loss(0.5, 0.4, 0.8) == pytest.approx(0.6, abs=1e-12)
+        assert classifier_total_loss(LossWeights(rho=0.5), 0.4, 0.8) == pytest.approx(0.6, abs=1e-12)
 
     def test_out_of_range(self):
+        # rho is checked once, where the weights are made; test_rho_range covers the upper end
         with pytest.raises(ConfigError):
-            classifier_total_loss(-0.1, 0.0, 0.0)
+            LossWeights(rho=-0.1)

@@ -246,7 +246,7 @@ class TestNumericGuard:
     def test_non_finite_loss_names_epoch_and_batch(self, monkeypatch):
         ds = small_dataset()
         monkeypatch.setattr(tr_mod, "asymmetric_interaction_loss",
-                            lambda *a, **k: float("nan"))
+                            lambda p, p_star, *a: (float("nan"), np.zeros_like(p_star)))
         with pytest.raises(NumericError, match=r"epoch 1.*batch 0"):
             train(ds, None, fast_cfg(batch_size=32))
 
