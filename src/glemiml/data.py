@@ -20,17 +20,18 @@ class Bag:
 
     def __post_init__(self):
         inst = np.asarray(self.instances, dtype=np.float64)
-        lab = np.asarray(self.logical_labels, dtype=np.int64)
+        lab = np.asarray(self.logical_labels)
         if inst.ndim != 2 or inst.shape[0] < 1:
             raise DataFormatError("bag must hold a 2-D instance matrix with >= 1 row")
         if not np.isfinite(inst).all():
-            raise DataFormatError("bag instances must be finite (found NaN or Inf)")
+            raise DataFormatError("non-finite instance value (NaN or Inf)")
         if lab.ndim != 1:
             raise DataFormatError("logical labels must be a flat vector")
+        # checked before the int conversion, which would truncate 1.5 to 1
         if not ((lab == 0) | (lab == 1)).all():
             raise DataFormatError("logical labels must be 0 or 1")
         object.__setattr__(self, "instances", inst)
-        object.__setattr__(self, "logical_labels", lab)
+        object.__setattr__(self, "logical_labels", lab.astype(np.int64, copy=False))
 
     @property
     def num_instances(self) -> int:
@@ -164,10 +165,10 @@ def load_dataset(path) -> MIMLDataset:
                 raise DataFormatError(f"{path}: bag {bag_idx}: instance row width != feature_dim {d}")
             if len(lab) != t:
                 raise DataFormatError(f"{path}: bag {bag_idx}: label vector length != label_count {t}")
-            inst = np.asarray(inst, dtype=np.float64)
-            if not np.all(np.isfinite(inst)):
-                raise DataFormatError(f"{path}: line {lineno}: bag {bag_idx}: non-finite instance value")
-            bags.append(Bag(inst, np.asarray(lab, dtype=np.int64)))
+            try:
+                bags.append(Bag(inst, lab))
+            except DataFormatError as exc:
+                raise DataFormatError(f"{path}: line {lineno}: bag {bag_idx}: {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{path}: malformed line {lineno}: {exc}") from exc
     return MIMLDataset(bags=bags, feature_dim=d, label_count=t, name=str(header["name"]))

@@ -49,11 +49,6 @@ def instance_graph_build_count() -> int:
     return _instance_graph_builds
 
 
-def reset_instance_graph_build_count() -> None:
-    global _instance_graph_builds
-    _instance_graph_builds = 0
-
-
 @dataclass
 class EnhancerModel:
     sigma_net: FeedForwardNet  # d -> p instance embedding

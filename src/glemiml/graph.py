@@ -15,12 +15,10 @@ WIDTH_FLOOR = 1e-8
 # Largest difference tensor, in elements, that pairwise_sq_dists forms at once.
 _DIFF_BUDGET = 1 << 17
 
-# Elements in each of the two (sets, n, n) buffers of pairwise_sq_dists'
-# feature-by-feature path (256 KiB each), and at most in the block buffer of
-# its feature-major path. On 32 sets of 20-50 points with 8 features (2-vCPU
-# Xeon, 48 KiB L1d and 2 MiB L2 per core, NumPy 2.4), blocks of 2^15 took
-# 1.15-1.26 ms, blocks of 2^12 2.0-2.2 ms, one block of all sets 1.5-1.6 ms,
-# and fresh temporaries per feature 2.1-2.2 ms.
+# Elements at most in _in_order_sq_dists' (sets, rows, n, n) block (256 KiB).
+# On 32 sets of 50 points with 8 features (2-vCPU Xeon, 48 KiB L1d and 2 MiB
+# L2 per core, NumPy 2.4, timeit min of 7, three runs), blocks of 2^15 took
+# 1.27-1.66 ms, 2^12 2.7-3.8 ms, 2^17 1.18-1.67 ms and 2^20 1.67-1.96 ms.
 _DIST_BLOCK = 1 << 15
 
 # Smallest (sets x pairs) block on which mutual_knn_median finds the median
@@ -107,42 +105,20 @@ def scratch(buffers: GraphBuffers | None, role: str, shape) -> np.ndarray:
 def pairwise_sq_dists(points: np.ndarray, buffers: GraphBuffers | None) -> np.ndarray:
     """Squared distances between the rows of each (n, p) matrix of a (..., n, p) stack.
 
-    The order in which each pair's squared differences are added depends on
-    the stack's shape and layout:
-
-    - no more features than rows (wide instance sets): one feature at a
-      time, in feature order, into preallocated buffers, a block of
-      _DIST_BLOCK elements' worth of sets at a time;
-    - a single set stored feature-major, each feature's n values contiguous
-      (the label graph, whose features are a batch's bags): one feature at
-      a time, in feature order, by _feature_major_sq_dists;
-    - otherwise (narrow contiguous sets, such as small-bag instance graphs):
-      einsum over the difference tensor, rows a few at a time so it stays
-      within _DIFF_BUDGET elements.
-
-    The result is written into `buffers` when given.
+    Narrow sets (more features than rows) stored row-major, such as
+    small-bag instance graphs, go to einsum over the difference tensor, rows
+    a few at a time so it stays within _DIFF_BUDGET elements. Every other
+    stack (wide instance sets, and the label graph: a single set stored
+    feature-major, whose features are a batch's bags) goes to
+    _in_order_sq_dists, which adds each pair's squared differences one
+    feature at a time, in feature order. The two orders can round
+    differently. The result is written into `buffers` when given.
     """
     n, p = points.shape[-2:]
-    if p <= n:
+    if p <= n or (points.ndim == 3 and points.shape[0] == 1 and points[0].T.flags.c_contiguous):
         # (sets, p, n): each feature's column is contiguous
         cols = np.ascontiguousarray(points.reshape((-1, n, p)).transpose(0, 2, 1))
-        d2 = scratch(buffers, "d2", (cols.shape[0], n, n))
-        step = max(1, _DIST_BLOCK // (n * n))
-        buf = scratch(buffers, "d2_block", (min(step, cols.shape[0]), n, n))
-        for lo in range(0, cols.shape[0], step):
-            acc = d2[lo:lo + step]
-            sq = buf[:acc.shape[0]]
-            col = cols[lo:lo + step, 0]
-            np.subtract(col[:, :, None], col[:, None, :], out=acc)
-            np.multiply(acc, acc, out=acc)
-            for f in range(1, p):
-                col = cols[lo:lo + step, f]
-                np.subtract(col[:, :, None], col[:, None, :], out=sq)
-                np.multiply(sq, sq, out=sq)
-                acc += sq
-        return d2.reshape(points.shape[:-1] + (n,))
-    if points.ndim == 3 and points.shape[0] == 1 and points[0].T.flags.c_contiguous:
-        return _feature_major_sq_dists(points[0].T, buffers)[None]
+        return _in_order_sq_dists(cols, buffers).reshape(points.shape[:-1] + (n,))
     d2 = scratch(buffers, "d2", points.shape[:-1] + (n,))
     step = max(1, _DIFF_BUDGET // points.size)
     for lo in range(0, n, step):
@@ -151,34 +127,36 @@ def pairwise_sq_dists(points: np.ndarray, buffers: GraphBuffers | None) -> np.nd
     return d2
 
 
-def _feature_major_sq_dists(cols: np.ndarray, buffers: GraphBuffers | None) -> np.ndarray:
-    """(n, n) squared distances between the n points whose p features are the rows of `cols`.
+def _in_order_sq_dists(cols: np.ndarray, buffers: GraphBuffers | None) -> np.ndarray:
+    """(sets, n, n) squared distances between the n points whose p features are the rows of cols[s].
 
     Each pair's squared differences are added one feature at a time, in
-    feature order, as einsum adds them over this layout. Features are taken
-    in blocks: a C-ordered (rows, n, n) buffer of at most _DIST_BLOCK
-    elements holds the running sum in its first row and one feature's
-    squared differences in each further row, and np.add.reduce over axis 0
-    adds its rows in order into the sum. (A block summed on its own and then
-    added, or a reduction along a contiguous axis, which NumPy sums
+    feature order. The work goes in C-ordered (sets, rows, n, n) blocks of at
+    most _DIST_BLOCK elements: as many feature rows as fit, then as many
+    sets as fit. A block's row 0 holds each set's running sum and each
+    further row one feature's squared differences, and np.add.reduce over
+    axis 1 adds the rows in order into the sum. (A block summed on its own
+    and then added, or a reduction along a contiguous axis, which NumPy sums
     pairwise, would round differently.)
     """
-    p, n = cols.shape
-    d2 = scratch(buffers, "d2", (n, n))
+    n_sets, p, n = cols.shape
+    d2 = scratch(buffers, "d2", (n_sets, n, n))
     rows = min(max(2, _DIST_BLOCK // (n * n)), p)
-    buf = scratch(buffers, "d2_block", (rows, n, n))
-    lo, start = 0, 0  # the first block has no running sum yet
-    while lo < p:
-        hi = min(p, lo + rows - start)
-        block = buf[:start + hi - lo]
-        sq = block[start:]
-        col = cols[lo:hi]
-        np.subtract(col[:, :, None], col[:, None, :], out=sq)
-        np.multiply(sq, sq, out=sq)
-        if start:
-            block[0] = d2
-        np.add.reduce(block, axis=0, out=d2)
-        lo, start = hi, 1
+    step = max(1, min(_DIST_BLOCK // (rows * n * n), n_sets))
+    flat = scratch(buffers, "d2_block", (step * rows * n * n,))
+    for s in range(0, n_sets, step):
+        out = d2[s:s + step]
+        lo, start = 0, 0  # the first block has no running sum yet
+        while lo < p:
+            hi = min(p, lo + rows - start)
+            block = flat[:out.size * (start + hi - lo)].reshape(len(out), -1, n, n)
+            col = cols[s:s + step, lo:hi]
+            sq = np.subtract(col[..., :, None], col[..., None, :], out=block[:, start:])
+            np.multiply(sq, sq, out=sq)
+            if start:
+                block[:, 0] = out
+            np.add.reduce(block, axis=1, out=out)
+            lo, start = hi, 1
     return d2
 
 
@@ -230,7 +208,7 @@ def mutual_knn_median(points: np.ndarray, counts, k: int, buffers: GraphBuffers 
     `points` is a zero-padded (B, N, p) block: set b is its first counts[b]
     rows. Returns (adjacency (B, N, N), cache). Each set's adjacency is zero
     on padded rows and columns and is the one the set alone would get, up to
-    rounding: pairwise_sq_dists takes its per-feature or its einsum path from
+    rounding: pairwise_sq_dists takes its in-order or its einsum route from
     the block's padded N against p, and the two can differ in the last bits
     (between graph chunk sizes 7, 64 and 500, enhance_batch logits of
     untrained enhancers moved by up to 8.9e-16 on a 500-bag synthetic set of

@@ -29,7 +29,6 @@ class MetricsReport:
     ranking_loss: float
     macro_avg_precision: float
     macro_f1: float
-    per_label_f1: list[float] | None = None
     # Which mAP reading produced this report (label-wise macro averaging).
     map_definition: str = "label-wise"
 
@@ -111,13 +110,11 @@ def macro_f1(pred: np.ndarray, truth: np.ndarray) -> tuple[float, list[float]]:
 
 
 def compute_report(probs: np.ndarray, pred: np.ndarray, truth: np.ndarray) -> MetricsReport:
-    ma_f1, per_label = macro_f1(pred, truth)
     return MetricsReport(
         hamming_loss=hamming_loss(pred, truth),
         ranking_loss=ranking_loss(probs, truth),
         macro_avg_precision=macro_average_precision(probs, truth),
-        macro_f1=ma_f1,
-        per_label_f1=per_label,
+        macro_f1=macro_f1(pred, truth)[0],
     )
 
 

@@ -389,7 +389,6 @@ FAST_ABLATE = [
 
 def test_criterion_5_ablation_harness(tmp_path):
     out = tmp_path / "abl"
-    enh_mod.reset_instance_graph_build_count()
     assert main(["ablate", *FAST_ABLATE, "--out", str(out)]) == 0
     doc = json.loads((out / "ablation.json").read_text())
     assert set(doc["variants"]) == {"GLEMIML", "GLEMIML-A", "GLEMIML-B", "GLEMIML-C"}
@@ -398,10 +397,10 @@ def test_criterion_5_ablation_harness(tmp_path):
                             "macro_avg_precision", "macro_f1"}
 
     # variant C provably never constructs an instance graph
-    enh_mod.reset_instance_graph_build_count()
+    before = enh_mod.instance_graph_build_count()
     out_c = tmp_path / "only-c"
     assert main(["ablate", *FAST_ABLATE, "--out", str(out_c), "--only", "C"]) == 0
-    assert enh_mod.instance_graph_build_count() == 0
+    assert enh_mod.instance_graph_build_count() == before
 
     # each variant differs from the full model in exactly its documented axis
     cfg = TrainConfig(epochs=1, batch_size=8, seed=0)

@@ -130,7 +130,9 @@ class TestTrainCommand:
         ({}, {"instances": [["a"]], "labels": [1, 0]}),
         ({}, {"instances": 5, "labels": [1, 0]}),
         ({}, {"instances": [[1.0]], "labels": [1, "z"]}),
-    ], ids=["header-dim", "bag-list", "instance-text", "instances-number", "label-text"])
+        ({}, {"instances": [[1.0]], "labels": [1.5, 0.9]}),
+    ], ids=["header-dim", "bag-list", "instance-text", "instances-number", "label-text",
+            "label-fraction"])
     def test_malformed_dataset_exit_2_without_traceback(self, tmp_path, header, bag):
         path = tmp_path / "bad.jsonl"
         good = {"instances": [[0.5]], "labels": [1, 0]}

@@ -38,6 +38,19 @@ class TestBag:
         with pytest.raises(DataFormatError, match="finite"):
             Bag(np.array([[value, 1.0]]), np.array([1, 0]))
 
+    @pytest.mark.parametrize("value", [1.5, 0.9, "1", np.nan])
+    def test_label_other_than_0_or_1_rejected(self, value):
+        """Checked on the given values: an int conversion first would make
+        1.5 and 0.9 into 1 and 0, read "1" as 1 and fail on NaN."""
+        with pytest.raises(DataFormatError, match="0 or 1"):
+            Bag(np.ones((1, 2)), [value, 0.0])
+
+    @pytest.mark.parametrize("labels", [[True, False], [1.0, 0.0],
+                                        np.array([1, 0], dtype=np.uint8)])
+    def test_labels_equal_to_0_or_1_are_kept_as_int64(self, labels):
+        lab = Bag(np.ones((1, 2)), labels).logical_labels
+        assert lab.dtype == np.int64 and lab.tolist() == [1, 0]
+
 
 class TestLoadSave:
     def test_single_record_roundtrip(self, tmp_path):

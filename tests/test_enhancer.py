@@ -199,16 +199,16 @@ class TestEnhanceBatch:
 class TestInstanceGraphFlag:
     def test_disabled_branch_never_builds_graph(self):
         m = init_enhancer(4, 3, embed_dim=4, seed=2, use_instance_graph=False)
-        enh_mod.reset_instance_graph_build_count()
+        before = enh_mod.instance_graph_build_count()
         bags = [make_bag(np.random.default_rng(s), 3, 4, 3) for s in range(5)]
         enhance_batch(m, bags)
-        assert enh_mod.instance_graph_build_count() == 0
+        assert enh_mod.instance_graph_build_count() == before
 
     def test_enabled_branch_counts(self, model):
-        enh_mod.reset_instance_graph_build_count()
+        before = enh_mod.instance_graph_build_count()
         bags = [make_bag(np.random.default_rng(s), 3, 4, 3) for s in range(5)]
         enhance_batch(model, bags)
-        assert enh_mod.instance_graph_build_count() == 5
+        assert enh_mod.instance_graph_build_count() - before == 5
 
 
 @pytest.mark.parametrize("seed", [0, 2])
@@ -247,20 +247,20 @@ class TestForwardOnlyCounts:
     def test_forward_only_forward_is_called_and_counted(self, model, monkeypatch):
         builds = self.record_builds(monkeypatch)
         bags = [make_bag(np.random.default_rng(s), 3, 4, 3) for s in range(5)]
-        enh_mod.reset_instance_graph_build_count()
+        before = enh_mod.instance_graph_build_count()
         enhancer_forward(model, pack_bags(bags, bag_features=True), grad=False)
         assert builds == [(5, False), (1, False)]
-        assert enh_mod.instance_graph_build_count() == 5
+        assert enh_mod.instance_graph_build_count() - before == 5
 
     def test_train_builds_each_graph_twice_per_batch(self, monkeypatch):
         ds, _ = generate_synthetic(SyntheticConfig(num_bags=20, feature_dim=4, label_count=3))
         builds = self.record_builds(monkeypatch)
-        enh_mod.reset_instance_graph_build_count()
+        before = enh_mod.instance_graph_build_count()
         train(ds, None, TrainConfig(epochs=1, batch_size=8))
         # the enhancer step's instance and label graphs, then the forward-only pair
         assert builds == [build for size in (8, 8, 4)
                           for build in ((size, True), (1, True), (size, False), (1, False))]
-        assert enh_mod.instance_graph_build_count() == 2 * len(ds)
+        assert enh_mod.instance_graph_build_count() - before == 2 * len(ds)
 
 
 class TestGraphBuffers:

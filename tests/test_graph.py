@@ -17,7 +17,7 @@ from glemiml.graph import (
 )
 from glemiml.nets import DenseLayer, FeedForwardNet, softmax_rows
 
-from per_bag_reference import strided_sq_dists
+from per_bag_reference import sq_dists_by_feature, strided_sq_dists
 
 
 def random_batch(rng, max_sets=4, max_points=8, p=3):
@@ -324,6 +324,40 @@ def label_points(rng, bags, labels, rounded=False, tied=False):
     return d0.T[None]
 
 
+class TestInOrderDistances:
+    """pairwise_sq_dists on every stack it adds up one feature at a time."""
+
+    @given(seed=st.integers(0, 2**32 - 1), sets=st.integers(1, 24), n=st.integers(2, 100),
+           features=st.integers(1, 130), feature_major=st.booleans(), rounded=st.booleans(),
+           buffered=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    @example(seed=1, sets=7, n=30, features=8, feature_major=False, rounded=False, buffered=True)
+    @example(seed=2, sets=3, n=91, features=8, feature_major=False, rounded=True, buffered=False)
+    @example(seed=3, sets=1, n=2, features=1, feature_major=False, rounded=False, buffered=True)
+    @example(seed=4, sets=1, n=30, features=2000, feature_major=True, rounded=True, buffered=True)
+    def test_equals_the_feature_by_feature_sum_bit_for_bit(self, seed, sets, n, features,
+                                                           feature_major, rounded, buffered):
+        """Wide sets (no more features than points) and single feature-major
+        sets of any width, the label graph's layout, give the bytes of adding
+        each feature's squared differences to a running sum in feature order.
+        Blocks of _DIST_BLOCK elements hold several sets (30 points, 8
+        features: four sets, so seven end in a partial block) or split one
+        set's features (91 points: blocks of three rows), and a set may have
+        one feature and two points."""
+        p = features if feature_major else 1 + (features - 1) % n
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(p, n) if feature_major else (sets, n, p))
+        if rounded:
+            values = np.round(values, 1)
+        points = values.T[None] if feature_major else values
+        buffers = GraphBuffers() if buffered else None
+        if buffered:  # a larger stack first leaves stale values in longer buffers
+            pairwise_sq_dists(rng.normal(size=(sets + 2, n + 3, 2)), buffers)
+        d2 = pairwise_sq_dists(points, buffers)
+        assert d2.shape == points.shape[:-1] + (n,)
+        assert d2.tobytes() == sq_dists_by_feature(points).tobytes()
+
+
 class TestLabelLayoutDistances:
     """pairwise_sq_dists on a single feature-major set, the label graph's layout."""
 
@@ -340,7 +374,7 @@ class TestLabelLayoutDistances:
         blocks, the last of four bags; 41 bags of 40 labels end in a two-bag
         block. Rounded distributions tie distances, and a label column copied
         onto another gives a pair at distance exactly zero."""
-        # more bags than labels: with t bags or fewer the per-feature path runs
+        # more bags than labels, the label graph's usual shape
         bags = labels + extra
         points = label_points(np.random.default_rng(seed), bags, labels, rounded, tied)
         buffers = GraphBuffers() if buffered else None
