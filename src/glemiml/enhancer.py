@@ -9,6 +9,7 @@ the refined logits, confidences their elementwise sigmoid.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +40,12 @@ from .nets import (
 # ablation C prove its branch is dead.
 _instance_graph_builds = 0
 
-# Bags per instance-graph block in enhance_batch. Bags are grouped by size, so
-# a block pads little and its (B, N, N) graph arrays stay small however many
-# bags are enhanced.
-GRAPH_CHUNK_BAGS = 64
+# Cells (bags x N x N) per instance-graph chunk in enhance_batch: 1 MiB per
+# (B, N, N) float64 array. Bags are sorted by size, so a chunk pads little and
+# its graph arrays stay this small however many bags are enhanced, while the
+# 500 bags of 2-5 instances of a default-shape set make one chunk and pay one
+# build's fixed cost.
+GRAPH_CHUNK_CELLS = 1 << 17
 
 
 def instance_graph_build_count() -> int:
@@ -204,10 +207,14 @@ def _refine_forward(model: EnhancerModel, base_logits: np.ndarray,
 def enhance_batch(model: EnhancerModel, bags) -> EnhancedBatch:
     """Forward over a batch of bags, keeping no backward caches.
 
-    Instance graphs are built forward only, GRAPH_CHUNK_BAGS bags at a time,
-    smallest bags first; the label graph spans the whole batch, as in
-    enhancer_forward. A bag's instance graph, and so its logits, can differ
-    in the last bits between chunk sizes (see mutual_knn_median).
+    Instance graphs are built forward only, over the bags sorted by size in
+    chunks [lo, hi) that pad to their largest bag's size N: a chunk grows
+    while its (hi - lo) x N x N block holds at most GRAPH_CHUNK_CELLS cells,
+    and a bag larger than that is a chunk of its own. The label graph spans
+    the whole batch, as in enhancer_forward. A bag's padded size picks the
+    distance route, so its instance graph, and its logits, can differ in the
+    last bits between chunkings that pad it to sizes on either side of the
+    embedding width (see mutual_knn_median).
     """
     if not bags:
         raise ShapeError("enhance_batch needs at least one bag")
@@ -215,9 +222,18 @@ def enhance_batch(model: EnhancerModel, bags) -> EnhancedBatch:
     M2 = np.zeros((len(batch), model.embed_dim))
     if model.use_instance_graph:
         by_size = np.argsort(batch.counts, kind="stable")
-        for lo in range(0, len(batch), GRAPH_CHUNK_BAGS):
-            idx = by_size[lo:lo + GRAPH_CHUNK_BAGS]
+        sizes = batch.counts[by_size].tolist()
+        ends = range(1, len(sizes) + 1)
+        lo = 0
+        while lo < len(sizes):
+            # a chunk's cells grow with its end, and ends[i] == i + 1, so the
+            # index bisect_right returns is the last end that fits
+            hi = bisect_right(ends, GRAPH_CHUNK_CELLS, lo=lo,
+                              key=lambda end: (end - lo) * sizes[end - 1] ** 2)
+            hi = max(hi, lo + 1)
+            idx = by_size[lo:hi]
             M2[idx] = _graph_means(model, batch.take(idx), grad=False)[0]
+            lo = hi
     base, _ = _branch_logits(model, batch, M2)
     return _refine_forward(model, base, grad=False)[0]
 

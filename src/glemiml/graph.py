@@ -12,8 +12,12 @@ import numpy as np
 
 WIDTH_FLOOR = 1e-8
 
-# Largest difference tensor, in elements, that pairwise_sq_dists forms at once.
-_DIFF_BUDGET = 1 << 17
+# Largest difference tensor, in elements, that pairwise_sq_dists forms at once
+# (unless one row of each set is more). For a default-shape enhance pass, one
+# (500, 5, 8) block: 2^17 formed all 800 KB at once in 467-518 us, 2^15 one
+# 160 KB row at a time in 326-415 us, the same bits (min of 7 x 200 calls,
+# three rounds, 2 vCPUs).
+_DIFF_BUDGET = 1 << 15
 
 # Elements at most in _in_order_sq_dists' (sets, rows, n, n) block (256 KiB).
 # On 32 sets of 50 points with 8 features (2-vCPU Xeon, 48 KiB L1d and 2 MiB
@@ -210,14 +214,14 @@ def mutual_knn_median(points: np.ndarray, counts, k: int, buffers: GraphBuffers 
     on padded rows and columns and is the one the set alone would get, up to
     rounding: pairwise_sq_dists takes its in-order or its einsum route from
     the block's padded N against p, and the two can differ in the last bits
-    (between graph chunk sizes 7, 64 and 500, enhance_batch logits of
-    untrained enhancers moved by up to 8.9e-16 on a 500-bag synthetic set of
-    2-40 instances a bag, seed 1). The width is the median of the set's
-    squared pairwise distances, floored at WIDTH_FLOOR. The cache records
-    everything needed to push a gradient on the adjacency entries back onto
-    the points, including the dependence of each width on its median
-    pair(s). `k` must be at least 1; TrainConfig and EnhancerModel check it
-    where it enters.
+    (between enhance_batch chunk budgets of 2^12 cells, 2^17 cells and one
+    chunk, the logits of untrained enhancers moved by up to 8.9e-16 on a
+    500-bag synthetic set of 2-40 instances a bag, seed 1). The width is
+    the median of the set's squared pairwise distances, floored at
+    WIDTH_FLOOR. The cache records everything needed to push a gradient on
+    the adjacency entries back onto the points, including the dependence of
+    each width on its median pair(s). `k` must be at least 1; TrainConfig
+    and EnhancerModel check it where it enters.
 
     With `buffers`, the (B, N, N) float arrays of this build and of its
     backward pass are views into them, so the adjacency and the cache stay

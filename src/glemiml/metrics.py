@@ -96,7 +96,7 @@ def macro_average_precision(scores: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean(aps))
 
 
-def macro_f1(pred: np.ndarray, truth: np.ndarray) -> tuple[float, list[float]]:
+def macro_f1(pred: np.ndarray, truth: np.ndarray) -> float:
     """Per-label F1 (0/0 counts as 0), averaged over all labels."""
     pred = np.asarray(pred)
     truth = np.asarray(truth)
@@ -106,7 +106,7 @@ def macro_f1(pred: np.ndarray, truth: np.ndarray) -> tuple[float, list[float]]:
     fn = np.count_nonzero((pred == 0) & (truth == 1), axis=0)
     denom = 2 * tp + fp + fn
     f1s = np.divide(2 * tp, denom, out=np.zeros(denom.shape), where=denom > 0)
-    return float(np.mean(f1s)), f1s.tolist()
+    return float(np.mean(f1s))
 
 
 def compute_report(probs: np.ndarray, pred: np.ndarray, truth: np.ndarray) -> MetricsReport:
@@ -114,7 +114,7 @@ def compute_report(probs: np.ndarray, pred: np.ndarray, truth: np.ndarray) -> Me
         hamming_loss=hamming_loss(pred, truth),
         ranking_loss=ranking_loss(probs, truth),
         macro_avg_precision=macro_average_precision(probs, truth),
-        macro_f1=macro_f1(pred, truth)[0],
+        macro_f1=macro_f1(pred, truth),
     )
 
 

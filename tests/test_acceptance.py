@@ -298,7 +298,7 @@ def test_criterion_2_metric_oracle_equivalence():
         assert ranking_loss(scores, truth) == pytest.approx(_brute_rl(scores, truth), abs=1e-12)
         assert macro_average_precision(scores, truth) == pytest.approx(
             _brute_map(scores, truth), abs=1e-12)
-        assert macro_f1(pred, truth)[0] == pytest.approx(_brute_f1(pred, truth), abs=1e-12)
+        assert macro_f1(pred, truth) == pytest.approx(_brute_f1(pred, truth), abs=1e-12)
     assert time.time() - start < 10.0
 
 

@@ -217,14 +217,75 @@ def test_graph_chunk_size_moves_logits_by_rounding_only(monkeypatch, seed):
     graph, and the logits, may change in the last bits with the chunk size."""
     ds, _ = generate_synthetic(SyntheticConfig(instances_min=2, instances_max=40, seed=1))
     model = init_enhancer(ds.feature_dim, ds.label_count, seed=seed)
+    default = enh_mod.GRAPH_CHUNK_CELLS
+    # a few bags per chunk, the default, and one chunk padded to 40
+    budgets = (1 << 12, default, len(ds) * 40 ** 2)
     out = {}
-    for chunk in (64, 7, 500):
-        monkeypatch.setattr(enh_mod, "GRAPH_CHUNK_BAGS", chunk)
-        out[chunk] = enhance_batch(model, ds.bags)
-    for chunk in (7, 500):
+    for budget in budgets:
+        monkeypatch.setattr(enh_mod, "GRAPH_CHUNK_CELLS", budget)
+        out[budget] = enhance_batch(model, ds.bags)
+    for budget in (budgets[0], budgets[2]):
         for name in ("logits", "distributions", "confidences"):
-            np.testing.assert_allclose(getattr(out[chunk], name), getattr(out[64], name),
+            np.testing.assert_allclose(getattr(out[budget], name), getattr(out[default], name),
                                        rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("instances, oversized", [((2, 5), None), ((20, 50), 70)])
+def test_graph_chunks_keep_the_cell_budget_and_change_no_bit(monkeypatch, instances, oversized):
+    """Bags of 2-5 instances always take the einsum route and bags of 20-50 the
+    in-order one, so on these shapes no budget moves a bit. Each chunk holds
+    at most the budget's cells, or one bag larger than the budget, and ends
+    where the next bag would break it."""
+    lo, hi = instances
+    ds, _ = generate_synthetic(SyntheticConfig(num_bags=60, instances_min=lo, instances_max=hi,
+                                               seed=4))
+    bags = list(ds.bags)
+    if oversized:
+        bags.insert(7, make_bag(np.random.default_rng(5), oversized, ds.feature_dim,
+                                ds.label_count))
+    model = init_enhancer(ds.feature_dim, ds.label_count, seed=3)
+    chunks = []
+    real = enh_mod._graph_means
+
+    def recorded(model, batch, *args, **kwargs):
+        chunks.append((len(batch), int(batch.counts.max()), int(batch.counts.min())))
+        return real(model, batch, *args, **kwargs)
+
+    monkeypatch.setattr(enh_mod, "_graph_means", recorded)
+    out = []
+    for budget in (1 << 4, 1 << 9, 1 << 12, enh_mod.GRAPH_CHUNK_CELLS):
+        monkeypatch.setattr(enh_mod, "GRAPH_CHUNK_CELLS", budget)
+        chunks.clear()
+        batch = enhance_batch(model, bags)
+        out.append([a.tobytes() for a in (batch.logits, batch.distributions, batch.confidences)])
+        assert sum(b for b, _, _ in chunks) == len(bags)
+        for b, n, _ in chunks:
+            assert b * n * n <= budget or b == 1
+        for (b, _, _), (_, _, next_first) in zip(chunks, chunks[1:]):
+            assert (b + 1) * next_first ** 2 > budget
+        if oversized and oversized ** 2 > budget:
+            assert (1, oversized, oversized) in chunks
+    assert all(o == out[0] for o in out)
+
+
+def test_small_bag_pass_memory_stays_bounded():
+    """One chunk holds the 2,000 bags of 2-5 instances (50,000 cells). The pass
+    peaked at 6.76 MB: the batch's pack and the chunk's gathered copy, the
+    chunk's sigma-net activations, padded embeddings and graph arrays. With
+    64-bag chunks it peaked at 3.41 MB; at the budget's 2^17 cells a chunk
+    of bags of 5 holds 5,242 bags."""
+    ds, _ = generate_synthetic(SyntheticConfig(num_bags=2000, seed=6))
+    model = init_enhancer(ds.feature_dim, ds.label_count, seed=0)
+    enhance_batch(model, ds.bags)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        enhance_batch(model, ds.bags)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 class TestForwardOnlyCounts:
