@@ -43,12 +43,21 @@ from .training import LOSS_COLUMNS, TrainConfig, evaluate, run_ablation, train
 OUTPUT_ROOT_ENV = "GLEMIML_OUTPUT_ROOT"
 
 
+# config dataclass: {setting key: the field it sets}, filled in by _held
+_FIELDS = {}
+
+
 def _held(section: str, config, names: str, **renamed) -> dict:
     """Settings that a config dataclass holds, with its defaults: `names` are
     its field names, and `renamed` maps a setting key to the field it sets."""
-    pairs = [(name, name) for name in names.split()] + list(renamed.items())
+    fields = _FIELDS[config] = {**{name: name for name in names.split()}, **renamed}
     return {key: (section, type(getattr(config, name)), getattr(config, name))
-            for key, name in pairs}
+            for key, name in fields.items()}
+
+
+def _build(config, cfg: dict, **extra):
+    """The `config` dataclass, each field it holds set from its setting in `cfg`."""
+    return config(**{name: cfg[key] for key, name in _FIELDS[config].items()}, **extra)
 
 
 _SETTINGS = {
@@ -113,32 +122,13 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def _train_config(cfg: dict, ablation: str = "full") -> TrainConfig:
-    return TrainConfig(
-        epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-        learning_rate=cfg["learning_rate"], optimizer=cfg["optimizer"],
-        loss_weights=LossWeights(
-            beta1=cfg["beta1"], beta2=cfg["beta2"], beta3=cfg["beta3"],
-            rho=cfg["rho"], gamma_pos=cfg["gamma_pos"], gamma_neg=cfg["gamma_neg"],
-        ),
-        instance_k=cfg["instance_k"], k_label=cfg["k_label"],
-        embed_dim=cfg["embed_dim"], classifier_depth=cfg["classifier_depth"],
-        sim_mode=cfg["sim_mode"], seed=cfg["seed"], ablation=ablation,
-    )
-
-
-def _synthetic_config(cfg: dict) -> SyntheticConfig:
-    return SyntheticConfig(
-        num_bags=cfg["num_bags"], feature_dim=cfg["feature_dim"],
-        label_count=cfg["label_count"], instances_min=cfg["instances_min"],
-        instances_max=cfg["instances_max"], seed=cfg["data_seed"],
-    )
+def _train_config(cfg: dict) -> TrainConfig:
+    return _build(TrainConfig, cfg, loss_weights=_build(LossWeights, cfg))
 
 
 def _split(ds: MIMLDataset, cfg: dict) -> tuple:
     """The (train, test, val) split of `ds` that the split settings name."""
-    spec = SplitSpec(cfg["train_frac"], cfg["test_frac"], cfg["val_frac"], cfg["split_seed"])
-    return split_dataset(ds, spec)
+    return split_dataset(ds, _build(SplitSpec, cfg))
 
 
 def _load_data(cfg: dict) -> MIMLDataset:
@@ -146,7 +136,7 @@ def _load_data(cfg: dict) -> MIMLDataset:
         if not os.path.exists(cfg["dataset"]):
             raise DataFormatError(f"dataset file not found: {cfg['dataset']}")
         return load_dataset(cfg["dataset"])
-    return generate_synthetic(_synthetic_config(cfg))[0]
+    return generate_synthetic(_build(SyntheticConfig, cfg))[0]
 
 
 def _output_dir(cfg: dict) -> str:
@@ -259,8 +249,6 @@ def _write_history_csv(path: str, history) -> None:
 
 def _export_distributions(enh, splits, out_dir: str) -> None:
     for name, ds in zip(("train", "test", "val"), splits):
-        if len(ds) == 0:
-            continue
         batch = enhance_batch(enh, ds.bags)
         path = os.path.join(out_dir, f"distributions_{name}.csv")
         with atomic_open(path, newline="") as fh:
@@ -363,7 +351,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    ds, truths = generate_synthetic(_synthetic_config(resolve_config(args)))
+    ds, truths = generate_synthetic(_build(SyntheticConfig, resolve_config(args)))
     save_dataset(ds, args.out_file)
     if args.truth_out:
         with atomic_open(args.truth_out, newline="") as fh:

@@ -188,7 +188,10 @@ def save_dataset(ds: MIMLDataset, path) -> None:
 
 
 def split_dataset(ds: MIMLDataset, spec: SplitSpec):
-    """Deterministic shuffled partition; floor sizes, remainder goes to train."""
+    """Deterministic shuffled partition; floor sizes, remainder goes to train.
+
+    A split that would get no bag is a ConfigError naming it.
+    """
     n = len(ds)
     if n < 10:
         raise ConfigError(f"dataset too small to split ({n} bags, need >= 10)")
@@ -196,6 +199,11 @@ def split_dataset(ds: MIMLDataset, spec: SplitSpec):
     n_test = int(np.floor(n * spec.test_frac))
     n_val = int(np.floor(n * spec.val_frac))
     n_train += n - (n_train + n_test + n_val)
+    for name, size in (("train", n_train), ("test", n_test), ("val", n_val)):
+        if size == 0:
+            frac = getattr(spec, f"{name}_frac")
+            raise ConfigError(f"the {name} split is empty: {name}_frac {frac!r} of {n} bags "
+                              "is less than one bag")
     perm = np.random.default_rng(np.uint64(spec.seed)).permutation(n)
     train_idx = perm[:n_train]
     test_idx = perm[n_train:n_train + n_test]

@@ -17,7 +17,7 @@ import numpy as np
 from .atomic import atomic_open
 from .data import PackedBags, pack_bags
 from .errors import ConfigError, ShapeError
-from .graph import GraphBuffers, mutual_knn_median, mutual_knn_median_backward, scratch
+from .graph import GraphBuffers, mutual_knn_median, mutual_knn_median_backward
 from .nets import (
     CHECKPOINT_SCHEMA,
     FeedForwardNet,
@@ -40,11 +40,11 @@ from .nets import (
 # ablation C prove its branch is dead.
 _instance_graph_builds = 0
 
-# Cells (bags x N x N) per instance-graph chunk in enhance_batch: 1 MiB per
-# (B, N, N) float64 array. Bags are sorted by size, so a chunk pads little and
-# its graph arrays stay this small however many bags are enhanced, while the
-# 500 bags of 2-5 instances of a default-shape set make one chunk and pay one
-# build's fixed cost.
+# Cells (bags x N x N) at most in one forward-only instance-graph build: 1 MiB
+# per (B, N, N) float64 array. A larger batch is built in chunks of bags
+# sorted by size, so a chunk pads little and its graph arrays stay this small
+# however many bags are enhanced, while the 500 bags of 2-5 instances of a
+# default-shape set, and every default training batch, take one build.
 GRAPH_CHUNK_CELLS = 1 << 17
 
 
@@ -131,7 +131,7 @@ def _graph_means(model: EnhancerModel, batch: PackedBags, buffers: GraphBuffers 
     if not grad:
         return M2, None
     return M2, {"sig_cache": sig_cache, "E_pad": E_pad, "A": A, "gcache": gcache,
-                "counts": counts, "real": real, "buffers": buffers}
+                "counts": counts, "real": real}
 
 
 def _graph_means_backward(model: EnhancerModel, cache, g_m2: np.ndarray):
@@ -139,10 +139,36 @@ def _graph_means_backward(model: EnhancerModel, cache, g_m2: np.ndarray):
     E_pad, A = cache["E_pad"], cache["A"]
     g_p = np.broadcast_to((g_m2 / cache["counts"][:, None])[:, None, :], E_pad.shape)
     g_e = A.transpose(0, 2, 1) @ g_p
-    g_a = np.matmul(g_p, E_pad.transpose(0, 2, 1), out=scratch(cache["buffers"], "g_a", A.shape))
+    g_a = np.matmul(g_p, E_pad.transpose(0, 2, 1),
+                    out=cache["gcache"]["buffers"].get("g_a", A.shape))
     g_e += mutual_knn_median_backward(cache["gcache"], g_a)
     sg, _ = backward_batch(model.sigma_net, cache["sig_cache"], g_e[cache["real"]])
     return sg
+
+
+def _chunked_graph_means(model: EnhancerModel, batch: PackedBags, buffers: GraphBuffers | None):
+    """Forward-only _graph_means of a batch built in chunks of at most GRAPH_CHUNK_CELLS cells.
+
+    The bags are sorted by size and cut into chunks [lo, hi) that pad to
+    their largest bag's size N: a chunk grows while its (hi - lo) x N x N
+    block holds at most GRAPH_CHUNK_CELLS cells, and a bag larger than that
+    is a chunk of its own.
+    """
+    M2 = np.empty((len(batch), model.embed_dim))
+    by_size = np.argsort(batch.counts, kind="stable")
+    sizes = batch.counts[by_size].tolist()
+    ends = range(1, len(sizes) + 1)
+    lo = 0
+    while lo < len(sizes):
+        # a chunk's cells grow with its end, and ends[i] == i + 1, so the
+        # index bisect_right returns is the last end that fits
+        hi = bisect_right(ends, GRAPH_CHUNK_CELLS, lo=lo,
+                          key=lambda end: (end - lo) * sizes[end - 1] ** 2)
+        hi = max(hi, lo + 1)
+        idx = by_size[lo:hi]
+        M2[idx] = _graph_means(model, batch.take(idx), buffers, grad=False)[0]
+        lo = hi
+    return M2
 
 
 def _branch_logits(model: EnhancerModel, batch: PackedBags, M2: np.ndarray):
@@ -157,17 +183,6 @@ def _branch_logits(model: EnhancerModel, batch: PackedBags, M2: np.ndarray):
     o2, c2 = forward_batch(model.omega2_net, M2)
     o3, c3 = forward_batch(model.omega3_net, batch.logical)
     return o1 + o2 + o3, (c1, c2, c3)
-
-
-def _base_forward(model: EnhancerModel, batch: PackedBags, buffers: GraphBuffers | None = None,
-                  grad: bool = True):
-    """Base (pre-refinement) logits (B, t) of a batch, plus the caches backprop needs."""
-    if model.use_instance_graph:
-        M2, graph_cache = _graph_means(model, batch, buffers, grad)
-    else:
-        M2, graph_cache = np.zeros((len(batch), model.embed_dim)), None
-    base, net_caches = _branch_logits(model, batch, M2)
-    return base, {"graph": graph_cache, "nets": net_caches}
 
 
 def _row_normalize(adj: np.ndarray):
@@ -204,40 +219,6 @@ def _refine_forward(model: EnhancerModel, base_logits: np.ndarray,
     return batch, cache
 
 
-def enhance_batch(model: EnhancerModel, bags) -> EnhancedBatch:
-    """Forward over a batch of bags, keeping no backward caches.
-
-    Instance graphs are built forward only, over the bags sorted by size in
-    chunks [lo, hi) that pad to their largest bag's size N: a chunk grows
-    while its (hi - lo) x N x N block holds at most GRAPH_CHUNK_CELLS cells,
-    and a bag larger than that is a chunk of its own. The label graph spans
-    the whole batch, as in enhancer_forward. A bag's padded size picks the
-    distance route, so its instance graph, and its logits, can differ in the
-    last bits between chunkings that pad it to sizes on either side of the
-    embedding width (see mutual_knn_median).
-    """
-    if not bags:
-        raise ShapeError("enhance_batch needs at least one bag")
-    batch = pack_bags(bags, bag_features=True)
-    M2 = np.zeros((len(batch), model.embed_dim))
-    if model.use_instance_graph:
-        by_size = np.argsort(batch.counts, kind="stable")
-        sizes = batch.counts[by_size].tolist()
-        ends = range(1, len(sizes) + 1)
-        lo = 0
-        while lo < len(sizes):
-            # a chunk's cells grow with its end, and ends[i] == i + 1, so the
-            # index bisect_right returns is the last end that fits
-            hi = bisect_right(ends, GRAPH_CHUNK_CELLS, lo=lo,
-                              key=lambda end: (end - lo) * sizes[end - 1] ** 2)
-            hi = max(hi, lo + 1)
-            idx = by_size[lo:hi]
-            M2[idx] = _graph_means(model, batch.take(idx), grad=False)[0]
-            lo = hi
-    base, _ = _branch_logits(model, batch, M2)
-    return _refine_forward(model, base, grad=False)[0]
-
-
 def enhancer_forward(model: EnhancerModel, batch: PackedBags, buffers: GraphBuffers | None = None,
                      label_buffers: GraphBuffers | None = None, grad: bool = True):
     """Full forward over a batch packed with its bag features; returns (EnhancedBatch, cache).
@@ -246,17 +227,37 @@ def enhancer_forward(model: EnhancerModel, batch: PackedBags, buffers: GraphBuff
     `label_buffers` when given, so the cache is valid only until the next
     forward with the same buffers. The two graphs never share buffers: the
     label graph is built while the instance graph's cache is still needed.
-    With grad=False both graphs are built forward only and the cache is None;
-    the outputs are the same bit for bit.
+    The label graph spans the whole batch.
+
+    With grad=False both graphs are built forward only and the cache is
+    None; the outputs are the same bit for bit. A forward-only batch whose
+    (B, N, N) block holds more than GRAPH_CHUNK_CELLS cells has its instance
+    graphs built in size-sorted chunks (_chunked_graph_means). A bag's padded
+    size picks the distance route, so its instance graph, and its logits,
+    can differ in the last bits between chunkings that pad it to sizes on
+    either side of the embedding width (see mutual_knn_median).
     """
     if not len(batch):
         raise ShapeError("enhancer_forward needs at least one bag")
-    base, cache = _base_forward(model, batch, buffers, grad)
-    batch, refine_cache = _refine_forward(model, base, label_buffers, grad)
+    graph_cache = None
+    if not model.use_instance_graph:
+        M2 = np.zeros((len(batch), model.embed_dim))
+    elif grad or len(batch) * int(batch.counts.max()) ** 2 <= GRAPH_CHUNK_CELLS:
+        M2, graph_cache = _graph_means(model, batch, buffers, grad)
+    else:
+        M2 = _chunked_graph_means(model, batch, buffers)
+    base, net_caches = _branch_logits(model, batch, M2)
+    out, refine_cache = _refine_forward(model, base, label_buffers, grad)
     if not grad:
-        return batch, None
-    cache["refine"] = refine_cache
-    return batch, cache
+        return out, None
+    return out, {"graph": graph_cache, "nets": net_caches, "refine": refine_cache}
+
+
+def enhance_batch(model: EnhancerModel, bags) -> EnhancedBatch:
+    """Forward-only enhancer_forward over a list of bags."""
+    if not bags:
+        raise ShapeError("enhance_batch needs at least one bag")
+    return enhancer_forward(model, pack_bags(bags, bag_features=True), grad=False)[0]
 
 
 def _row_normalize_backward(adj: np.ndarray, scale: np.ndarray, grad_n: np.ndarray) -> np.ndarray:

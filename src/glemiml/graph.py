@@ -99,14 +99,7 @@ class GraphBuffers:
         return self._plan
 
 
-def scratch(buffers: GraphBuffers | None, role: str, shape) -> np.ndarray:
-    """An uninitialised float array for `role`: a view into `buffers`, or fresh when it is None."""
-    if buffers is None:
-        return np.empty(shape)
-    return buffers.get(role, shape)
-
-
-def pairwise_sq_dists(points: np.ndarray, buffers: GraphBuffers | None) -> np.ndarray:
+def pairwise_sq_dists(points: np.ndarray, buffers: GraphBuffers) -> np.ndarray:
     """Squared distances between the rows of each (n, p) matrix of a (..., n, p) stack.
 
     Narrow sets (more features than rows) stored row-major, such as
@@ -116,14 +109,14 @@ def pairwise_sq_dists(points: np.ndarray, buffers: GraphBuffers | None) -> np.nd
     feature-major, whose features are a batch's bags) goes to
     _in_order_sq_dists, which adds each pair's squared differences one
     feature at a time, in feature order. The two orders can round
-    differently. The result is written into `buffers` when given.
+    differently. The result is written into `buffers`.
     """
     n, p = points.shape[-2:]
     if p <= n or (points.ndim == 3 and points.shape[0] == 1 and points[0].T.flags.c_contiguous):
         # (sets, p, n): each feature's column is contiguous
         cols = np.ascontiguousarray(points.reshape((-1, n, p)).transpose(0, 2, 1))
         return _in_order_sq_dists(cols, buffers).reshape(points.shape[:-1] + (n,))
-    d2 = scratch(buffers, "d2", points.shape[:-1] + (n,))
+    d2 = buffers.get("d2", points.shape[:-1] + (n,))
     step = max(1, _DIFF_BUDGET // points.size)
     for lo in range(0, n, step):
         diff = points[..., lo:lo + step, None, :] - points[..., None, :, :]
@@ -131,7 +124,7 @@ def pairwise_sq_dists(points: np.ndarray, buffers: GraphBuffers | None) -> np.nd
     return d2
 
 
-def _in_order_sq_dists(cols: np.ndarray, buffers: GraphBuffers | None) -> np.ndarray:
+def _in_order_sq_dists(cols: np.ndarray, buffers: GraphBuffers) -> np.ndarray:
     """(sets, n, n) squared distances between the n points whose p features are the rows of cols[s].
 
     Each pair's squared differences are added one feature at a time, in
@@ -144,10 +137,10 @@ def _in_order_sq_dists(cols: np.ndarray, buffers: GraphBuffers | None) -> np.nda
     pairwise, would round differently.)
     """
     n_sets, p, n = cols.shape
-    d2 = scratch(buffers, "d2", (n_sets, n, n))
+    d2 = buffers.get("d2", (n_sets, n, n))
     rows = min(max(2, _DIST_BLOCK // (n * n)), p)
     step = max(1, min(_DIST_BLOCK // (rows * n * n), n_sets))
-    flat = scratch(buffers, "d2_block", (step * rows * n * n,))
+    flat = buffers.get("d2_block", (step * rows * n * n,))
     for s in range(0, n_sets, step):
         out = d2[s:s + step]
         lo, start = 0, 0  # the first block has no running sum yet
@@ -223,23 +216,25 @@ def mutual_knn_median(points: np.ndarray, counts, k: int, buffers: GraphBuffers 
     each width on its median pair(s). `k` must be at least 1; TrainConfig
     and EnhancerModel check it where it enters.
 
-    With `buffers`, the (B, N, N) float arrays of this build and of its
-    backward pass are views into them, so the adjacency and the cache stay
-    valid only until the next build with the same buffers, and the build's
-    GraphPlan is the buffers' last one when (counts, N, k) match; the
-    arithmetic is the same either way. With grad=False the build is forward
+    The (B, N, N) float arrays of this build and of its backward pass are
+    views into `buffers` (a fresh GraphBuffers when None), which the cache
+    keeps. So the adjacency and the cache stay valid only until the next
+    build with the same buffers, and the build's GraphPlan is the buffers'
+    last one when (counts, N, k) match. With grad=False the build is forward
     only: it reads the median from a sort of the pair values instead of
     locating the median pair(s), writes the adjacency over the distances and
     returns None for the cache; the adjacency is the same bit for bit.
     """
     points = np.asarray(points, dtype=np.float64)
     counts = np.asarray(counts, dtype=np.int64)
+    buffers = GraphBuffers() if buffers is None else buffers
     n = points.shape[1]
     if n < 2:
-        return np.zeros((points.shape[0], n, n)), ({"points": points} if grad else None)
-    plan = GraphPlan(counts, n, k) if buffers is None else buffers.plan(counts, n, k)
+        cache = {"points": points, "buffers": buffers} if grad else None
+        return np.zeros((points.shape[0], n, n)), cache
+    plan = buffers.plan(counts, n, k)
     d2 = pairwise_sq_dists(points, buffers)
-    remaining = scratch(buffers, "remaining", d2.shape)
+    remaining = buffers.get("remaining", d2.shape)
     np.copyto(remaining, np.inf)
     np.copyto(remaining, d2, where=plan.pairs)
     # each set's pairs in np.triu_indices order, padded pairs +inf so they sort last
@@ -256,7 +251,7 @@ def mutual_knn_median(points: np.ndarray, counts, k: int, buffers: GraphBuffers 
     width = np.maximum(med_raw, WIDTH_FLOOR)
 
     # exp(-d2 / (2 w)) on mutual pairs, 0 elsewhere (the weights are positive)
-    adj = np.negative(d2, out=scratch(buffers, "adj", d2.shape) if grad else d2)
+    adj = np.negative(d2, out=buffers.get("adj", d2.shape) if grad else d2)
     adj /= (2.0 * width)[:, None, None]
     np.exp(adj, out=adj)
     adj *= mask
@@ -285,12 +280,12 @@ def mutual_knn_median_backward(cache, grad_adj: np.ndarray) -> np.ndarray:
     d2, mask, adj, width = cache["d2"], cache["mask"], cache["adj"], cache["width"]
     buffers = cache["buffers"]
 
-    g_d2 = scratch(buffers, "g_d2", d2.shape)
+    g_d2 = buffers.get("g_d2", d2.shape)
     np.copyto(g_d2, 0.0)
     np.copyto(g_d2, grad_adj, where=mask)
     g_d2 *= adj
     # width dependence: da/dw = a * d2 / (2 w^2), routed to the median pair(s)
-    work = np.multiply(g_d2, d2, out=scratch(buffers, "work", d2.shape))
+    work = np.multiply(g_d2, d2, out=buffers.get("work", d2.shape))
     g_width = work.sum(axis=(1, 2)) / (2.0 * width * width)
     # direct dependence: a = exp(-d2 / (2 w))  =>  da/dd2 = -a / (2 w)
     g_d2 *= -1.0 / (2.0 * width[:, None, None])

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, DataFormatError, NumericError, ShapeError
 
-_ACTIVATIONS = ("identity", "relu", "tanh", "sigmoid")
+_ACTIVATIONS = ("identity", "relu", "tanh")
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -38,15 +38,13 @@ def _act(name: str, z: np.ndarray) -> np.ndarray:
         return np.maximum(z, 0.0)
     if name == "tanh":
         return np.tanh(z)
-    if name == "sigmoid":
-        return sigmoid(z)
     raise ConfigError(f"unknown activation {name!r}")
 
 
 def _act_backward(name: str, z: np.ndarray, a: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """`grad` times the activation's derivative at z, given its output a = _act(name, z).
 
-    tanh and sigmoid take their derivative from `a`, so nothing is recomputed.
+    tanh takes its derivative from `a`, so nothing is recomputed.
     """
     if name == "identity":
         return grad
@@ -55,9 +53,6 @@ def _act_backward(name: str, z: np.ndarray, a: np.ndarray, grad: np.ndarray) -> 
     elif name == "tanh":
         d = np.square(a)
         np.subtract(1.0, d, out=d)
-    elif name == "sigmoid":
-        d = np.subtract(1.0, a)
-        d *= a
     else:
         raise ConfigError(f"unknown activation {name!r}")
     d *= grad

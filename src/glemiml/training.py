@@ -191,8 +191,6 @@ def train(train_ds: MIMLDataset, val_ds: MIMLDataset | None, cfg: TrainConfig,
           enh: EnhancerModel | None = None, clf: ClassifierModel | None = None,
           epoch_callback=None):
     """Alternating training. Returns (enhancer, classifier, history)."""
-    if len(train_ds) == 0:
-        raise ConfigError("train split is empty")
     if enh is None or clf is None:
         enh, clf = build_models(train_ds.feature_dim, train_ds.label_count, cfg)
 
@@ -244,7 +242,7 @@ def train(train_ds: MIMLDataset, val_ds: MIMLDataset | None, cfg: TrainConfig,
 
         record = {"epoch": epoch}
         record.update({k: sums[k] / max(n_batches, 1) for k in LOSS_COLUMNS})
-        if val_ds is not None and len(val_ds) > 0:
+        if val_ds is not None:
             val_report = evaluate(enh, clf, val_ds)
             record.update({f"val_{k}": v for k, v in val_report.as_dict().items()
                            if isinstance(v, float)})

@@ -7,10 +7,12 @@ import sys
 import numpy as np
 import pytest
 
+from glemiml import cli
 from glemiml.cli import config_hash, main, resolve_config, build_parser
 from glemiml.data import SplitSpec, SyntheticConfig, generate_synthetic, split_dataset
 from glemiml.enhancer import load_enhancer
 from glemiml.graph import mutual_knn_median
+from glemiml.losses import LossWeights
 from glemiml.metrics import METRIC_DIRECTIONS
 from glemiml.nets import forward_batch
 from glemiml.training import TrainConfig
@@ -95,6 +97,56 @@ class TestConfigResolution:
         assert main([*argv, "--print-config"]) == 0
         assert json.loads(capsys.readouterr().out)["num_bags"] == 9
         assert list(tmp_path.iterdir()) == []  # no dataset written, no checkpoint read
+
+
+# every setting a config dataclass holds: (the dataclass, its field, a non-default value)
+HELD = {
+    "num_bags": (SyntheticConfig, "num_bags", 40),
+    "feature_dim": (SyntheticConfig, "feature_dim", 4),
+    "label_count": (SyntheticConfig, "label_count", 3),
+    "instances_min": (SyntheticConfig, "instances_min", 3),
+    "instances_max": (SyntheticConfig, "instances_max", 6),
+    "data_seed": (SyntheticConfig, "seed", 11),
+    "train_frac": (SplitSpec, "train_frac", 0.6),
+    "test_frac": (SplitSpec, "test_frac", 0.25),
+    "val_frac": (SplitSpec, "val_frac", 0.15),
+    "split_seed": (SplitSpec, "seed", 3),
+    "epochs": (TrainConfig, "epochs", 2),
+    "batch_size": (TrainConfig, "batch_size", 8),
+    "learning_rate": (TrainConfig, "learning_rate", 0.01),
+    "optimizer": (TrainConfig, "optimizer", "sgd"),
+    "instance_k": (TrainConfig, "instance_k", 2),
+    "k_label": (TrainConfig, "k_label", 4),
+    "embed_dim": (TrainConfig, "embed_dim", 5),
+    "classifier_depth": (TrainConfig, "classifier_depth", 3),
+    "sim_mode": (TrainConfig, "sim_mode", "eq9-literal"),
+    "seed": (TrainConfig, "seed", 9),
+    "beta1": (LossWeights, "beta1", 0.5),
+    "beta2": (LossWeights, "beta2", 0.25),
+    "beta3": (LossWeights, "beta3", 0.25),
+    "rho": (LossWeights, "rho", 0.75),
+    "gamma_pos": (LossWeights, "gamma_pos", 1.0),
+    "gamma_neg": (LossWeights, "gamma_neg", 2.0),
+}
+
+
+def test_every_held_setting_reaches_its_dataclass_field(monkeypatch):
+    unheld = {"dataset", "synth", "checkpoint_every", "out", "method_name",
+              "export_distributions", "dump_graph"}
+    assert HELD.keys() == cli._SETTINGS.keys() - unheld
+    flags = [f for key, (_, _, value) in HELD.items()
+             for f in ("--" + key.replace("_", "-"), str(value))]
+    cfg = resolve_config(build_parser().parse_args(["train", "--synth", *flags]))
+    built = {}
+    monkeypatch.setattr(cli, "generate_synthetic",
+                        lambda spec: (built.setdefault(SyntheticConfig, spec), None))
+    monkeypatch.setattr(cli, "split_dataset", lambda ds, spec: built.setdefault(SplitSpec, spec))
+    cli._split(cli._load_data(cfg), cfg)
+    built[TrainConfig] = cli._train_config(cfg)
+    built[LossWeights] = built[TrainConfig].loss_weights
+    for key, (config, name, value) in HELD.items():
+        assert getattr(config(), name) != value, key
+        assert getattr(built[config], name) == value, key
 
 
 class TestTrainCommand:
@@ -252,6 +304,15 @@ class TestTrainCommand:
         out = tmp_path / "run"
         assert run_train(out, flags) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_split_is_config_error_before_the_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--synth", "--num-bags", "10", "--train-frac", "0.75",
+                     "--test-frac", "0.2", "--val-frac", "0.05", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: the val split is empty: val_frac 0.05 of 10 bags is less " \
+                      "than one bag\n"
         assert not out.exists()
 
     def test_output_root_env(self, tmp_path, monkeypatch):

@@ -140,6 +140,14 @@ class TestSplit:
         with pytest.raises(ConfigError):
             split_dataset(tiny_dataset(n=9), SplitSpec(seed=0))
 
+    @pytest.mark.parametrize("fracs, named", [
+        ((0.75, 0.2, 0.05), "the val split is empty: val_frac 0.05 of 12 bags"),
+        ((0.85, 0.05, 0.1), "the test split is empty: test_frac 0.05 of 12 bags"),
+    ], ids=["val", "test"])
+    def test_empty_split_rejected(self, fracs, named):
+        with pytest.raises(ConfigError, match=named):
+            split_dataset(tiny_dataset(n=12), SplitSpec(*fracs))
+
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 60))
     @settings(max_examples=25, deadline=None)
     def test_partition_property(self, seed, n):

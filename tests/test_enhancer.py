@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import glemiml.enhancer as enh_mod
+import glemiml.graph as graph_mod
 from glemiml.data import Bag, SyntheticConfig, generate_synthetic, pack_bags
 from glemiml.enhancer import (
     EnhancerModel,
-    _base_forward,
     _refine_forward,
     enhance_batch,
     enhancer_backward,
@@ -41,7 +41,7 @@ def embed_instances(model, bag):
 
 def recover_logits(model, bag):
     """Base (pre-refinement) logits of one bag: the sum of the three branches."""
-    return _base_forward(model, pack_bags([bag], bag_features=True))[0][0]
+    return enhancer_forward(model, pack_bags([bag], bag_features=True))[1]["refine"]["base"][0]
 
 
 def refine_with_label_graph(model, logits):
@@ -269,11 +269,12 @@ def test_graph_chunks_keep_the_cell_budget_and_change_no_bit(monkeypatch, instan
 
 
 def test_small_bag_pass_memory_stays_bounded():
-    """One chunk holds the 2,000 bags of 2-5 instances (50,000 cells). The pass
-    peaked at 6.76 MB: the batch's pack and the chunk's gathered copy, the
-    chunk's sigma-net activations, padded embeddings and graph arrays. With
-    64-bag chunks it peaked at 3.41 MB; at the budget's 2^17 cells a chunk
-    of bags of 5 holds 5,242 bags."""
+    """One build holds the 2,000 bags of 2-5 instances (50,000 cells). The
+    pass peaked at 5.76 MB: the batch's pack, its sigma-net activations,
+    padded embeddings and graph arrays (6.76 MB when the build took a
+    size-sorted gathered copy of the pack). With 64-bag chunks it peaked at
+    3.41 MB; at the budget's 2^17 cells one build of bags of 5 holds 5,242
+    bags."""
     ds, _ = generate_synthetic(SyntheticConfig(num_bags=2000, seed=6))
     model = init_enhancer(ds.feature_dim, ds.label_count, seed=0)
     enhance_batch(model, ds.bags)
@@ -322,6 +323,33 @@ class TestForwardOnlyCounts:
         assert builds == [build for size in (8, 8, 4)
                           for build in ((size, True), (1, True), (size, False), (1, False))]
         assert enh_mod.instance_graph_build_count() - before == 2 * len(ds)
+
+    def test_train_makes_one_instance_plan_per_batch_and_one_label_plan(self, monkeypatch):
+        """A batch's enhancer-step build, its backward and its forward-only
+        rebuild share one instance-graph plan, and the label graphs of a
+        train() call share one. A rebuild through the size-sorted chunks
+        would gather the bags in another order and make plans of its own."""
+        ds, _ = generate_synthetic(SyntheticConfig(num_bags=40, feature_dim=4, label_count=3,
+                                                   instances_min=2, instances_max=9, seed=3))
+        plans = []
+
+        class CountedPlan(graph_mod.GraphPlan):
+            def __init__(self, counts, n, k):
+                plans.append((counts.tobytes(), n))
+                super().__init__(counts, n, k)
+
+        monkeypatch.setattr(graph_mod, "GraphPlan", CountedPlan)
+        builds = self.record_builds(monkeypatch)
+        epochs, batch_size = 2, 8
+        train(ds, None, TrainConfig(epochs=epochs, batch_size=batch_size))
+        batches = epochs * len(ds) // batch_size
+        # per batch: the instance and label builds of the step, then of the rebuild
+        assert builds == [(batch_size, True), (1, True), (batch_size, False), (1, False)] * batches
+        label_plan = (np.array([ds.label_count]).tobytes(), ds.label_count)
+        instance_plans = [plan for plan in plans if plan != label_plan]
+        assert len(plans) - len(instance_plans) == 1
+        assert len(instance_plans) == batches
+        assert all(a != b for a, b in zip(instance_plans, instance_plans[1:]))
 
 
 class TestGraphBuffers:
@@ -391,17 +419,19 @@ class TestGradients:
     def test_full_pipeline_matches_fd(self, model):
         from glemiml.nets import grad_check
         rng = np.random.default_rng(12)
-        # a ragged batch with a single-instance bag
-        bags = pack_bags([make_bag(rng, n, 4, 3) for n in (3, 1, 5, 2)], bag_features=True)
-        upstream = rng.normal(size=(4, 3))
+        # a ragged batch with a single-instance bag, and a batch of single-instance
+        # bags, whose instance graph has no pairs
+        for sizes in ((3, 1, 5, 2), (1, 1, 1)):
+            bags = pack_bags([make_bag(rng, n, 4, 3) for n in sizes], bag_features=True)
+            upstream = rng.normal(size=(len(sizes), 3))
 
-        def f(vec):
-            set_enhancer_params(model, vec)
-            batch, cache = enhancer_forward(model, bags)
-            grad = enhancer_backward(model, cache, upstream)
-            return float(np.sum(batch.logits * upstream)), grad
+            def f(vec):
+                set_enhancer_params(model, vec)
+                batch, cache = enhancer_forward(model, bags)
+                grad = enhancer_backward(model, cache, upstream)
+                return float(np.sum(batch.logits * upstream)), grad
 
-        assert grad_check(f, enhancer_params(model), 1e-6) < 1e-4
+            assert grad_check(f, enhancer_params(model), 1e-6) < 1e-4, sizes
 
 
 def test_checkpoint_roundtrip(tmp_path, model):

@@ -350,7 +350,7 @@ class TestInOrderDistances:
         if rounded:
             values = np.round(values, 1)
         points = values.T[None] if feature_major else values
-        buffers = GraphBuffers() if buffered else None
+        buffers = GraphBuffers()
         if buffered:  # a larger stack first leaves stale values in longer buffers
             pairwise_sq_dists(rng.normal(size=(sets + 2, n + 3, 2)), buffers)
         d2 = pairwise_sq_dists(points, buffers)
@@ -377,7 +377,7 @@ class TestLabelLayoutDistances:
         # more bags than labels, the label graph's usual shape
         bags = labels + extra
         points = label_points(np.random.default_rng(seed), bags, labels, rounded, tied)
-        buffers = GraphBuffers() if buffered else None
+        buffers = GraphBuffers()
         if buffered:
             pairwise_sq_dists(label_points(np.random.default_rng(seed + 1), bags + 7, labels),
                               buffers)

@@ -45,9 +45,9 @@ class TestForward:
         x = np.array([1.0, -2.0, 0.5])
         np.testing.assert_array_equal(forward(net, x), x)
 
-    def test_sigmoid_zero_weights(self):
-        net = FeedForwardNet([DenseLayer(np.zeros((2, 3)), np.zeros(2), "sigmoid")])
-        np.testing.assert_allclose(forward(net, np.ones(3)), [0.5, 0.5])
+    def test_sigmoid_layer_rejected(self):
+        with pytest.raises(ConfigError, match="unknown activation 'sigmoid'"):
+            DenseLayer(np.zeros((2, 3)), np.zeros(2), "sigmoid")
 
     def test_relu_clips(self):
         net = FeedForwardNet([DenseLayer(np.array([[-1.0]]), np.zeros(1), "relu")])
