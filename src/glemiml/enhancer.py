@@ -116,12 +116,14 @@ def _graph_means(model: EnhancerModel, batch: PackedBags, buffers: GraphBuffers 
 
     One sigma-net pass over the stacked instances, then one batched graph
     build over the zero-padded (B, N, p) block of their embeddings, in
-    `buffers` when given. With grad=False the build is forward only and the
-    cache is None.
+    `buffers` when given. With grad=False the build is forward only, the
+    sigma net's activations are freed before it, and the cache is None.
     """
     global _instance_graph_builds
     counts = batch.counts
     E, sig_cache = forward_batch(model.sigma_net, batch.instances)
+    if not grad:
+        sig_cache = None
     real = np.arange(counts.max()) < counts[:, None]
     E_pad = np.zeros(real.shape + (E.shape[1],))
     E_pad[real] = E
@@ -152,12 +154,15 @@ def _chunked_graph_means(model: EnhancerModel, batch: PackedBags, buffers: Graph
     The bags are sorted by size and cut into chunks [lo, hi) that pad to
     their largest bag's size N: a chunk grows while its (hi - lo) x N x N
     block holds at most GRAPH_CHUNK_CELLS cells, and a bag larger than that
-    is a chunk of its own.
+    is a chunk of its own. Every chunk is built in one holder, `buffers` or
+    a fresh one, largest block first, so each of the holder's graph arrays
+    is sized by the first chunk and reused by the rest of the pass.
     """
     M2 = np.empty((len(batch), model.embed_dim))
     by_size = np.argsort(batch.counts, kind="stable")
     sizes = batch.counts[by_size].tolist()
     ends = range(1, len(sizes) + 1)
+    chunks = []  # (cells, bags) per chunk
     lo = 0
     while lo < len(sizes):
         # a chunk's cells grow with its end, and ends[i] == i + 1, so the
@@ -165,9 +170,11 @@ def _chunked_graph_means(model: EnhancerModel, batch: PackedBags, buffers: Graph
         hi = bisect_right(ends, GRAPH_CHUNK_CELLS, lo=lo,
                           key=lambda end: (end - lo) * sizes[end - 1] ** 2)
         hi = max(hi, lo + 1)
-        idx = by_size[lo:hi]
-        M2[idx] = _graph_means(model, batch.take(idx), buffers, grad=False)[0]
+        chunks.append(((hi - lo) * sizes[hi - 1] ** 2, by_size[lo:hi]))
         lo = hi
+    buffers = GraphBuffers() if buffers is None else buffers
+    for _, idx in sorted(chunks, key=lambda chunk: chunk[0], reverse=True):
+        M2[idx] = _graph_means(model, batch.take(idx), buffers, grad=False)[0]
     return M2
 
 
@@ -232,7 +239,8 @@ def enhancer_forward(model: EnhancerModel, batch: PackedBags, buffers: GraphBuff
     With grad=False both graphs are built forward only and the cache is
     None; the outputs are the same bit for bit. A forward-only batch whose
     (B, N, N) block holds more than GRAPH_CHUNK_CELLS cells has its instance
-    graphs built in size-sorted chunks (_chunked_graph_means). A bag's padded
+    graphs built in size-sorted chunks, all in `buffers` or in one fresh
+    holder, largest chunk first (_chunked_graph_means). A bag's padded
     size picks the distance route, so its instance graph, and its logits,
     can differ in the last bits between chunkings that pad it to sizes on
     either side of the embedding width (see mutual_knn_median).

@@ -135,12 +135,18 @@ def _in_order_sq_dists(cols: np.ndarray, buffers: GraphBuffers) -> np.ndarray:
     axis 1 adds the rows in order into the sum. (A block summed on its own
     and then added, or a reduction along a contiguous axis, which NumPy sums
     pairwise, would round differently.)
+
+    The blocks live in the holder's "remaining" buffer: mutual_knn_median
+    writes its masked copy there only once the distances are done. The
+    buffer is requested at the most a block can take, _DIST_BLOCK elements
+    (two rows of a set of more than 128 points take more), or the whole
+    stack when that is less, so builds of other shapes reuse it.
     """
     n_sets, p, n = cols.shape
     d2 = buffers.get("d2", (n_sets, n, n))
     rows = min(max(2, _DIST_BLOCK // (n * n)), p)
     step = max(1, min(_DIST_BLOCK // (rows * n * n), n_sets))
-    flat = buffers.get("d2_block", (step * rows * n * n,))
+    flat = buffers.get("remaining", (min(max(_DIST_BLOCK, 2 * n * n), n_sets * p * n * n),))
     for s in range(0, n_sets, step):
         out = d2[s:s + step]
         lo, start = 0, 0  # the first block has no running sum yet

@@ -235,7 +235,7 @@ def test_graph_chunks_keep_the_cell_budget_and_change_no_bit(monkeypatch, instan
     """Bags of 2-5 instances always take the einsum route and bags of 20-50 the
     in-order one, so on these shapes no budget moves a bit. Each chunk holds
     at most the budget's cells, or one bag larger than the budget, and ends
-    where the next bag would break it."""
+    where the next bag would break it. Chunks are built largest first."""
     lo, hi = instances
     ds, _ = generate_synthetic(SyntheticConfig(num_bags=60, instances_min=lo, instances_max=hi,
                                                seed=4))
@@ -259,22 +259,75 @@ def test_graph_chunks_keep_the_cell_budget_and_change_no_bit(monkeypatch, instan
         batch = enhance_batch(model, bags)
         out.append([a.tobytes() for a in (batch.logits, batch.distributions, batch.confidences)])
         assert sum(b for b, _, _ in chunks) == len(bags)
+        cells = [b * n * n for b, n, _ in chunks]
+        assert cells == sorted(cells, reverse=True)
         for b, n, _ in chunks:
             assert b * n * n <= budget or b == 1
-        for (b, _, _), (_, _, next_first) in zip(chunks, chunks[1:]):
+        # the chunks in size order; of two with the same bags' sizes, the full one first
+        in_order = sorted(chunks, key=lambda c: (c[2], c[1], -c[0]))
+        for (b, _, _), (_, _, next_first) in zip(in_order, in_order[1:]):
             assert (b + 1) * next_first ** 2 > budget
         if oversized and oversized ** 2 > budget:
             assert (1, oversized, oversized) in chunks
     assert all(o == out[0] for o in out)
 
 
+def test_chunked_pass_builds_in_one_workspace(monkeypatch):
+    """Every chunk of a pass is built in one GraphBuffers, largest first, so
+    the first chunk sizes each of its flat buffers and no later chunk
+    reallocates one."""
+    ds, _ = generate_synthetic(SyntheticConfig(num_bags=60, instances_min=20, instances_max=50,
+                                               seed=4))
+    model = init_enhancer(ds.feature_dim, ds.label_count, seed=3)
+    # budget at which the bags' size order is not the chunks' cell order
+    monkeypatch.setattr(enh_mod, "GRAPH_CHUNK_CELLS", 1 << 13)
+    builds = []  # (sets, holder, the holder's flat buffers after the build)
+    real = enh_mod.mutual_knn_median
+
+    def recorded(points, counts, k, buffers=None, grad=True):
+        out = real(points, counts, k, buffers, grad=grad)
+        builds.append((len(points), buffers, dict(buffers._flat) if buffers else None))
+        return out
+
+    monkeypatch.setattr(enh_mod, "mutual_knn_median", recorded)
+    enhance_batch(model, ds.bags)
+    instance = builds[:-1]  # the last build is the label graph's
+    assert len(instance) > 3 and sum(sets for sets, _, _ in instance) == len(ds)
+    _, holder, first = instance[0]
+    assert holder is not None
+    for _, buffers, flat in instance[1:]:
+        assert buffers is holder
+        assert flat.keys() == first.keys()
+        assert all(flat[role] is first[role] for role in first)
+
+
+def test_wide_bag_pass_memory_stays_bounded():
+    """A warm pass over the 500 bags of 20-50 instances of the wide-bags
+    benchmark set (seed 5) peaked at 6.62 MB when each of its seven chunks
+    took a fresh GraphBuffers and the sigma net's cache lived through each
+    build, and at 5.47 MB with one holder per pass, largest chunk first, and
+    the cache freed."""
+    ds, _ = generate_synthetic(SyntheticConfig(instances_min=20, instances_max=50, seed=5))
+    model = init_enhancer(ds.feature_dim, ds.label_count, seed=5)
+    enhance_batch(model, ds.bags)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        enhance_batch(model, ds.bags)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.2e6
+
+
 def test_small_bag_pass_memory_stays_bounded():
     """One build holds the 2,000 bags of 2-5 instances (50,000 cells). The
-    pass peaked at 5.76 MB: the batch's pack, its sigma-net activations,
-    padded embeddings and graph arrays (6.76 MB when the build took a
-    size-sorted gathered copy of the pack). With 64-bag chunks it peaked at
-    3.41 MB; at the budget's 2^17 cells one build of bags of 5 holds 5,242
-    bags."""
+    pass peaked at 3.96 MB: the batch's pack, its padded embeddings and
+    graph arrays (5.76 MB while the sigma net's activations lived through
+    the build, 6.76 MB when the build also took a size-sorted gathered copy
+    of the pack). With 64-bag chunks it peaked at 3.41 MB; at the budget's
+    2^17 cells one build of bags of 5 holds 5,242 bags."""
     ds, _ = generate_synthetic(SyntheticConfig(num_bags=2000, seed=6))
     model = init_enhancer(ds.feature_dim, ds.label_count, seed=0)
     enhance_batch(model, ds.bags)
