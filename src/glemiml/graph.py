@@ -19,11 +19,30 @@ WIDTH_FLOOR = 1e-8
 # three rounds, 2 vCPUs).
 _DIFF_BUDGET = 1 << 15
 
-# Elements at most in _in_order_sq_dists' (sets, rows, n, n) block (256 KiB).
-# On 32 sets of 50 points with 8 features (2-vCPU Xeon, 48 KiB L1d and 2 MiB
-# L2 per core, NumPy 2.4, timeit min of 7, three runs), blocks of 2^15 took
-# 1.27-1.66 ms, 2^12 2.7-3.8 ms, 2^17 1.18-1.67 ms and 2^20 1.67-1.96 ms.
+# About the elements of scratch one step of _in_order_sq_dists takes (256 KiB).
+# On a 32-set stack of 20-50 points with 8 features and on the 30-label graph of
+# 2,000 bags (2-vCPU Xeon, 48 KiB L1d and 2 MiB L2 per core, NumPy 2.4, min of
+# 5 interleaved rounds), 2^12 took 1.70 and 3.43 ms, 2^14 0.90 and 2.06 ms,
+# 2^15 0.79 and 1.81 ms, 2^17 0.75 and 1.57 ms, 2^20 0.87 and 2.07 ms. 2^17
+# would put the forward-only label build's peak above 1 MB.
 _DIST_BLOCK = 1 << 15
+
+# Smallest stack, in sets x features x points^2, for which _in_order_sq_dists
+# uses its circulant layout; smaller stacks take every ordered pair, with no
+# copies and no gather. Per call on the same host (min of 5 x 2,000), square
+# against circulant: label graphs of 6 labels over 32 bags 13.0 against 17.3
+# us, 12 over 32 20.3 against 21.6, 8 over 128 32.2 against 29.4, 6 over 500
+# 74.5 against 71.6, 20 over 128 155 against 71; 32 sets of 8 points with 8
+# features 57 (with the former feature-major copy) against 45.
+_CIRCULANT_MIN_WORK = 1 << 13
+
+# Largest share of a build's cells that are mutual pairs for which
+# mutual_knn_median exponentiates only those pairs; above it, it
+# exponentiates every cell and masks, as small-bag and 6-label graphs do. The
+# two cost the same near 0.13 (32 sets of 10-14 points, k = 3: 24.6 us each);
+# at 0.37 (32 sets of 2-5 points) every cell takes 6.0 us against 7.5 us, at
+# 0.03 (32 sets of 20-50 points) 198 us against 58 us.
+_MAX_SPARSE_EDGES = 0.125
 
 # Smallest (sets x pairs) block on which mutual_knn_median finds the median
 # pair(s) with np.sort instead of a stable argsort of every pair. Measured on
@@ -76,13 +95,16 @@ class GraphBuffers:
     A build's adjacency and cache live in these buffers, so they are valid
     only until the next build with the same buffers, and two graphs that must
     be alive at once (the instance and the label graph of one forward) must
-    not share them. The buffers also keep the GraphPlan of their last build.
+    not share them. The buffers also keep the GraphPlan of their last build
+    and the circulant gather index of their last in-order distances.
     """
 
     def __init__(self):
         self._flat = {}
         self._plan_key = None
         self._plan = None
+        self._circulant_n = None
+        self._circulant = None
 
     def get(self, role: str, shape) -> np.ndarray:
         size = math.prod(shape)
@@ -91,12 +113,35 @@ class GraphBuffers:
             flat = self._flat[role] = np.empty(size)
         return flat[:size].reshape(shape)
 
+    def circulant(self, n: int) -> np.ndarray:
+        """The (n * n,) gather index of _in_order_sq_dists for n points: the last one when n matches."""
+        if n != self._circulant_n:
+            self._circulant, self._circulant_n = _circulant_index(n), n
+        return self._circulant
+
     def plan(self, counts: np.ndarray, n: int, k: int) -> GraphPlan:
         """The plan for (counts, n, k): the last one when it matches, else a new one."""
         key = (counts.tobytes(), n, k)
         if key != self._plan_key:
             self._plan, self._plan_key = GraphPlan(counts, n, k), key
         return self._plan
+
+
+def _circulant_index(n: int) -> np.ndarray:
+    """Where each entry of an (n, n) distance matrix sits in a set's circulant sums.
+
+    The sums are (n//2, n) values, row d - 1 the distance from point i to
+    point (i + d) mod n, then one +0.0 for the diagonal. Entry (i, j) reads
+    offset (j - i) mod n from point i, or offset (i - j) mod n from point j
+    when that is the one stored.
+    """
+    half = n // 2
+    point = np.arange(n)
+    offset = (point - point[:, None]) % n
+    index = np.where(offset <= half, (offset - 1) * n + point[:, None],
+                     (n - offset - 1) * n + point)
+    index[offset == 0] = half * n
+    return index.reshape(-1)
 
 
 def pairwise_sq_dists(points: np.ndarray, buffers: GraphBuffers) -> np.ndarray:
@@ -107,14 +152,13 @@ def pairwise_sq_dists(points: np.ndarray, buffers: GraphBuffers) -> np.ndarray:
     a few at a time so it stays within _DIFF_BUDGET elements. Every other
     stack (wide instance sets, and the label graph: a single set stored
     feature-major, whose features are a batch's bags) goes to
-    _in_order_sq_dists, which adds each pair's squared differences one
-    feature at a time, in feature order. The two orders can round
-    differently. The result is written into `buffers`.
+    _in_order_sq_dists, which computes each unordered pair once and adds its
+    squared differences one feature at a time, in feature order. The two
+    orders can round differently. The result is written into `buffers`.
     """
     n, p = points.shape[-2:]
     if p <= n or (points.ndim == 3 and points.shape[0] == 1 and points[0].T.flags.c_contiguous):
-        # (sets, p, n): each feature's column is contiguous
-        cols = np.ascontiguousarray(points.reshape((-1, n, p)).transpose(0, 2, 1))
+        cols = points.reshape((-1, n, p)).transpose(0, 2, 1)  # (sets, p, n)
         return _in_order_sq_dists(cols, buffers).reshape(points.shape[:-1] + (n,))
     d2 = buffers.get("d2", points.shape[:-1] + (n,))
     step = max(1, _DIFF_BUDGET // points.size)
@@ -127,39 +171,77 @@ def pairwise_sq_dists(points: np.ndarray, buffers: GraphBuffers) -> np.ndarray:
 def _in_order_sq_dists(cols: np.ndarray, buffers: GraphBuffers) -> np.ndarray:
     """(sets, n, n) squared distances between the n points whose p features are the rows of cols[s].
 
-    Each pair's squared differences are added one feature at a time, in
-    feature order. The work goes in C-ordered (sets, rows, n, n) blocks of at
-    most _DIST_BLOCK elements: as many feature rows as fit, then as many
-    sets as fit. A block's row 0 holds each set's running sum and each
-    further row one feature's squared differences, and np.add.reduce over
-    axis 1 adds the rows in order into the sum. (A block summed on its own
-    and then added, or a reduction along a contiguous axis, which NumPy sums
-    pairwise, would round differently.)
+    Each unordered pair is computed once, in a circulant layout: for offsets
+    d = 1..n//2, row d - 1 of a set's (n//2, n) sums holds the distance from
+    point i to point (i + d) mod n. (At d = n/2, n even, each pair appears
+    twice.) A pair's squared differences are added one feature at a time, in
+    feature order, and (a - b)^2 and (b - a)^2 are the same bits, so every
+    value equals the one a full (n, n) sum would give. One gather then writes
+    each value to (i, j) and (j, i), and +0.0 to the diagonal
+    (GraphBuffers.circulant holds its index). A stack of fewer than
+    _CIRCULANT_MIN_WORK sets x features x n^2 takes every ordered pair
+    instead, as (n, n) differences straight from cols, summed into the
+    result with no copies and no gather.
 
-    The blocks live in the holder's "remaining" buffer: mutual_knn_median
-    writes its masked copy there only once the distances are done. The
-    buffer is requested at the most a block can take, _DIST_BLOCK elements
-    (two rows of a set of more than 128 points take more), or the whole
-    stack when that is less, so builds of other shapes reuse it.
+    The work goes in steps of about _DIST_BLOCK elements of scratch: as many
+    feature rows as fit, then as many sets as fit. Each feature row is first
+    copied, contiguous, with its first n//2 points appended, so that one
+    strided window over the copy holds every offset's partner points with a
+    contiguous inner axis. A C-ordered (sets, rows, n//2, n) block then takes
+    the squared differences; its row 0 holds each set's running sum, and
+    np.add.reduce over axis 1 adds the rows in order into the sum. (A block
+    summed on its own and then added, or a reduction along a contiguous
+    axis, which NumPy sums pairwise, would round differently.)
+
+    The sums and the scratch live in the holder's "remaining" buffer, which
+    mutual_knn_median writes only once the distances are done: the sums take
+    about half a (sets, n, n) array, and a step at most about _DIST_BLOCK
+    elements (two feature rows of a set of 180 points or more take more).
     """
     n_sets, p, n = cols.shape
     d2 = buffers.get("d2", (n_sets, n, n))
-    rows = min(max(2, _DIST_BLOCK // (n * n)), p)
-    step = max(1, min(_DIST_BLOCK // (rows * n * n), n_sets))
-    flat = buffers.get("remaining", (min(max(_DIST_BLOCK, 2 * n * n), n_sets * p * n * n),))
+    square = n_sets * p * n * n < _CIRCULANT_MIN_WORK
+    half = n if square else n // 2  # partners per point
+    cells = half * n  # one feature's differences
+    per_row = cells if square else cells + n + half  # and its wrapped points
+    rows = min(max(2, _DIST_BLOCK // per_row), p)
+    step = max(1, min(_DIST_BLOCK // (rows * per_row), n_sets))
+    if square:
+        sums = d2.reshape(n_sets, cells)
+        scratch = buffers.get("remaining", (step * rows * per_row,))
+    else:
+        flat = buffers.get("remaining", (n_sets * (cells + 1) + step * rows * per_row,))
+        sums = flat[:n_sets * (cells + 1)].reshape(n_sets, cells + 1)
+        sums[:, cells] = 0.0  # the diagonal's value
+        scratch = flat[sums.size:]
     for s in range(0, n_sets, step):
-        out = d2[s:s + step]
+        k = min(step, n_sets - s)
+        out = sums[s:s + k, :cells]
         lo, start = 0, 0  # the first block has no running sum yet
         while lo < p:
             hi = min(p, lo + rows - start)
-            block = flat[:out.size * (start + hi - lo)].reshape(len(out), -1, n, n)
-            col = cols[s:s + step, lo:hi]
-            sq = np.subtract(col[..., :, None], col[..., None, :], out=block[:, start:])
+            col = cols[s:s + k, lo:hi]
+            if square:
+                partners, points, used = col[..., :, None], col[..., None, :], 0
+            else:
+                ext = scratch[:k * (hi - lo) * (n + half)].reshape(k, hi - lo, n + half)
+                ext[..., :n] = col
+                ext[..., n:] = col[..., :half]
+                # partners[s, f, d - 1, i] = ext[s, f, i + d]
+                partners = np.ndarray((k, hi - lo, half, n), ext.dtype, ext, ext.itemsize,
+                                      ext.strides[:2] + (ext.itemsize, ext.itemsize))
+                points, used = ext[..., None, :n], ext.size
+            block = scratch[used:used + k * (start + hi - lo) * cells]
+            sq = block.reshape(k, start + hi - lo, half, n)[:, start:]
+            np.subtract(partners, points, out=sq)
             np.multiply(sq, sq, out=sq)
+            block = block.reshape(k, start + hi - lo, cells)
             if start:
                 block[:, 0] = out
             np.add.reduce(block, axis=1, out=out)
             lo, start = hi, 1
+    if not square:
+        sums.take(buffers.circulant(n), axis=1, out=d2.reshape(n_sets, n * n))
     return d2
 
 
@@ -187,17 +269,22 @@ def _ranked_pairs(vals: np.ndarray, plan: GraphPlan) -> np.ndarray:
     """Column that a stable argsort of each row of `vals` puts at each of the plan's ranks.
 
     `vals` is (B, P) and the ranks (B, r). Blocks of at least
-    _SORTED_MEDIAN_MIN_PAIRS values find each ranked value with np.sort; a
-    value held by one column of its row names that column, and only rows
-    where a ranked value is tied (or NaN) get a stable argsort.
+    _SORTED_MEDIAN_MIN_PAIRS values find each ranked value with np.sort. A
+    stable sort puts the first column holding a value first among the
+    values equal to it, so a ranked value above its sorted predecessor names
+    the first column equal to it. Only rows where a ranked value equals its
+    predecessor (or is NaN) get a stable argsort.
     """
     rows, ranks = plan.sets, plan.ranks
     if vals.size < _SORTED_MEDIAN_MIN_PAIRS:
         return np.argsort(vals, axis=1, kind="stable")[rows, ranks]
-    ranked = np.sort(vals, axis=1)[rows, ranks]
-    holders = vals[:, None, :] == ranked[:, :, None]
-    pick = holders.argmax(axis=2)
-    tied = np.flatnonzero((np.count_nonzero(holders, axis=2) != 1).any(axis=1))
+    ordered = np.sort(vals, axis=1)
+    ranked = ordered[rows, ranks]
+    first = (ranks == 0) | (ordered[rows, np.maximum(ranks - 1, 0)] < ranked)
+    pick = np.empty(ranks.shape, dtype=np.intp)
+    for r in range(ranks.shape[1]):
+        pick[:, r] = (vals == ranked[:, r, None]).argmax(axis=1)
+    tied = np.flatnonzero(~first.all(axis=1))
     if tied.size:
         order = np.argsort(vals[tied], axis=1, kind="stable")
         pick[tied] = order[rows[:tied.size], ranks[tied]]
@@ -217,9 +304,14 @@ def mutual_knn_median(points: np.ndarray, counts, k: int, buffers: GraphBuffers 
     chunk, the logits of untrained enhancers moved by up to 8.9e-16 on a
     500-bag synthetic set of 2-40 instances a bag, seed 1). The width is
     the median of the set's squared pairwise distances, floored at
-    WIDTH_FLOOR. The cache records everything needed to push a gradient on
-    the adjacency entries back onto the points, including the dependence of
-    each width on its median pair(s). `k` must be at least 1; TrainConfig
+    WIDTH_FLOOR. The Gaussian weights exp(-d2 / (2 w)) go on the mutual
+    pairs and +0.0 elsewhere. When the mutual pairs are at most
+    _MAX_SPARSE_EDGES of the cells, only they are exponentiated, and the
+    other entries stay +0.0 even where a non-finite point makes d2 or the
+    width NaN; denser builds exponentiate every cell and mask, so there NaN
+    times 0 leaves NaN. The cache records everything needed to
+    push a gradient on the adjacency entries back onto the points, including
+    the dependence of each width on its median pair(s). `k` must be at least 1; TrainConfig
     and EnhancerModel check it where it enters.
 
     The (B, N, N) float arrays of this build and of its backward pass are
@@ -256,11 +348,24 @@ def mutual_knn_median(points: np.ndarray, counts, k: int, buffers: GraphBuffers 
     med_raw = np.where(plan.has_pairs, 0.5 * (mid[:, 0] + mid[:, 1]), 1.0)
     width = np.maximum(med_raw, WIDTH_FLOOR)
 
-    # exp(-d2 / (2 w)) on mutual pairs, 0 elsewhere (the weights are positive)
-    adj = np.negative(d2, out=buffers.get("adj", d2.shape) if grad else d2)
-    adj /= (2.0 * width)[:, None, None]
-    np.exp(adj, out=adj)
-    adj *= mask
+    # exp(-d2 / (2 w)) on mutual pairs, 0 elsewhere
+    adj = buffers.get("adj", d2.shape) if grad else d2
+    if np.count_nonzero(mask) > _MAX_SPARSE_EDGES * mask.size:
+        np.negative(d2, out=adj)
+        adj /= (2.0 * width)[:, None, None]
+        np.exp(adj, out=adj)
+        adj *= mask
+    else:
+        # the neighbour search is done with `remaining`, so the weights take its
+        # front and the build allocates only their index
+        edges = mask.reshape(-1).nonzero()[0]
+        weights = remaining.reshape(-1)[:edges.size]
+        np.take(d2.reshape(-1), edges, out=weights)
+        np.negative(weights, out=weights)
+        weights /= (2.0 * width)[edges // (n * n)]
+        np.exp(weights, out=weights)
+        adj.fill(0.0)
+        adj.reshape(-1)[edges] = weights
     if not grad:
         return adj, None
     cache = {

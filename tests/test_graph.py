@@ -9,8 +9,11 @@ from glemiml.data import Bag, pack_bags
 from glemiml.enhancer import EnhancerModel, _graph_means
 from glemiml.errors import ShapeError
 from glemiml.graph import (
+    _MAX_SPARSE_EDGES,
     _SORTED_MEDIAN_MIN_PAIRS,
     GraphBuffers,
+    GraphPlan,
+    _ranked_pairs,
     mutual_knn_median,
     mutual_knn_median_backward,
     pairwise_sq_dists,
@@ -335,15 +338,27 @@ class TestInOrderDistances:
     @example(seed=2, sets=3, n=91, features=8, feature_major=False, rounded=True, buffered=False)
     @example(seed=3, sets=1, n=2, features=1, feature_major=False, rounded=False, buffered=True)
     @example(seed=4, sets=1, n=30, features=2000, feature_major=True, rounded=True, buffered=True)
+    @example(seed=5, sets=1, n=2, features=2100, feature_major=True, rounded=True, buffered=True)
+    @example(seed=6, sets=1, n=3, features=1000, feature_major=True, rounded=True, buffered=True)
+    @example(seed=7, sets=1, n=4, features=600, feature_major=True, rounded=True, buffered=False)
+    @example(seed=8, sets=7, n=50, features=8, feature_major=False, rounded=False, buffered=True)
+    @example(seed=9, sets=1, n=8, features=127, feature_major=True, rounded=False, buffered=True)
+    @example(seed=10, sets=1, n=8, features=128, feature_major=True, rounded=False, buffered=True)
     def test_equals_the_feature_by_feature_sum_bit_for_bit(self, seed, sets, n, features,
                                                            feature_major, rounded, buffered):
         """Wide sets (no more features than points) and single feature-major
         sets of any width, the label graph's layout, give the bytes of adding
-        each feature's squared differences to a running sum in feature order.
-        Blocks of _DIST_BLOCK elements hold several sets (30 points, 8
-        features: four sets, so seven end in a partial block) or split one
-        set's features (91 points: blocks of three rows), and a set may have
-        one feature and two points."""
+        each feature's squared differences to a running sum in feature order,
+        with +0.0 on the diagonal. A stack of _CIRCULANT_MIN_WORK or more
+        computes each pair once, at offsets 1..n//2 (8 points of 128
+        features do, of 127 do not): two or three points take one offset,
+        and at an even n the last offset holds every pair twice (2, 4 and
+        50 points). Steps of about _DIST_BLOCK elements hold several sets
+        (50 points, 8 features: three sets, so seven end part-way through a
+        step) or split one set's features (91 points: a block of seven
+        feature rows, then the running sum and the eighth), and a set may
+        have one feature and two points. A larger stack first leaves stale
+        values, and another n's gather index, in the buffers."""
         p = features if feature_major else 1 + (features - 1) % n
         rng = np.random.default_rng(seed)
         values = rng.normal(size=(p, n) if feature_major else (sets, n, p))
@@ -356,6 +371,8 @@ class TestInOrderDistances:
         d2 = pairwise_sq_dists(points, buffers)
         assert d2.shape == points.shape[:-1] + (n,)
         assert d2.tobytes() == sq_dists_by_feature(points).tobytes()
+        diagonal = np.diagonal(d2, axis1=-2, axis2=-1)
+        assert diagonal.tobytes() == np.zeros(diagonal.shape).tobytes()
 
 
 class TestLabelLayoutDistances:
@@ -370,8 +387,8 @@ class TestLabelLayoutDistances:
     def test_equals_the_strided_einsum_bit_for_bit(self, seed, labels, extra, rounded, tied,
                                                    buffered):
         """Squared differences are added bag by bag, in bag order, as the former
-        einsum over this layout added them. 2,000 bags of 30 labels span 58
-        blocks, the last of four bags; 41 bags of 40 labels end in a two-bag
+        einsum over this layout added them. 2,000 bags of 30 labels span 31
+        blocks, the last of 49 bags; 41 bags of 40 labels end in a three-bag
         block. Rounded distributions tie distances, and a label column copied
         onto another gives a pair at distance exactly zero."""
         # more bags than labels, the label graph's usual shape
@@ -401,3 +418,109 @@ class TestLabelLayoutDistances:
         finally:
             tracemalloc.stop()
         assert peak < 0.5e6
+
+
+def mutual_pair_weights(cache):
+    """The Gaussian weights of a build's cache, written out over every entry and then masked."""
+    width = cache["width"][:, None, None]
+    return np.exp(-cache["d2"] / (2 * width)) * cache["mask"]
+
+
+class TestMutualPairWeights:
+    """The adjacency holds exp(-d2 / (2 w)) on mutual pairs and +0.0 elsewhere."""
+
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 12), k=st.integers(1, 6),
+           ties=st.sampled_from(["none", "rounded", "duplicates", "coincident"]),
+           counts=st.lists(st.integers(1, 45), min_size=1, max_size=8), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    @example(seed=1, p=3, k=2, ties="coincident", counts=[3, 2, 1], data=None)
+    @example(seed=2, p=8, k=3, ties="none", counts=[45, 1, 2, 3, 45, 30, 45, 40], data=None)
+    def test_equals_the_masked_full_exp_bit_for_bit(self, seed, p, k, ties, counts, data):
+        """Random sets, coincident points (d2 = 0 and floored widths), sets
+        of 1-3 points padded in a batch, and blocks on both sides of
+        _SORTED_MEDIAN_MIN_PAIRS, with grad=True and grad=False."""
+        counts = np.array(counts)
+        points = ragged_block(np.random.default_rng(seed), counts, p, ties)
+        adj, cache = mutual_knn_median(points, counts, k)
+        forward_only = mutual_knn_median(points, counts, k, grad=False)[0]
+        if counts.max() < 2:
+            assert not adj.any() and not forward_only.any()
+            return
+        expected = mutual_pair_weights(cache).tobytes()
+        assert adj.tobytes() == expected
+        assert forward_only.tobytes() == expected
+
+    def test_coincident_points_weigh_one_and_floor_the_width(self):
+        # set 0: three coincident points, so d2 = 0 and the width is floored;
+        # set 1: one point padded to three
+        points = np.zeros((2, 3, 2))
+        points[0] = [1.0, -2.0]
+        adj, cache = mutual_knn_median(points, [3, 1], 2)
+        np.testing.assert_array_equal(cache["width"], [1e-8, 1.0])
+        assert adj.tobytes() == mutual_pair_weights(cache).tobytes()
+        np.testing.assert_array_equal(adj[0], 1.0 - np.eye(3))
+        assert not adj[1].any()
+
+    def test_non_finite_point_leaves_zeros_off_sparse_mutual_pairs(self):
+        """A NaN coordinate makes its point's distances NaN, its own on the
+        diagonal too, and enough NaN points make the width NaN. The mutual
+        pairs hold the full formula's weights, NaN included. Where they are
+        at most _MAX_SPARSE_EDGES of the cells (40 points, k = 2), every
+        other entry is +0.0, where the masked full exp left NaN."""
+        points = np.random.default_rng(11).normal(size=(3, 40, 3))
+        points[0, 2, 1] = np.nan  # one point: the width stays finite
+        points[1, :30, 0] = np.nan  # most points: the median pair is NaN
+        cache = mutual_knn_median(points, [40, 40, 40], 2)[1]
+        mask = cache["mask"]
+        assert np.count_nonzero(mask) <= _MAX_SPARSE_EDGES * mask.size
+        assert np.isfinite(cache["width"][[0, 2]]).all() and np.isnan(cache["width"][1])
+        with np.errstate(invalid="ignore"):
+            full = np.exp(-cache["d2"] / (2 * cache["width"][:, None, None]))
+        assert np.isnan(full[~mask]).any()
+        for grad in (True, False):
+            adj = mutual_knn_median(points, [40, 40, 40], 2, grad=grad)[0]
+            assert adj[mask].tobytes() == full[mask].tobytes()
+            assert adj[~mask].tobytes() == np.zeros(np.count_nonzero(~mask)).tobytes()
+
+
+class TestRankedPairs:
+    """_ranked_pairs on blocks large enough for its sorted search."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 40),
+           tie=st.sampled_from(["none", "at", "below", "above", "neighbours", "nan", "nan_mid"]),
+           data=st.data())
+    @settings(max_examples=80, deadline=None)
+    @example(seed=3, n=30, tie="at", data=None)
+    @example(seed=4, n=21, tie="nan_mid", data=None)
+    def test_equals_the_stable_argsort(self, seed, n, tie, data):
+        """Each row's middle ranks name the columns a stable argsort puts
+        there: rows with a tie at a middle rank, next to one (ranks r - 1 and
+        r - 2 equal, or r + 1 and r + 2), or among neighbours on both sides,
+        rows holding NaN anywhere or from the middle on, and padded pairs of
+        smaller sets (+inf, sorted last) with sets of one and two points."""
+        rng = np.random.default_rng(seed)
+        sets = -(-_SORTED_MEDIAN_MIN_PAIRS // (n * (n - 1) // 2))
+        counts = rng.integers(1, n + 1, size=sets)
+        counts[0] = n
+        plan = GraphPlan(counts, n, 3)
+        assert sets * plan.flat.size >= _SORTED_MEDIAN_MIN_PAIRS
+        vals = np.round(rng.uniform(0.0, 50.0, size=(sets, plan.flat.size)), 3)
+        vals[plan.cols[None, :] >= counts[:, None]] = np.inf
+        order = np.argsort(vals, axis=1, kind="stable")
+        for row, rank in zip(range(sets), plan.ranks[:, 0]):
+            at = order[row]
+            if tie == "at":
+                vals[row, at[rank + 1]] = vals[row, at[rank]]
+            elif tie == "below" and rank >= 2:
+                vals[row, at[rank - 1]] = vals[row, at[rank - 2]]
+            elif tie == "above":
+                vals[row, at[rank + 2]] = vals[row, at[rank + 1]]
+            elif tie == "neighbours" and rank >= 1:
+                vals[row, at[rank - 1]] = vals[row, at[rank]]
+                vals[row, at[rank + 2]] = vals[row, at[rank + 1]] = vals[row, at[rank]]
+            elif tie == "nan":
+                vals[row, rng.integers(0, vals.shape[1])] = np.nan
+            elif tie == "nan_mid":
+                vals[row, at[rank:]] = np.nan
+        expected = np.argsort(vals, axis=1, kind="stable")[plan.sets, plan.ranks]
+        np.testing.assert_array_equal(_ranked_pairs(vals, plan), expected)
