@@ -27,23 +27,6 @@ _DIFF_BUDGET = 1 << 15
 # would put the forward-only label build's peak above 1 MB.
 _DIST_BLOCK = 1 << 15
 
-# Smallest stack, in sets x features x points^2, for which _in_order_sq_dists
-# uses its circulant layout; smaller stacks take every ordered pair, with no
-# copies and no gather. Per call on the same host (min of 5 x 2,000), square
-# against circulant: label graphs of 6 labels over 32 bags 13.0 against 17.3
-# us, 12 over 32 20.3 against 21.6, 8 over 128 32.2 against 29.4, 6 over 500
-# 74.5 against 71.6, 20 over 128 155 against 71; 32 sets of 8 points with 8
-# features 57 (with the former feature-major copy) against 45.
-_CIRCULANT_MIN_WORK = 1 << 13
-
-# Largest share of a build's cells that are mutual pairs for which
-# mutual_knn_median exponentiates only those pairs; above it, it
-# exponentiates every cell and masks, as small-bag and 6-label graphs do. The
-# two cost the same near 0.13 (32 sets of 10-14 points, k = 3: 24.6 us each);
-# at 0.37 (32 sets of 2-5 points) every cell takes 6.0 us against 7.5 us, at
-# 0.03 (32 sets of 20-50 points) 198 us against 58 us.
-_MAX_SPARSE_EDGES = 0.125
-
 # Smallest (sets x pairs) block on which mutual_knn_median finds the median
 # pair(s) with np.sort instead of a stable argsort of every pair. Measured on
 # the same host: 32 x 10 pairs, argsort 15 us against 40 us; 32 x 1225 pairs,
@@ -178,10 +161,7 @@ def _in_order_sq_dists(cols: np.ndarray, buffers: GraphBuffers) -> np.ndarray:
     feature order, and (a - b)^2 and (b - a)^2 are the same bits, so every
     value equals the one a full (n, n) sum would give. One gather then writes
     each value to (i, j) and (j, i), and +0.0 to the diagonal
-    (GraphBuffers.circulant holds its index). A stack of fewer than
-    _CIRCULANT_MIN_WORK sets x features x n^2 takes every ordered pair
-    instead, as (n, n) differences straight from cols, summed into the
-    result with no copies and no gather.
+    (GraphBuffers.circulant holds its index).
 
     The work goes in steps of about _DIST_BLOCK elements of scratch: as many
     feature rows as fit, then as many sets as fit. Each feature row is first
@@ -200,48 +180,38 @@ def _in_order_sq_dists(cols: np.ndarray, buffers: GraphBuffers) -> np.ndarray:
     """
     n_sets, p, n = cols.shape
     d2 = buffers.get("d2", (n_sets, n, n))
-    square = n_sets * p * n * n < _CIRCULANT_MIN_WORK
-    half = n if square else n // 2  # partners per point
+    half = n // 2  # partners per point
     cells = half * n  # one feature's differences
-    per_row = cells if square else cells + n + half  # and its wrapped points
+    per_row = cells + n + half  # and its wrapped points
     rows = min(max(2, _DIST_BLOCK // per_row), p)
     step = max(1, min(_DIST_BLOCK // (rows * per_row), n_sets))
-    if square:
-        sums = d2.reshape(n_sets, cells)
-        scratch = buffers.get("remaining", (step * rows * per_row,))
-    else:
-        flat = buffers.get("remaining", (n_sets * (cells + 1) + step * rows * per_row,))
-        sums = flat[:n_sets * (cells + 1)].reshape(n_sets, cells + 1)
-        sums[:, cells] = 0.0  # the diagonal's value
-        scratch = flat[sums.size:]
+    flat = buffers.get("remaining", (n_sets * (cells + 1) + step * rows * per_row,))
+    sums = flat[:n_sets * (cells + 1)].reshape(n_sets, cells + 1)
+    sums[:, cells] = 0.0  # the diagonal's value
+    scratch = flat[sums.size:]
     for s in range(0, n_sets, step):
         k = min(step, n_sets - s)
         out = sums[s:s + k, :cells]
         lo, start = 0, 0  # the first block has no running sum yet
         while lo < p:
             hi = min(p, lo + rows - start)
-            col = cols[s:s + k, lo:hi]
-            if square:
-                partners, points, used = col[..., :, None], col[..., None, :], 0
-            else:
-                ext = scratch[:k * (hi - lo) * (n + half)].reshape(k, hi - lo, n + half)
-                ext[..., :n] = col
-                ext[..., n:] = col[..., :half]
-                # partners[s, f, d - 1, i] = ext[s, f, i + d]
-                partners = np.ndarray((k, hi - lo, half, n), ext.dtype, ext, ext.itemsize,
-                                      ext.strides[:2] + (ext.itemsize, ext.itemsize))
-                points, used = ext[..., None, :n], ext.size
-            block = scratch[used:used + k * (start + hi - lo) * cells]
+            ext = scratch[:k * (hi - lo) * (n + half)].reshape(k, hi - lo, n + half)
+            ext[..., :n] = cols[s:s + k, lo:hi]
+            ext[..., n:] = ext[..., :half]
+            # partners[s, f, d - 1, i] = ext[s, f, i + d]
+            partners = np.ndarray((k, hi - lo, half, n), ext.dtype, ext, ext.itemsize,
+                                  ext.strides[:2] + (ext.itemsize, ext.itemsize))
+            block = scratch[ext.size:ext.size + k * (start + hi - lo) * cells]
             sq = block.reshape(k, start + hi - lo, half, n)[:, start:]
-            np.subtract(partners, points, out=sq)
+            np.subtract(partners, ext[..., None, :n], out=sq)
             np.multiply(sq, sq, out=sq)
             block = block.reshape(k, start + hi - lo, cells)
             if start:
                 block[:, 0] = out
             np.add.reduce(block, axis=1, out=out)
             lo, start = hi, 1
-    if not square:
-        sums.take(buffers.circulant(n), axis=1, out=d2.reshape(n_sets, n * n))
+    # mode="raise" would gather into a temporary (B, N, N) copy first
+    sums.take(buffers.circulant(n), axis=1, out=d2.reshape(n_sets, n * n), mode="clip")
     return d2
 
 
@@ -305,13 +275,11 @@ def mutual_knn_median(points: np.ndarray, counts, k: int, buffers: GraphBuffers 
     500-bag synthetic set of 2-40 instances a bag, seed 1). The width is
     the median of the set's squared pairwise distances, floored at
     WIDTH_FLOOR. The Gaussian weights exp(-d2 / (2 w)) go on the mutual
-    pairs and +0.0 elsewhere. When the mutual pairs are at most
-    _MAX_SPARSE_EDGES of the cells, only they are exponentiated, and the
-    other entries stay +0.0 even where a non-finite point makes d2 or the
-    width NaN; denser builds exponentiate every cell and mask, so there NaN
-    times 0 leaves NaN. The cache records everything needed to
-    push a gradient on the adjacency entries back onto the points, including
-    the dependence of each width on its median pair(s). `k` must be at least 1; TrainConfig
+    pairs and +0.0 elsewhere: only the mutual pairs are exponentiated, so
+    every other entry is +0.0 even where a non-finite point makes d2 or the
+    width NaN. The cache records everything needed to push a gradient on the
+    adjacency entries back onto the points, including the dependence of each
+    width on its median pair(s). `k` must be at least 1; TrainConfig
     and EnhancerModel check it where it enters.
 
     The (B, N, N) float arrays of this build and of its backward pass are
@@ -348,24 +316,17 @@ def mutual_knn_median(points: np.ndarray, counts, k: int, buffers: GraphBuffers 
     med_raw = np.where(plan.has_pairs, 0.5 * (mid[:, 0] + mid[:, 1]), 1.0)
     width = np.maximum(med_raw, WIDTH_FLOOR)
 
-    # exp(-d2 / (2 w)) on mutual pairs, 0 elsewhere
+    # exp(-d2 / (2 w)) on mutual pairs, 0 elsewhere. The neighbour search is
+    # done with `remaining`, so the weights take its front.
     adj = buffers.get("adj", d2.shape) if grad else d2
-    if np.count_nonzero(mask) > _MAX_SPARSE_EDGES * mask.size:
-        np.negative(d2, out=adj)
-        adj /= (2.0 * width)[:, None, None]
-        np.exp(adj, out=adj)
-        adj *= mask
-    else:
-        # the neighbour search is done with `remaining`, so the weights take its
-        # front and the build allocates only their index
-        edges = mask.reshape(-1).nonzero()[0]
-        weights = remaining.reshape(-1)[:edges.size]
-        np.take(d2.reshape(-1), edges, out=weights)
-        np.negative(weights, out=weights)
-        weights /= (2.0 * width)[edges // (n * n)]
-        np.exp(weights, out=weights)
-        adj.fill(0.0)
-        adj.reshape(-1)[edges] = weights
+    edges = mask.reshape(-1).nonzero()[0]
+    weights = remaining.reshape(-1)[:edges.size]
+    np.take(d2.reshape(-1), edges, out=weights, mode="clip")
+    np.negative(weights, out=weights)
+    weights /= (2.0 * width)[edges // (n * n)]
+    np.exp(weights, out=weights)
+    adj.fill(0.0)
+    adj.reshape(-1)[edges] = weights
     if not grad:
         return adj, None
     cache = {

@@ -9,7 +9,6 @@ from glemiml.data import Bag, pack_bags
 from glemiml.enhancer import EnhancerModel, _graph_means
 from glemiml.errors import ShapeError
 from glemiml.graph import (
-    _MAX_SPARSE_EDGES,
     _SORTED_MEDIAN_MIN_PAIRS,
     GraphBuffers,
     GraphPlan,
@@ -342,18 +341,18 @@ class TestInOrderDistances:
     @example(seed=6, sets=1, n=3, features=1000, feature_major=True, rounded=True, buffered=True)
     @example(seed=7, sets=1, n=4, features=600, feature_major=True, rounded=True, buffered=False)
     @example(seed=8, sets=7, n=50, features=8, feature_major=False, rounded=False, buffered=True)
-    @example(seed=9, sets=1, n=8, features=127, feature_major=True, rounded=False, buffered=True)
-    @example(seed=10, sets=1, n=8, features=128, feature_major=True, rounded=False, buffered=True)
+    @example(seed=9, sets=1, n=6, features=32, feature_major=True, rounded=False, buffered=True)
+    @example(seed=10, sets=24, n=5, features=3, feature_major=False, rounded=True, buffered=True)
     def test_equals_the_feature_by_feature_sum_bit_for_bit(self, seed, sets, n, features,
                                                            feature_major, rounded, buffered):
         """Wide sets (no more features than points) and single feature-major
         sets of any width, the label graph's layout, give the bytes of adding
         each feature's squared differences to a running sum in feature order,
-        with +0.0 on the diagonal. A stack of _CIRCULANT_MIN_WORK or more
-        computes each pair once, at offsets 1..n//2 (8 points of 128
-        features do, of 127 do not): two or three points take one offset,
-        and at an even n the last offset holds every pair twice (2, 4 and
-        50 points). Steps of about _DIST_BLOCK elements hold several sets
+        with +0.0 on the diagonal. Each pair is computed once, at offsets
+        1..n//2: two or three points take one offset, and at an even n the
+        last offset holds every pair twice (2, 4, 6 and 50 points). Small
+        stacks take the same layout (a 6-label graph over 32 bags, and 24
+        sets of five points). Steps of about _DIST_BLOCK elements hold several sets
         (50 points, 8 features: three sets, so seven end part-way through a
         step) or split one set's features (91 points: a block of seven
         feature rows, then the running sum and the eighth), and a set may
@@ -461,24 +460,25 @@ class TestMutualPairWeights:
         np.testing.assert_array_equal(adj[0], 1.0 - np.eye(3))
         assert not adj[1].any()
 
-    def test_non_finite_point_leaves_zeros_off_sparse_mutual_pairs(self):
+    @pytest.mark.parametrize("n", [5, 40])
+    def test_non_finite_point_leaves_zeros_off_the_mutual_pairs(self, n):
         """A NaN coordinate makes its point's distances NaN, its own on the
         diagonal too, and enough NaN points make the width NaN. The mutual
-        pairs hold the full formula's weights, NaN included. Where they are
-        at most _MAX_SPARSE_EDGES of the cells (40 points, k = 2), every
-        other entry is +0.0, where the masked full exp left NaN."""
-        points = np.random.default_rng(11).normal(size=(3, 40, 3))
+        pairs hold the full formula's weights, NaN included, and every other
+        entry is +0.0, where the masked full exp left NaN, in sets of five
+        points as of 40."""
+        points = np.random.default_rng(11).normal(size=(3, n, 3))
         points[0, 2, 1] = np.nan  # one point: the width stays finite
-        points[1, :30, 0] = np.nan  # most points: the median pair is NaN
-        cache = mutual_knn_median(points, [40, 40, 40], 2)[1]
+        points[1, :n - n // 4, 0] = np.nan  # most points: the median pair is NaN
+        counts = [n, n, n]
+        cache = mutual_knn_median(points, counts, 2)[1]
         mask = cache["mask"]
-        assert np.count_nonzero(mask) <= _MAX_SPARSE_EDGES * mask.size
         assert np.isfinite(cache["width"][[0, 2]]).all() and np.isnan(cache["width"][1])
         with np.errstate(invalid="ignore"):
             full = np.exp(-cache["d2"] / (2 * cache["width"][:, None, None]))
         assert np.isnan(full[~mask]).any()
         for grad in (True, False):
-            adj = mutual_knn_median(points, [40, 40, 40], 2, grad=grad)[0]
+            adj = mutual_knn_median(points, counts, 2, grad=grad)[0]
             assert adj[mask].tobytes() == full[mask].tobytes()
             assert adj[~mask].tobytes() == np.zeros(np.count_nonzero(~mask)).tobytes()
 
