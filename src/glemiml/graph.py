@@ -27,6 +27,18 @@ _DIFF_BUDGET = 1 << 15
 # would put the forward-only label build's peak above 1 MB.
 _DIST_BLOCK = 1 << 15
 
+# Largest share of a build's cells that are mutual pairs for which
+# mutual_knn_median exponentiates only those pairs; above it, it
+# exponentiates every cell and masks, as small-bag and 6-label graphs do. Per
+# build, the two cost the same near 0.13 (32 sets of 10-14 points, k = 3:
+# 24.6 us each); at 0.03 (32 sets of 20-50 points) every cell takes 198 us
+# against 58 us. The pairs-only path allocates an index and two per-pair
+# arrays; taken by every build, it made warm default enhance passes take a
+# median of 137 minor faults and the predict passes after them 24, against 13
+# and 0 (getrusage around each pass in a 40 s benchmark run), and read default
+# predict_bags_per_s -18% and enhance_bags_per_s -12%, 0 of 10 pairs each.
+_MAX_SPARSE_EDGES = 0.125
+
 # Smallest (sets x pairs) block on which mutual_knn_median finds the median
 # pair(s) with np.sort instead of a stable argsort of every pair. Measured on
 # the same host: 32 x 10 pairs, argsort 15 us against 40 us; 32 x 1225 pairs,
@@ -275,9 +287,13 @@ def mutual_knn_median(points: np.ndarray, counts, k: int, buffers: GraphBuffers 
     500-bag synthetic set of 2-40 instances a bag, seed 1). The width is
     the median of the set's squared pairwise distances, floored at
     WIDTH_FLOOR. The Gaussian weights exp(-d2 / (2 w)) go on the mutual
-    pairs and +0.0 elsewhere: only the mutual pairs are exponentiated, so
-    every other entry is +0.0 even where a non-finite point makes d2 or the
-    width NaN. The cache records everything needed to push a gradient on the
+    pairs and +0.0 elsewhere. A build whose mutual pairs are at most
+    _MAX_SPARSE_EDGES of its cells exponentiates only them; a denser one
+    exponentiates every cell and masks. The two give the same bits wherever
+    the points are finite. Where a point is not finite (Bag rejects such
+    data, so only a diverging embedding makes one), its NaN distances, or a
+    NaN width, leave NaN off the mutual pairs in a dense build and +0.0 in a
+    sparse one. The cache records everything needed to push a gradient on the
     adjacency entries back onto the points, including the dependence of each
     width on its median pair(s). `k` must be at least 1; TrainConfig
     and EnhancerModel check it where it enters.
@@ -316,17 +332,23 @@ def mutual_knn_median(points: np.ndarray, counts, k: int, buffers: GraphBuffers 
     med_raw = np.where(plan.has_pairs, 0.5 * (mid[:, 0] + mid[:, 1]), 1.0)
     width = np.maximum(med_raw, WIDTH_FLOOR)
 
-    # exp(-d2 / (2 w)) on mutual pairs, 0 elsewhere. The neighbour search is
-    # done with `remaining`, so the weights take its front.
+    # exp(-d2 / (2 w)) on mutual pairs, 0 elsewhere
     adj = buffers.get("adj", d2.shape) if grad else d2
-    edges = mask.reshape(-1).nonzero()[0]
-    weights = remaining.reshape(-1)[:edges.size]
-    np.take(d2.reshape(-1), edges, out=weights, mode="clip")
-    np.negative(weights, out=weights)
-    weights /= (2.0 * width)[edges // (n * n)]
-    np.exp(weights, out=weights)
-    adj.fill(0.0)
-    adj.reshape(-1)[edges] = weights
+    if np.count_nonzero(mask) > _MAX_SPARSE_EDGES * mask.size:
+        np.negative(d2, out=adj)
+        adj /= (2.0 * width)[:, None, None]
+        np.exp(adj, out=adj)
+        adj *= mask
+    else:
+        # the neighbour search is done with `remaining`, so the weights take its front
+        edges = mask.reshape(-1).nonzero()[0]
+        weights = remaining.reshape(-1)[:edges.size]
+        np.take(d2.reshape(-1), edges, out=weights, mode="clip")
+        np.negative(weights, out=weights)
+        weights /= (2.0 * width)[edges // (n * n)]
+        np.exp(weights, out=weights)
+        adj.fill(0.0)
+        adj.reshape(-1)[edges] = weights
     if not grad:
         return adj, None
     cache = {

@@ -9,6 +9,7 @@ from glemiml.data import Bag, pack_bags
 from glemiml.enhancer import EnhancerModel, _graph_means
 from glemiml.errors import ShapeError
 from glemiml.graph import (
+    _MAX_SPARSE_EDGES,
     _SORTED_MEDIAN_MIN_PAIRS,
     GraphBuffers,
     GraphPlan,
@@ -352,11 +353,11 @@ class TestInOrderDistances:
         1..n//2: two or three points take one offset, and at an even n the
         last offset holds every pair twice (2, 4, 6 and 50 points). Small
         stacks take the same layout (a 6-label graph over 32 bags, and 24
-        sets of five points). Steps of about _DIST_BLOCK elements hold several sets
-        (50 points, 8 features: three sets, so seven end part-way through a
-        step) or split one set's features (91 points: a block of seven
-        feature rows, then the running sum and the eighth), and a set may
-        have one feature and two points. A larger stack first leaves stale
+        sets of five points). Steps of about _DIST_BLOCK elements hold
+        several sets (50 points, 8 features: three sets, so seven end
+        part-way through a step) or split one set's features (91 points: a
+        block of seven feature rows, then the running sum and the eighth),
+        and a set may have one feature and two points. A larger stack first leaves stale
         values, and another n's gather index, in the buffers."""
         p = features if feature_major else 1 + (features - 1) % n
         rng = np.random.default_rng(seed)
@@ -437,7 +438,8 @@ class TestMutualPairWeights:
     def test_equals_the_masked_full_exp_bit_for_bit(self, seed, p, k, ties, counts, data):
         """Random sets, coincident points (d2 = 0 and floored widths), sets
         of 1-3 points padded in a batch, and blocks on both sides of
-        _SORTED_MEDIAN_MIN_PAIRS, with grad=True and grad=False."""
+        _SORTED_MEDIAN_MIN_PAIRS and of _MAX_SPARSE_EDGES, with grad=True
+        and grad=False."""
         counts = np.array(counts)
         points = ragged_block(np.random.default_rng(seed), counts, p, ties)
         adj, cache = mutual_knn_median(points, counts, k)
@@ -460,25 +462,24 @@ class TestMutualPairWeights:
         np.testing.assert_array_equal(adj[0], 1.0 - np.eye(3))
         assert not adj[1].any()
 
-    @pytest.mark.parametrize("n", [5, 40])
-    def test_non_finite_point_leaves_zeros_off_the_mutual_pairs(self, n):
+    def test_non_finite_point_leaves_zeros_off_sparse_mutual_pairs(self):
         """A NaN coordinate makes its point's distances NaN, its own on the
         diagonal too, and enough NaN points make the width NaN. The mutual
-        pairs hold the full formula's weights, NaN included, and every other
-        entry is +0.0, where the masked full exp left NaN, in sets of five
-        points as of 40."""
-        points = np.random.default_rng(11).normal(size=(3, n, 3))
+        pairs hold the full formula's weights, NaN included. Where they are
+        at most _MAX_SPARSE_EDGES of the cells (40 points, k = 2), every
+        other entry is +0.0, where the masked full exp left NaN."""
+        points = np.random.default_rng(11).normal(size=(3, 40, 3))
         points[0, 2, 1] = np.nan  # one point: the width stays finite
-        points[1, :n - n // 4, 0] = np.nan  # most points: the median pair is NaN
-        counts = [n, n, n]
-        cache = mutual_knn_median(points, counts, 2)[1]
+        points[1, :30, 0] = np.nan  # most points: the median pair is NaN
+        cache = mutual_knn_median(points, [40, 40, 40], 2)[1]
         mask = cache["mask"]
+        assert np.count_nonzero(mask) <= _MAX_SPARSE_EDGES * mask.size
         assert np.isfinite(cache["width"][[0, 2]]).all() and np.isnan(cache["width"][1])
         with np.errstate(invalid="ignore"):
             full = np.exp(-cache["d2"] / (2 * cache["width"][:, None, None]))
         assert np.isnan(full[~mask]).any()
         for grad in (True, False):
-            adj = mutual_knn_median(points, counts, 2, grad=grad)[0]
+            adj = mutual_knn_median(points, [40, 40, 40], 2, grad=grad)[0]
             assert adj[mask].tobytes() == full[mask].tobytes()
             assert adj[~mask].tobytes() == np.zeros(np.count_nonzero(~mask)).tobytes()
 
