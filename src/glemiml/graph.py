@@ -34,9 +34,10 @@ _DIST_BLOCK = 1 << 15
 # 24.6 us each); at 0.03 (32 sets of 20-50 points) every cell takes 198 us
 # against 58 us. The pairs-only path allocates an index and two per-pair
 # arrays; taken by every build, it made warm default enhance passes take a
-# median of 137 minor faults and the predict passes after them 24, against 13
-# and 0 (getrusage around each pass in a 40 s benchmark run), and read default
-# predict_bags_per_s -18% and enhance_bags_per_s -12%, 0 of 10 pairs each.
+# median of 137 minor faults and the predict passes after them 24, against 0
+# and 0 with this split (getrusage around each pass in a 40 s benchmark run),
+# and read default predict_bags_per_s -18% and enhance_bags_per_s -12%, 0 of
+# 10 pairs each.
 _MAX_SPARSE_EDGES = 0.125
 
 # Smallest (sets x pairs) block on which mutual_knn_median finds the median
