@@ -9,6 +9,8 @@ the refined logits, confidences their elementwise sigmoid.
 from __future__ import annotations
 
 import json
+import os
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -37,19 +39,30 @@ from .nets import (
 )
 
 # Bags whose instance graph was built; the label graph is not counted. Lets
-# ablation C prove its branch is dead.
+# ablation C prove its branch is dead. Only the calling thread of a pass
+# adds to it, once per pass.
 _instance_graph_builds = 0
 
 # Cells (bags x N x N) at most in one forward-only instance-graph build: 1 MiB
 # per (B, N, N) float64 array. A larger batch is built in chunks of bags
-# sorted by size, so a chunk pads little and its graph arrays stay this small
-# however many bags are enhanced, while the 500 bags of 2-5 instances of a
-# default-shape set, and every default training batch, take one build.
+# sorted by size, of at most half this many cells each, on up to two
+# workers (_chunked_graph_means). So a chunk pads little, the two workers'
+# graph arrays together stay within this budget however many bags are
+# enhanced, and the chunks, hence the outputs, do not depend on the host's
+# CPUs. The 500 bags of 2-5 instances of a default-shape set, and every
+# default training batch, take one build on the calling thread.
 GRAPH_CHUNK_CELLS = 1 << 17
 
 
 def instance_graph_build_count() -> int:
     return _instance_graph_builds
+
+
+def _graph_workers() -> int:
+    """Workers of a chunked instance-graph pass: two when the process may run on two CPUs."""
+    getaffinity = getattr(os, "sched_getaffinity", None)  # absent on some platforms
+    cpus = len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
+    return min(2, cpus)
 
 
 @dataclass
@@ -119,7 +132,6 @@ def _graph_means(model: EnhancerModel, batch: PackedBags, buffers: GraphBuffers 
     `buffers` when given. With grad=False the build is forward only, the
     sigma net's activations are freed before it, and the cache is None.
     """
-    global _instance_graph_builds
     counts = batch.counts
     E, sig_cache = forward_batch(model.sigma_net, batch.instances)
     if not grad:
@@ -127,7 +139,6 @@ def _graph_means(model: EnhancerModel, batch: PackedBags, buffers: GraphBuffers 
     real = np.arange(counts.max()) < counts[:, None]
     E_pad = np.zeros(real.shape + (E.shape[1],))
     E_pad[real] = E
-    _instance_graph_builds += len(counts)
     A, gcache = mutual_knn_median(E_pad, counts, model.instance_k, buffers, grad=grad)
     M2 = (A @ E_pad).sum(axis=1) / counts[:, None]
     if not grad:
@@ -149,16 +160,24 @@ def _graph_means_backward(model: EnhancerModel, cache, g_m2: np.ndarray):
 
 
 def _chunked_graph_means(model: EnhancerModel, batch: PackedBags, buffers: GraphBuffers | None):
-    """Forward-only _graph_means of a batch built in chunks of at most GRAPH_CHUNK_CELLS cells.
+    """Forward-only _graph_means of a batch built in chunks of at most GRAPH_CHUNK_CELLS // 2 cells.
 
     The bags are sorted by size and cut into chunks [lo, hi) that pad to
     their largest bag's size N: a chunk grows while its (hi - lo) x N x N
-    block holds at most GRAPH_CHUNK_CELLS cells, and a bag larger than that
-    is a chunk of its own. Every chunk is built in one holder, `buffers` or
-    a fresh one, largest block first, so each of the holder's graph arrays
-    is sized by the first chunk and reused by the rest of the pass.
+    block holds at most GRAPH_CHUNK_CELLS // 2 cells, and a bag larger than
+    that is a chunk of its own. The chunks, largest first, go each to the
+    worker with fewer cells so far, of _graph_workers() workers: the calling
+    thread and, for each other worker, a thread started for this pass and
+    joined before it returns. A worker builds its chunks largest first in
+    one holder, the calling thread in `buffers` (or a fresh one) and each
+    other worker in one of that holder's children, so each of a holder's
+    graph arrays is sized by its first chunk and reused by the rest. Each
+    chunk writes its own rows of the means, so the result does not depend
+    on the worker count. An exception in any worker is raised here once
+    every worker has stopped.
     """
     M2 = np.empty((len(batch), model.embed_dim))
+    budget = GRAPH_CHUNK_CELLS // 2
     by_size = np.argsort(batch.counts, kind="stable")
     sizes = batch.counts[by_size].tolist()
     ends = range(1, len(sizes) + 1)
@@ -167,14 +186,44 @@ def _chunked_graph_means(model: EnhancerModel, batch: PackedBags, buffers: Graph
     while lo < len(sizes):
         # a chunk's cells grow with its end, and ends[i] == i + 1, so the
         # index bisect_right returns is the last end that fits
-        hi = bisect_right(ends, GRAPH_CHUNK_CELLS, lo=lo,
-                          key=lambda end: (end - lo) * sizes[end - 1] ** 2)
+        hi = bisect_right(ends, budget, lo=lo, key=lambda end: (end - lo) * sizes[end - 1] ** 2)
         hi = max(hi, lo + 1)
         chunks.append(((hi - lo) * sizes[hi - 1] ** 2, by_size[lo:hi]))
         lo = hi
+    workers = _graph_workers()
+    shares = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for cells, idx in sorted(chunks, key=lambda chunk: chunk[0], reverse=True):
+        worker = loads.index(min(loads))
+        shares[worker].append(idx)
+        loads[worker] += cells
     buffers = GraphBuffers() if buffers is None else buffers
-    for _, idx in sorted(chunks, key=lambda chunk: chunk[0], reverse=True):
-        M2[idx] = _graph_means(model, batch.take(idx), buffers, grad=False)[0]
+    holders = [buffers] + buffers.children(workers - 1)
+    errors = []
+
+    def build(share, holder):
+        for idx in share:
+            M2[idx] = _graph_means(model, batch.take(idx), holder, grad=False)[0]
+
+    def build_in_thread(share, holder):
+        try:
+            build(share, holder)
+        except BaseException as exc:  # raised on the calling thread after the join
+            errors.append(exc)
+
+    threads = []
+    try:
+        for share, holder in zip(shares[1:], holders[1:]):
+            if share:
+                thread = threading.Thread(target=build_in_thread, args=(share, holder))
+                thread.start()
+                threads.append(thread)
+        build(shares[0], holders[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return M2
 
 
@@ -239,21 +288,28 @@ def enhancer_forward(model: EnhancerModel, batch: PackedBags, buffers: GraphBuff
     With grad=False both graphs are built forward only and the cache is
     None; the outputs are the same bit for bit. A forward-only batch whose
     (B, N, N) block holds more than GRAPH_CHUNK_CELLS cells has its instance
-    graphs built in size-sorted chunks, all in `buffers` or in one fresh
-    holder, largest chunk first (_chunked_graph_means). A bag's padded
+    graphs built in size-sorted chunks of at most half that, on up to two
+    workers, each largest chunk first in its own holder: `buffers` (or a
+    fresh one) on the calling thread, one of its children on the other
+    (_chunked_graph_means). Any other batch takes one build on the calling
+    thread, and the branch nets and the label graph always run there, after
+    the workers are joined. A bag's padded
     size picks the distance route, so its instance graph, and its logits,
     can differ in the last bits between chunkings that pad it to sizes on
     either side of the embedding width (see mutual_knn_median).
     """
+    global _instance_graph_builds
     if not len(batch):
         raise ShapeError("enhancer_forward needs at least one bag")
     graph_cache = None
     if not model.use_instance_graph:
         M2 = np.zeros((len(batch), model.embed_dim))
-    elif grad or len(batch) * int(batch.counts.max()) ** 2 <= GRAPH_CHUNK_CELLS:
-        M2, graph_cache = _graph_means(model, batch, buffers, grad)
     else:
-        M2 = _chunked_graph_means(model, batch, buffers)
+        _instance_graph_builds += len(batch)
+        if grad or len(batch) * int(batch.counts.max()) ** 2 <= GRAPH_CHUNK_CELLS:
+            M2, graph_cache = _graph_means(model, batch, buffers, grad)
+        else:
+            M2 = _chunked_graph_means(model, batch, buffers)
     base, net_caches = _branch_logits(model, batch, M2)
     out, refine_cache = _refine_forward(model, base, label_buffers, grad)
     if not grad:

@@ -92,7 +92,10 @@ class GraphBuffers:
     only until the next build with the same buffers, and two graphs that must
     be alive at once (the instance and the label graph of one forward) must
     not share them. The buffers also keep the GraphPlan of their last build
-    and the circulant gather index of their last in-order distances.
+    and the circulant gather index of their last in-order distances. A
+    holder also keeps the child holders in which the other workers of a
+    chunked enhancer pass build their chunks (children), so a caller that
+    reuses the holder, such as training's epoch holder, reuses theirs too.
     """
 
     def __init__(self):
@@ -101,6 +104,13 @@ class GraphBuffers:
         self._plan = None
         self._circulant_n = None
         self._circulant = None
+        self._children = []
+
+    def children(self, count: int) -> list:
+        """The first `count` child holders, made on first request."""
+        while len(self._children) < count:
+            self._children.append(GraphBuffers())
+        return self._children[:count]
 
     def get(self, role: str, shape) -> np.ndarray:
         size = math.prod(shape)
@@ -283,9 +293,10 @@ def mutual_knn_median(points: np.ndarray, counts, k: int, buffers: GraphBuffers 
     on padded rows and columns and is the one the set alone would get, up to
     rounding: pairwise_sq_dists takes its in-order or its einsum route from
     the block's padded N against p, and the two can differ in the last bits
-    (between enhance_batch chunk budgets of 2^12 cells, 2^17 cells and one
-    chunk, the logits of untrained enhancers moved by up to 8.9e-16 on a
-    500-bag synthetic set of 2-40 instances a bag, seed 1). The width is
+    (between enhance_batch chunks of at most 2^11 cells, of at most 2^16
+    cells, the GRAPH_CHUNK_CELLS = 2^17 default, and one build, the logits of
+    untrained enhancers moved by up to 8.9e-16 on a 500-bag synthetic set of
+    2-40 instances a bag, seed 1). The width is
     the median of the set's squared pairwise distances, floored at
     WIDTH_FLOOR. The Gaussian weights exp(-d2 / (2 w)) go on the mutual
     pairs and +0.0 elsewhere. A build whose mutual pairs are at most

@@ -1,5 +1,7 @@
 import json
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -230,12 +232,22 @@ def test_graph_chunk_size_moves_logits_by_rounding_only(monkeypatch, seed):
                                        rtol=0, atol=1e-12)
 
 
+def by_holder(builds):
+    """The builds of a list of (holder, build) in the order each holder made them."""
+    out = {}
+    for holder, build in builds:
+        out.setdefault(id(holder), []).append(build)
+    return list(out.values())
+
+
 @pytest.mark.parametrize("instances, oversized", [((2, 5), None), ((20, 50), 70)])
 def test_graph_chunks_keep_the_cell_budget_and_change_no_bit(monkeypatch, instances, oversized):
     """Bags of 2-5 instances always take the einsum route and bags of 20-50 the
-    in-order one, so on these shapes no budget moves a bit. Each chunk holds
-    at most the budget's cells, or one bag larger than the budget, and ends
-    where the next bag would break it. Chunks are built largest first."""
+    in-order one, so on these shapes neither the budget nor the worker count
+    moves a bit. A pass above the budget is cut into chunks that each hold at
+    most half the budget's cells, or one bag larger than that, and end where
+    the next bag would break them. Each worker builds its chunks largest
+    first, and the workers' cells differ by at most one chunk."""
     lo, hi = instances
     ds, _ = generate_synthetic(SyntheticConfig(num_bags=60, instances_min=lo, instances_max=hi,
                                                seed=4))
@@ -244,61 +256,191 @@ def test_graph_chunks_keep_the_cell_budget_and_change_no_bit(monkeypatch, instan
         bags.insert(7, make_bag(np.random.default_rng(5), oversized, ds.feature_dim,
                                 ds.label_count))
     model = init_enhancer(ds.feature_dim, ds.label_count, seed=3)
-    chunks = []
+    builds = []  # (holder, (bags, largest bag, smallest bag)) per build
     real = enh_mod._graph_means
 
-    def recorded(model, batch, *args, **kwargs):
-        chunks.append((len(batch), int(batch.counts.max()), int(batch.counts.min())))
-        return real(model, batch, *args, **kwargs)
+    def recorded(model, batch, buffers=None, grad=True):
+        builds.append((buffers, (len(batch), int(batch.counts.max()), int(batch.counts.min()))))
+        return real(model, batch, buffers, grad)
 
     monkeypatch.setattr(enh_mod, "_graph_means", recorded)
     out = []
-    for budget in (1 << 4, 1 << 9, 1 << 12, enh_mod.GRAPH_CHUNK_CELLS):
-        monkeypatch.setattr(enh_mod, "GRAPH_CHUNK_CELLS", budget)
-        chunks.clear()
-        batch = enhance_batch(model, bags)
-        out.append([a.tobytes() for a in (batch.logits, batch.distributions, batch.confidences)])
-        assert sum(b for b, _, _ in chunks) == len(bags)
-        cells = [b * n * n for b, n, _ in chunks]
-        assert cells == sorted(cells, reverse=True)
-        for b, n, _ in chunks:
-            assert b * n * n <= budget or b == 1
-        # the chunks in size order; of two with the same bags' sizes, the full one first
-        in_order = sorted(chunks, key=lambda c: (c[2], c[1], -c[0]))
-        for (b, _, _), (_, _, next_first) in zip(in_order, in_order[1:]):
-            assert (b + 1) * next_first ** 2 > budget
-        if oversized and oversized ** 2 > budget:
-            assert (1, oversized, oversized) in chunks
+    for workers in (1, 2):
+        monkeypatch.setattr(enh_mod, "_graph_workers", lambda: workers)
+        for budget in (1 << 4, 1 << 9, 1 << 12, enh_mod.GRAPH_CHUNK_CELLS):
+            monkeypatch.setattr(enh_mod, "GRAPH_CHUNK_CELLS", budget)
+            builds.clear()
+            batch = enhance_batch(model, bags)
+            out.append([a.tobytes() for a in (batch.logits, batch.distributions,
+                                              batch.confidences)])
+            chunks = [chunk for _, chunk in builds]
+            assert sum(b for b, _, _ in chunks) == len(bags)
+            if len(bags) * max(b.instances.shape[0] for b in bags) ** 2 <= budget:
+                assert len(chunks) == 1 and builds[0][0] is None
+                continue
+            shares = by_holder(builds)
+            assert len(shares) == min(workers, len(chunks))
+            loads = []
+            for share in shares:
+                cells = [b * n * n for b, n, _ in share]
+                assert cells == sorted(cells, reverse=True)
+                loads.append(sum(cells))
+            assert max(loads) - min(loads) <= max(b * n * n for b, n, _ in chunks)
+            half = budget // 2
+            for b, n, _ in chunks:
+                assert b * n * n <= half or b == 1
+            # the chunks in size order; of two with the same bags' sizes, the full one first
+            in_order = sorted(chunks, key=lambda c: (c[2], c[1], -c[0]))
+            for (b, _, _), (_, _, next_first) in zip(in_order, in_order[1:]):
+                assert (b + 1) * next_first ** 2 > half
+            if oversized and oversized ** 2 > half:
+                assert (1, oversized, oversized) in chunks
     assert all(o == out[0] for o in out)
 
 
 def test_chunked_pass_builds_in_one_workspace(monkeypatch):
-    """Every chunk of a pass is built in one GraphBuffers, largest first, so
-    the first chunk sizes each of its flat buffers and no later chunk
-    reallocates one."""
-    ds, _ = generate_synthetic(SyntheticConfig(num_bags=60, instances_min=20, instances_max=50,
+    """Each worker builds its chunks in one GraphBuffers, largest first: the
+    calling thread in the pass's holder and the other worker in that
+    holder's child. So a worker's first chunk sizes each of its holder's flat
+    buffers and no later chunk reallocates one. Checked at the default
+    budget, where a chunk's cells mostly outgrow the in-order distance
+    scratch; chunks of a few thousand cells need scratch that grows with
+    their set count, so a smaller chunk may need more."""
+    ds, _ = generate_synthetic(SyntheticConfig(num_bags=300, instances_min=20, instances_max=50,
                                                seed=4))
     model = init_enhancer(ds.feature_dim, ds.label_count, seed=3)
-    # budget at which the bags' size order is not the chunks' cell order
-    monkeypatch.setattr(enh_mod, "GRAPH_CHUNK_CELLS", 1 << 13)
-    builds = []  # (sets, holder, the holder's flat buffers after the build)
+    monkeypatch.setattr(enh_mod, "_graph_workers", lambda: 2)
+    builds = []  # (holder, (cells, sets, the holder's flat buffers after the build, thread))
     real = enh_mod.mutual_knn_median
 
     def recorded(points, counts, k, buffers=None, grad=True):
         out = real(points, counts, k, buffers, grad=grad)
-        builds.append((len(points), buffers, dict(buffers._flat) if buffers else None))
+        builds.append((buffers, (points.shape[0] * points.shape[1] ** 2, len(points),
+                                 dict(buffers._flat) if buffers else None,
+                                 threading.current_thread())))
         return out
 
     monkeypatch.setattr(enh_mod, "mutual_knn_median", recorded)
     enhance_batch(model, ds.bags)
-    instance = builds[:-1]  # the last build is the label graph's
-    assert len(instance) > 3 and sum(sets for sets, _, _ in instance) == len(ds)
-    _, holder, first = instance[0]
-    assert holder is not None
-    for _, buffers, flat in instance[1:]:
-        assert buffers is holder
-        assert flat.keys() == first.keys()
-        assert all(flat[role] is first[role] for role in first)
+    # the last build is the label graph's, on the calling thread after the join
+    assert builds[-1][1][3] is threading.current_thread()
+    instance = builds[:-1]
+    assert len(instance) > 3 and sum(sets for _, (_, sets, _, _) in instance) == len(ds)
+    holders = {thread: holder for holder, (_, _, _, thread) in instance}
+    assert len(holders) == 2 and len({id(h) for h in holders.values()}) == 2
+    caller = holders.pop(threading.current_thread())
+    assert caller is not None and list(holders.values()) == caller.children(1)
+    # the chunks' cell order is not their bags' size order
+    by_cells = sorted((cells, round((cells / sets) ** 0.5)) for _, (cells, sets, _, _) in instance)
+    sizes = [n for _, n in by_cells]
+    assert sizes != sorted(sizes) and sizes != sorted(sizes, reverse=True)
+    for share in by_holder(instance):
+        cells = [c for c, _, _, _ in share]
+        assert cells == sorted(cells, reverse=True)
+        first = share[0][2]
+        for _, _, flat, _ in share[1:]:
+            assert flat.keys() == first.keys()
+            assert all(flat[role] is first[role] for role in first)
+
+
+class TimedThread(threading.Thread):
+    """A thread whose join gives up after a timeout and records whether it returned in time."""
+
+    started, late = [], []
+
+    def start(self):
+        TimedThread.started.append(self)
+        super().start()
+
+    def join(self, timeout=None):
+        super().join(timeout=60)
+        TimedThread.late.append(self.is_alive())
+
+
+@pytest.fixture
+def timed_threads(monkeypatch):
+    """Threads started by the program are TimedThreads; the lists are emptied first."""
+    TimedThread.started.clear()
+    TimedThread.late.clear()
+    monkeypatch.setattr(threading, "Thread", TimedThread)
+    return TimedThread
+
+
+def test_worker_count_changes_no_bit(monkeypatch, timed_threads):
+    """The chunks do not depend on the worker count, and each chunk writes only
+    its own rows, so 1, 2 and 4 workers give the same bits, with a thread
+    switch forced as often as the interpreter allows. Bags of 2-60 instances
+    make chunks on both distance routes (padded below and at or above the
+    embedding width)."""
+    ds, _ = generate_synthetic(SyntheticConfig(num_bags=120, instances_min=2, instances_max=60,
+                                               seed=8))
+    model = init_enhancer(ds.feature_dim, ds.label_count, seed=2)
+    # chunks of up to 256 cells: 5 bags of 7, one bag of 16 or more
+    monkeypatch.setattr(enh_mod, "GRAPH_CHUNK_CELLS", 1 << 9)
+    chunk_sizes = []  # padded N of each instance-graph build
+    real = enh_mod._graph_means
+
+    def recorded(model, batch, buffers=None, grad=True):
+        chunk_sizes.append(int(batch.counts.max()))
+        return real(model, batch, buffers, grad)
+
+    monkeypatch.setattr(enh_mod, "_graph_means", recorded)
+    out, builds = {}, {}
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(enh_mod, "_graph_workers", lambda: workers)
+            chunk_sizes.clear()
+            before = enh_mod.instance_graph_build_count()
+            batch = enhance_batch(model, ds.bags)
+            builds[workers] = enh_mod.instance_graph_build_count() - before
+            out[workers] = [a.tobytes() for a in (batch.logits, batch.distributions,
+                                                  batch.confidences)]
+            assert min(chunk_sizes) < model.embed_dim <= max(chunk_sizes)
+    finally:
+        sys.setswitchinterval(interval)
+    assert out[2] == out[1] and out[4] == out[1]
+    assert builds == {1: len(ds), 2: len(ds), 4: len(ds)}
+    assert len(timed_threads.started) == 1 + 3
+    assert timed_threads.late == [False] * 4
+
+
+@pytest.mark.parametrize("failing", ["calling", "other"])
+def test_worker_failure_is_raised_after_the_join(monkeypatch, timed_threads, failing):
+    """A chunk that raises in either worker stops the pass with its own
+    exception, once the other worker has been joined."""
+    ds, _ = generate_synthetic(SyntheticConfig(num_bags=200, instances_min=20, instances_max=50,
+                                               seed=4))
+    model = init_enhancer(ds.feature_dim, ds.label_count, seed=3)
+    monkeypatch.setattr(enh_mod, "_graph_workers", lambda: 2)
+    caller = threading.current_thread()
+    real = enh_mod._graph_means
+
+    def failing_chunk(model, batch, buffers=None, grad=True):
+        if (threading.current_thread() is caller) == (failing == "calling"):
+            raise ShapeError("a chunk failed")
+        return real(model, batch, buffers, grad)
+
+    monkeypatch.setattr(enh_mod, "_graph_means", failing_chunk)
+    active = threading.active_count()
+    with pytest.raises(ShapeError, match="a chunk failed"):
+        enhance_batch(model, ds.bags)
+    assert threading.active_count() == active
+    assert len(timed_threads.started) == 1 and timed_threads.late == [False]
+
+
+def test_graph_workers_follow_the_usable_cpus(monkeypatch):
+    """Two workers at most; the CPUs the process may run on, or where the
+    platform cannot tell them, the machine's CPU count, or one."""
+    monkeypatch.setattr(enh_mod.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert enh_mod._graph_workers() == 1
+    monkeypatch.setattr(enh_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert enh_mod._graph_workers() == 2
+    monkeypatch.delattr(enh_mod.os, "sched_getaffinity", raising=False)
+    for cpus, workers in ((None, 1), (1, 1), (2, 2), (8, 2)):
+        monkeypatch.setattr(enh_mod.os, "cpu_count", lambda: cpus)
+        assert enh_mod._graph_workers() == workers
 
 
 def test_wide_bag_pass_memory_stays_bounded():

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -349,3 +351,70 @@ class TestOptimizers:
 
 def test_ablation_constant_exported():
     assert ABLATIONS == ("full", "A", "B", "C")
+
+
+class TestGraphWorkers:
+    """Training's forward-only rebuild goes through the chunked, two-worker
+    enhancer pass only when a batch holds more than GRAPH_CHUNK_CELLS cells."""
+
+    @staticmethod
+    def record_instance_builds(monkeypatch):
+        """(holder, grad, on the calling thread) of each instance-graph build."""
+        builds = []
+        real = enh_mod._graph_means
+        caller = threading.current_thread()
+
+        def recorded(model, batch, buffers=None, grad=True):
+            builds.append((buffers, grad, threading.current_thread() is caller))
+            return real(model, batch, buffers, grad)
+
+        monkeypatch.setattr(enh_mod, "_graph_means", recorded)
+        return builds
+
+    def test_wide_epoch_at_batch_32_starts_no_thread(self, monkeypatch):
+        """Batches of 32 bags of 20-50 instances hold up to 80,000 cells: more
+        than a chunk's half budget, within GRAPH_CHUNK_CELLS, so each takes
+        one build on the calling thread."""
+        ds, _ = generate_synthetic(SyntheticConfig(num_bags=64, instances_min=20,
+                                                   instances_max=50, seed=5))
+        monkeypatch.setattr(enh_mod, "_graph_workers", lambda: 2)
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        builds = self.record_instance_builds(monkeypatch)
+        train(ds, None, TrainConfig(epochs=1, batch_size=32, seed=5))
+        assert started == []
+        assert len(builds) == 4 and all(on_caller for _, _, on_caller in builds)
+        widest = max(bag.instances.shape[0] for bag in ds.bags)
+        assert enh_mod.GRAPH_CHUNK_CELLS // 2 < 32 * widest ** 2 <= enh_mod.GRAPH_CHUNK_CELLS
+
+    def test_chunked_rebuild_gives_the_same_bits_on_one_and_two_workers(self, monkeypatch):
+        """With a budget below a batch's cells, every forward-only rebuild is
+        chunked. One and two workers train the same parameters and history,
+        and with two, every batch's other worker builds in the child holder
+        of the epoch's instance-graph holder."""
+        ds, _ = generate_synthetic(SyntheticConfig(num_bags=24, feature_dim=4, label_count=3,
+                                                   instances_min=10, instances_max=20, seed=2))
+        monkeypatch.setattr(enh_mod, "GRAPH_CHUNK_CELLS", 1 << 10)
+        builds = self.record_instance_builds(monkeypatch)
+        out = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(enh_mod, "_graph_workers", lambda: workers)
+            builds.clear()
+            enh, clf, hist = train(ds, None, TrainConfig(epochs=2, batch_size=8, seed=2))
+            out[workers] = (enhancer_params(enh).tobytes(), classifier_params(clf).tobytes(),
+                            repr(hist.records))
+        assert out[2] == out[1]
+        # the last run's builds, one batch per enhancer-step build
+        steps = [i for i, (_, grad, _) in enumerate(builds) if grad]
+        assert len(steps) == 2 * 3
+        epoch_holders = [builds[i][0] for i in steps]
+        for epoch in (0, 1):
+            assert all(h is epoch_holders[3 * epoch] for h in epoch_holders[3 * epoch:3 * epoch + 3])
+        assert epoch_holders[0] is not epoch_holders[3]
+        for i, lo in enumerate(steps):
+            hi = steps[i + 1] if i + 1 < len(steps) else len(builds)
+            holder = epoch_holders[i]
+            rebuild = builds[lo + 1:hi]
+            others = [h for h, _, on_caller in rebuild if not on_caller]
+            assert others and all(h is holder.children(1)[0] for h in others)
+            assert all(h is holder for h, _, on_caller in rebuild if on_caller)
