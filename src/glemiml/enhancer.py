@@ -170,11 +170,14 @@ def _chunked_graph_means(model: EnhancerModel, batch: PackedBags, buffers: Graph
     thread and, for each other worker, a thread started for this pass and
     joined before it returns. A worker builds its chunks largest first in
     one holder, the calling thread in `buffers` (or a fresh one) and each
-    other worker in one of that holder's children, so each of a holder's
-    graph arrays is sized by its first chunk and reused by the rest. Each
-    chunk writes its own rows of the means, so the result does not depend
-    on the worker count. An exception in any worker is raised here once
-    every worker has stopped.
+    other worker in one of that holder's children, so a holder's (B, N, N)
+    graph arrays are sized by its first chunk and reused by the rest. The
+    distance scratch in its "remaining" array grows with a chunk's set
+    count as well, so a later chunk that pads to a larger N with fewer sets
+    can still grow it; that no later chunk reallocates a buffer is checked
+    only at the default GRAPH_CHUNK_CELLS. Each chunk writes its own rows
+    of the means, so the result does not depend on the worker count. An
+    exception in any worker is raised here once every worker has stopped.
     """
     M2 = np.empty((len(batch), model.embed_dim))
     budget = GRAPH_CHUNK_CELLS // 2
@@ -293,10 +296,7 @@ def enhancer_forward(model: EnhancerModel, batch: PackedBags, buffers: GraphBuff
     fresh one) on the calling thread, one of its children on the other
     (_chunked_graph_means). Any other batch takes one build on the calling
     thread, and the branch nets and the label graph always run there, after
-    the workers are joined. A bag's padded
-    size picks the distance route, so its instance graph, and its logits,
-    can differ in the last bits between chunkings that pad it to sizes on
-    either side of the embedding width (see mutual_knn_median).
+    the workers are joined.
     """
     global _instance_graph_builds
     if not len(batch):

@@ -12,14 +12,7 @@ import numpy as np
 
 WIDTH_FLOOR = 1e-8
 
-# Largest difference tensor, in elements, that pairwise_sq_dists forms at once
-# (unless one row of each set is more). For a default-shape enhance pass, one
-# (500, 5, 8) block: 2^17 formed all 800 KB at once in 467-518 us, 2^15 one
-# 160 KB row at a time in 326-415 us, the same bits (min of 7 x 200 calls,
-# three rounds, 2 vCPUs).
-_DIFF_BUDGET = 1 << 15
-
-# About the elements of scratch one step of _in_order_sq_dists takes (256 KiB).
+# About the elements of scratch one step of pairwise_sq_dists takes (256 KiB).
 # On a 32-set stack of 20-50 points with 8 features and on the 30-label graph of
 # 2,000 bags (2-vCPU Xeon, 48 KiB L1d and 2 MiB L2 per core, NumPy 2.4, min of
 # 5 interleaved rounds), 2^12 took 1.70 and 3.43 ms, 2^14 0.90 and 2.06 ms,
@@ -92,10 +85,10 @@ class GraphBuffers:
     only until the next build with the same buffers, and two graphs that must
     be alive at once (the instance and the label graph of one forward) must
     not share them. The buffers also keep the GraphPlan of their last build
-    and the circulant gather index of their last in-order distances. A
-    holder also keeps the child holders in which the other workers of a
-    chunked enhancer pass build their chunks (children), so a caller that
-    reuses the holder, such as training's epoch holder, reuses theirs too.
+    and the circulant gather index of their last distances. A holder also
+    keeps the child holders in which the other workers of a chunked
+    enhancer pass build their chunks (children), so a caller that reuses
+    the holder, such as training's epoch holder, reuses theirs too.
     """
 
     def __init__(self):
@@ -120,7 +113,7 @@ class GraphBuffers:
         return flat[:size].reshape(shape)
 
     def circulant(self, n: int) -> np.ndarray:
-        """The (n * n,) gather index of _in_order_sq_dists for n points: the last one when n matches."""
+        """The (n * n,) gather index of pairwise_sq_dists for n points: the last one when n matches."""
         if n != self._circulant_n:
             self._circulant, self._circulant_n = _circulant_index(n), n
         return self._circulant
@@ -153,38 +146,18 @@ def _circulant_index(n: int) -> np.ndarray:
 def pairwise_sq_dists(points: np.ndarray, buffers: GraphBuffers) -> np.ndarray:
     """Squared distances between the rows of each (n, p) matrix of a (..., n, p) stack.
 
-    Narrow sets (more features than rows) stored row-major, such as
-    small-bag instance graphs, go to einsum over the difference tensor, rows
-    a few at a time so it stays within _DIFF_BUDGET elements. Every other
-    stack (wide instance sets, and the label graph: a single set stored
-    feature-major, whose features are a batch's bags) goes to
-    _in_order_sq_dists, which computes each unordered pair once and adds its
-    squared differences one feature at a time, in feature order. The two
-    orders can round differently. The result is written into `buffers`.
-    """
-    n, p = points.shape[-2:]
-    if p <= n or (points.ndim == 3 and points.shape[0] == 1 and points[0].T.flags.c_contiguous):
-        cols = points.reshape((-1, n, p)).transpose(0, 2, 1)  # (sets, p, n)
-        return _in_order_sq_dists(cols, buffers).reshape(points.shape[:-1] + (n,))
-    d2 = buffers.get("d2", points.shape[:-1] + (n,))
-    step = max(1, _DIFF_BUDGET // points.size)
-    for lo in range(0, n, step):
-        diff = points[..., lo:lo + step, None, :] - points[..., None, :, :]
-        d2[..., lo:lo + step, :] = np.einsum("...ijk,...ijk->...ij", diff, diff)
-    return d2
-
-
-def _in_order_sq_dists(cols: np.ndarray, buffers: GraphBuffers) -> np.ndarray:
-    """(sets, n, n) squared distances between the n points whose p features are the rows of cols[s].
-
-    Each unordered pair is computed once, in a circulant layout: for offsets
-    d = 1..n//2, row d - 1 of a set's (n//2, n) sums holds the distance from
-    point i to point (i + d) mod n. (At d = n/2, n even, each pair appears
-    twice.) A pair's squared differences are added one feature at a time, in
-    feature order, and (a - b)^2 and (b - a)^2 are the same bits, so every
-    value equals the one a full (n, n) sum would give. One gather then writes
-    each value to (i, j) and (j, i), and +0.0 to the diagonal
-    (GraphBuffers.circulant holds its index).
+    Every stack takes one layout: instance sets of any size, and the label
+    graph (a single set stored feature-major, whose features are a batch's
+    bags). Each unordered pair is computed once, in a circulant layout: for
+    offsets d = 1..n//2, row d - 1 of a set's (n//2, n) sums holds the
+    distance from point i to point (i + d) mod n. (At d = n/2, n even, each
+    pair appears twice.) A pair's squared differences are added one feature
+    at a time, in feature order, and (a - b)^2 and (b - a)^2 are the same
+    bits, so every value equals the one a full (n, n) sum would give, and a
+    set's distances do not depend on the padded n of the stack that holds
+    it. One gather then writes each value to (i, j) and (j, i), and +0.0 to
+    the diagonal (GraphBuffers.circulant holds its index). The result is
+    written into `buffers`.
 
     The work goes in steps of about _DIST_BLOCK elements of scratch: as many
     feature rows as fit, then as many sets as fit. Each feature row is first
@@ -201,7 +174,9 @@ def _in_order_sq_dists(cols: np.ndarray, buffers: GraphBuffers) -> np.ndarray:
     about half a (sets, n, n) array, and a step at most about _DIST_BLOCK
     elements (two feature rows of a set of 180 points or more take more).
     """
-    n_sets, p, n = cols.shape
+    n, p = points.shape[-2:]
+    cols = points.reshape((-1, n, p)).transpose(0, 2, 1)  # (sets, p, n)
+    n_sets = cols.shape[0]
     d2 = buffers.get("d2", (n_sets, n, n))
     half = n // 2  # partners per point
     cells = half * n  # one feature's differences
@@ -235,7 +210,7 @@ def _in_order_sq_dists(cols: np.ndarray, buffers: GraphBuffers) -> np.ndarray:
             lo, start = hi, 1
     # mode="raise" would gather into a temporary (B, N, N) copy first
     sums.take(buffers.circulant(n), axis=1, out=d2.reshape(n_sets, n * n), mode="clip")
-    return d2
+    return d2.reshape(points.shape[:-1] + (n,))
 
 
 def _mutual_mask(remaining: np.ndarray, plan: GraphPlan) -> np.ndarray:
@@ -290,14 +265,8 @@ def mutual_knn_median(points: np.ndarray, counts, k: int, buffers: GraphBuffers 
 
     `points` is a zero-padded (B, N, p) block: set b is its first counts[b]
     rows. Returns (adjacency (B, N, N), cache). Each set's adjacency is zero
-    on padded rows and columns and is the one the set alone would get, up to
-    rounding: pairwise_sq_dists takes its in-order or its einsum route from
-    the block's padded N against p, and the two can differ in the last bits
-    (between enhance_batch chunks of at most 2^11 cells, of at most 2^16
-    cells, the GRAPH_CHUNK_CELLS = 2^17 default, and one build, the logits of
-    untrained enhancers moved by up to 8.9e-16 on a 500-bag synthetic set of
-    2-40 instances a bag, seed 1). The width is
-    the median of the set's squared pairwise distances, floored at
+    on padded rows and columns and is the one the set alone would get, bit
+    for bit while its points are finite. The width is the median of the set's squared pairwise distances, floored at
     WIDTH_FLOOR. The Gaussian weights exp(-d2 / (2 w)) go on the mutual
     pairs and +0.0 elsewhere. A build whose mutual pairs are at most
     _MAX_SPARSE_EDGES of its cells exponentiates only them; a denser one

@@ -14,7 +14,7 @@ import numpy as np
 
 from glemiml.enhancer import EnhancedBatch, _row_normalize, _row_normalize_backward
 from glemiml.errors import ShapeError
-from glemiml.graph import _DIFF_BUDGET, WIDTH_FLOOR
+from glemiml.graph import WIDTH_FLOOR
 from glemiml.nets import (
     backward_batch,
     forward_batch,
@@ -28,13 +28,17 @@ from glemiml.nets import (
 
 # ------------------------------------------------------------------ graph
 
+# Largest difference tensor, in elements, that strided_sq_dists forms at once.
+_DIFF_BUDGET = 1 << 15
+
+
 def sq_dists(points):
     diff = points[:, None, :] - points[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
 def strided_sq_dists(points):
-    """The former einsum path of graph.pairwise_sq_dists, for a (sets, n, p) stack.
+    """The former einsum route of graph.pairwise_sq_dists, for a (sets, n, p) stack.
 
     Rows are taken a few at a time, so the difference tensor stays within
     _DIFF_BUDGET elements. On a feature-major set such as the label graph's

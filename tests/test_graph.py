@@ -344,22 +344,26 @@ class TestInOrderDistances:
     @example(seed=8, sets=7, n=50, features=8, feature_major=False, rounded=False, buffered=True)
     @example(seed=9, sets=1, n=6, features=32, feature_major=True, rounded=False, buffered=True)
     @example(seed=10, sets=24, n=5, features=3, feature_major=False, rounded=True, buffered=True)
+    @example(seed=11, sets=24, n=5, features=8, feature_major=False, rounded=False, buffered=True)
+    @example(seed=12, sets=5, n=2, features=4, feature_major=False, rounded=True, buffered=False)
     def test_equals_the_feature_by_feature_sum_bit_for_bit(self, seed, sets, n, features,
                                                            feature_major, rounded, buffered):
-        """Wide sets (no more features than points) and single feature-major
-        sets of any width, the label graph's layout, give the bytes of adding
-        each feature's squared differences to a running sum in feature order,
-        with +0.0 on the diagonal. Each pair is computed once, at offsets
-        1..n//2: two or three points take one offset, and at an even n the
-        last offset holds every pair twice (2, 4, 6 and 50 points). Small
-        stacks take the same layout (a 6-label graph over 32 bags, and 24
-        sets of five points). Steps of about _DIST_BLOCK elements hold
-        several sets (50 points, 8 features: three sets, so seven end
-        part-way through a step) or split one set's features (91 points: a
-        block of seven feature rows, then the running sum and the eighth),
-        and a set may have one feature and two points. A larger stack first leaves stale
+        """Row-major sets of up to twice as many features as points, and
+        single feature-major sets of any width, the label graph's layout,
+        give the bytes of adding each feature's squared differences to a
+        running sum in feature order, with +0.0 on the diagonal. Each pair is
+        computed once, at offsets 1..n//2: two or three points take one
+        offset, and at an even n the last offset holds every pair twice (2,
+        4, 6 and 50 points). Small stacks take the same layout (a 6-label
+        graph over 32 bags, 24 sets of five points with three features or
+        with eight, the default embedding width, and sets of two points with
+        four). Steps of about _DIST_BLOCK elements hold several sets (50
+        points, 8 features: three sets, so seven end part-way through a
+        step) or split one set's features (91 points: a block of seven
+        feature rows, then the running sum and the eighth), and a set may
+        have one feature and two points. A larger stack first leaves stale
         values, and another n's gather index, in the buffers."""
-        p = features if feature_major else 1 + (features - 1) % n
+        p = features if feature_major else 1 + (features - 1) % (2 * n)
         rng = np.random.default_rng(seed)
         values = rng.normal(size=(p, n) if feature_major else (sets, n, p))
         if rounded:

@@ -203,8 +203,7 @@ def test_graph_builder_matches_former_steps_bit_for_bit(seed, wide, p, ties, k, 
         assert not adj.any()
         return
     d2 = cache["d2"]
-    if p <= n:
-        assert d2.tobytes() == ref.sq_dists_by_feature(points).tobytes()
+    assert d2.tobytes() == ref.sq_dists_by_feature(points).tobytes()
     med_rows, med_cols, width = ref.median_pairs_by_argsort(d2, counts)
     np.testing.assert_array_equal(cache["med_rows"], med_rows)
     np.testing.assert_array_equal(cache["med_cols"], med_cols)
