@@ -2,6 +2,10 @@
 
 __version__ = "0.1.0"
 
+from . import _heap
+
+_heap.set_heap_policy()
+
 from .data import (
     Bag,
     MIMLDataset,

@@ -80,11 +80,12 @@ PREDICT_CHUNK_BAGS = 256
 
 # Packed rows per instance-net block in predict_dataset. A chunk of 256 bags
 # of 20-50 rows holds about 9k rows, and each of its hidden arrays takes
-# 2.3 MB of fresh pages. Over 500 such bags, in a process that trains between
-# passes (2-vCPU Xeon, BLAS on one thread), a pass in one block per chunk took
-# 8.5 ms and 1.7k minor faults; in blocks of at most 256, 512, 1024, 2048 and
-# 4096 rows it took 5.7, 4.6, 4.0, 4.6 and 6.3 ms, with 149, 0, 0, 128 and
-# 383 faults. Chunks of short bags (about 900 rows) stay in one block.
+# 2.3 MB. Over 500 such bags, in a process that trains between passes (2-vCPU
+# AMD EPYC, BLAS on one thread, the heap policy of _heap, medians of 28
+# interleaved passes), a pass in one block per chunk took 1.21 ms; in blocks
+# of at most 256, 512, 1024, 2048 and 4096 rows it took 1.56, 1.25, 1.14, 1.09
+# and 1.31 ms, none of them faulting. The blocks also bound the pass's memory.
+# Chunks of short bags (about 900 rows) are one block.
 PREDICT_BLOCK_ROWS = 1024
 
 # Smallest number of stacked cells (rows x width) per rank of the largest bag
@@ -120,30 +121,28 @@ def predict_dataset(model: ClassifierModel, ds: MIMLDataset):
 def _predict_chunk(model: ClassifierModel, batch: PackedBags):
     """classifier_forward's logits and probabilities, the instance net run a row block at a time.
 
-    A chunk of more than PREDICT_BLOCK_ROWS rows is split into blocks, each a
-    run of whole bags holding at most PREDICT_BLOCK_ROWS rows, or one larger
-    bag, and the head runs once over all the chunk's pooled rows. A chunk of
-    no more rows is one classifier_forward call: the block loop gives it the
-    same bytes, but in alternating benchmark pairs (2-vCPU Xeon, BLAS on one
-    thread) it read 1.7% and 2.9% lower predict_bags_per_s on the default and
-    many-labels-c workloads, whose chunks hold about 900 rows.
+    The chunk is split into blocks, each a run of whole bags holding at most
+    PREDICT_BLOCK_ROWS rows, or one larger bag, and the head runs once over
+    all the chunk's pooled rows. Both nets run forward only, so no layer's
+    activations outlive it. A chunk of at most PREDICT_BLOCK_ROWS rows is one
+    block, and its bytes are classifier_forward's.
     """
     X, counts, starts = batch.instances, batch.counts, batch.starts
-    if model.instance_net is None or len(X) <= PREDICT_BLOCK_ROWS:
-        return classifier_forward(model, batch)[:2]
     if X.shape[1] != model.feature_dim:
         raise ShapeError(f"bag feature dim {X.shape[1]} != model feature dim {model.feature_dim}")
     ends = starts + counts
-    pooled = np.empty((len(counts), model.instance_net.output_dim))
+    pooled = np.empty((len(counts), model.head.input_dim))
     lo = 0
     while lo < len(counts):
         first = starts[lo]
         hi = max(lo + 1, np.searchsorted(ends, first + PREDICT_BLOCK_ROWS, side="right"))
-        hidden = forward_batch(model.instance_net, X[first:ends[hi - 1]])[0]
+        hidden = X[first:ends[hi - 1]]
+        if model.instance_net is not None:
+            hidden = forward_batch(model.instance_net, hidden, grad=False)[0]
         pooled[lo:hi] = _max_pool(hidden, counts[lo:hi], starts[lo:hi] - first)
         del hidden  # before the next block's activations are allocated
         lo = hi
-    S = forward_batch(model.head, pooled)[0]
+    S = forward_batch(model.head, pooled, grad=False)[0]
     return S, sigmoid(S)
 
 

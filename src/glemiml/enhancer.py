@@ -129,13 +129,11 @@ def _graph_means(model: EnhancerModel, batch: PackedBags, buffers: GraphBuffers 
 
     One sigma-net pass over the stacked instances, then one batched graph
     build over the zero-padded (B, N, p) block of their embeddings, in
-    `buffers` when given. With grad=False the build is forward only, the
-    sigma net's activations are freed before it, and the cache is None.
+    `buffers` when given. With grad=False the sigma net and the build run
+    forward only, and the cache is None.
     """
     counts = batch.counts
-    E, sig_cache = forward_batch(model.sigma_net, batch.instances)
-    if not grad:
-        sig_cache = None
+    E, sig_cache = forward_batch(model.sigma_net, batch.instances, grad=grad)
     real = np.arange(counts.max()) < counts[:, None]
     E_pad = np.zeros(real.shape + (E.shape[1],))
     E_pad[real] = E
@@ -230,17 +228,22 @@ def _chunked_graph_means(model: EnhancerModel, batch: PackedBags, buffers: Graph
     return M2
 
 
-def _branch_logits(model: EnhancerModel, batch: PackedBags, M2: np.ndarray):
-    """Sum of the three branch nets per bag (B, t), with their caches.
+def _branch_logits(model: EnhancerModel, batch: PackedBags, M2: np.ndarray, grad: bool = True):
+    """Sum of the three branch nets per bag (B, t), o1 + o2 + o3, with their caches.
 
     The branches take the mean raw instance, the mean propagated embedding
-    M2 and the logical labels.
+    M2 and the logical labels. With grad=False the nets run forward only,
+    the sum accumulates in o1's array and the caches are None.
     """
     if batch.means is None:
         raise ShapeError("the enhancer needs bags packed with their bag features")
-    o1, c1 = forward_batch(model.omega1_net, batch.means)
-    o2, c2 = forward_batch(model.omega2_net, M2)
-    o3, c3 = forward_batch(model.omega3_net, batch.logical)
+    o1, c1 = forward_batch(model.omega1_net, batch.means, grad=grad)
+    o2, c2 = forward_batch(model.omega2_net, M2, grad=grad)
+    o3, c3 = forward_batch(model.omega3_net, batch.logical, grad=grad)
+    if not grad:
+        o1 += o2
+        o1 += o3
+        return o1, None
     return o1 + o2 + o3, (c1, c2, c3)
 
 
@@ -310,7 +313,7 @@ def enhancer_forward(model: EnhancerModel, batch: PackedBags, buffers: GraphBuff
             M2, graph_cache = _graph_means(model, batch, buffers, grad)
         else:
             M2 = _chunked_graph_means(model, batch, buffers)
-    base, net_caches = _branch_logits(model, batch, M2)
+    base, net_caches = _branch_logits(model, batch, M2, grad)
     out, refine_cache = _refine_forward(model, base, label_buffers, grad)
     if not grad:
         return out, None

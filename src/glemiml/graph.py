@@ -30,7 +30,9 @@ _DIST_BLOCK = 1 << 15
 # median of 137 minor faults and the predict passes after them 24, against 0
 # and 0 with this split (getrusage around each pass in a 40 s benchmark run),
 # and read default predict_bags_per_s -18% and enhance_bags_per_s -12%, 0 of
-# 10 pairs each.
+# 10 pairs each. Those faults were glibc's default heap thresholds returning
+# freed memory to the kernel; with the policy _heap sets at import, freed
+# memory stays in the heap, so that comparison is open again.
 _MAX_SPARSE_EDGES = 0.125
 
 # Smallest (sets x pairs) block on which mutual_knn_median finds the median
@@ -79,16 +81,16 @@ class GraphBuffers:
     """Scratch arrays that successive mutual_knn_median builds and backward passes reuse.
 
     One flat buffer per role, grown to the largest request seen; each request
-    gets a contiguous view of the buffer's front. Reusing them spares the
-    kernel from zeroing fresh pages for every (B, N, N) array of every batch.
-    A build's adjacency and cache live in these buffers, so they are valid
-    only until the next build with the same buffers, and two graphs that must
-    be alive at once (the instance and the label graph of one forward) must
-    not share them. The buffers also keep the GraphPlan of their last build
-    and the circulant gather index of their last distances. A holder also
-    keeps the child holders in which the other workers of a chunked
-    enhancer pass build their chunks (children), so a caller that reuses
-    the holder, such as training's epoch holder, reuses theirs too.
+    gets a contiguous view of the buffer's front, so successive builds
+    allocate no (B, N, N) array of their own. A build's adjacency and cache
+    live in these buffers, so they are valid only until the next build with
+    the same buffers, and two graphs that must be alive at once (the
+    instance and the label graph of one forward) must not share them. The
+    buffers also keep the GraphPlan of their last build and the circulant
+    gather index of their last distances. A holder also keeps the child
+    holders in which the other workers of a chunked enhancer pass build
+    their chunks (children), so a caller that reuses the holder, such as
+    training's epoch holder, reuses theirs too.
     """
 
     def __init__(self):

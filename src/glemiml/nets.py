@@ -22,8 +22,10 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = x - x.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def softmax_rows_backward(soft: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -31,13 +33,14 @@ def softmax_rows_backward(soft: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return soft * (grad - (grad * soft).sum(axis=1, keepdims=True))
 
 
-def _act(name: str, z: np.ndarray) -> np.ndarray:
+def _act(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The activation of z, written into `out` when given (identity returns z itself)."""
     if name == "identity":
         return z
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     raise ConfigError(f"unknown activation {name!r}")
 
 
@@ -111,11 +114,24 @@ def init_net(dims, activation: str, seed: int, output_activation: str = "identit
     return FeedForwardNet(layers=layers)
 
 
-def forward_batch(net: FeedForwardNet, x: np.ndarray):
-    """Batched forward pass. Returns (output (n, out), cache for backward)."""
+def forward_batch(net: FeedForwardNet, x: np.ndarray, grad: bool = True):
+    """Batched forward pass. Returns (output (n, out), cache for backward).
+
+    With grad=False the cache is None and each layer is computed in place in
+    one fresh array, z = a @ W.T; z += b; act(z, out=z): the same operations,
+    so the output is the same bit for bit, without keeping each layer's
+    pre-activations and outputs alive.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ShapeError(f"input shape {x.shape} incompatible with input_dim {net.input_dim}")
+    if not grad:
+        a = x
+        for layer in net.layers:
+            a = a @ layer.weights.T
+            a += layer.bias
+            _act(layer.activation, a, out=a)
+        return a, None
     cache = []
     a = x
     for layer in net.layers:

@@ -64,6 +64,26 @@ class TestForward:
         b = forward(net, x)
         assert (a == b).all()
 
+    @given(seed=st.integers(0, 2**32 - 1),
+           activations=st.lists(st.sampled_from(["identity", "relu", "tanh"]), min_size=1, max_size=3),
+           rows=st.one_of(st.integers(1, 40), st.integers(1, 3000)))
+    @settings(max_examples=60, deadline=None)
+    def test_forward_only_pass_is_bit_identical(self, seed, activations, rows):
+        """grad=False computes each layer in place, with the same operations."""
+        rng = np.random.default_rng(seed)
+        dims = rng.integers(1, 40, size=len(activations) + 1)
+        net = FeedForwardNet([
+            DenseLayer(rng.normal(size=(fan_out, fan_in)), rng.normal(size=fan_out), act)
+            for fan_in, fan_out, act in zip(dims, dims[1:], activations)
+        ])
+        x = rng.normal(scale=3.0, size=(rows, dims[0]))
+        before = x.copy()
+        out, cache = forward_batch(net, x, grad=False)
+        want = forward_batch(net, x)[0]
+        assert cache is None
+        assert out.shape == want.shape and out.tobytes() == want.tobytes()
+        assert x.tobytes() == before.tobytes()
+
 
 class TestBackward:
     def test_zero_upstream_zero_grads(self):
