@@ -19,7 +19,7 @@ import numpy as np
 from .atomic import atomic_open
 from .data import PackedBags, pack_bags
 from .errors import ConfigError, ShapeError
-from .graph import GraphBuffers, mutual_knn_median, mutual_knn_median_backward
+from .graph import mutual_knn_median, mutual_knn_median_backward
 from .nets import (
     CHECKPOINT_SCHEMA,
     FeedForwardNet,
@@ -123,21 +123,20 @@ def init_enhancer(feature_dim: int, label_count: int, embed_dim: int = 8,
     )
 
 
-def _graph_means(model: EnhancerModel, batch: PackedBags, buffers: GraphBuffers | None = None,
-                 grad: bool = True):
+def _graph_means(model: EnhancerModel, batch: PackedBags, grad: bool = True):
     """Mean graph-propagated embedding of each bag (B, p), plus the cache backprop needs.
 
     One sigma-net pass over the stacked instances, then one batched graph
-    build over the zero-padded (B, N, p) block of their embeddings, in
-    `buffers` when given. With grad=False the sigma net and the build run
-    forward only, and the cache is None.
+    build over the zero-padded (B, N, p) block of their embeddings. With
+    grad=False the sigma net and the build run forward only, and the cache
+    is None.
     """
     counts = batch.counts
     E, sig_cache = forward_batch(model.sigma_net, batch.instances, grad=grad)
     real = np.arange(counts.max()) < counts[:, None]
     E_pad = np.zeros(real.shape + (E.shape[1],))
     E_pad[real] = E
-    A, gcache = mutual_knn_median(E_pad, counts, model.instance_k, buffers, grad=grad)
+    A, gcache = mutual_knn_median(E_pad, counts, model.instance_k, grad=grad)
     M2 = (A @ E_pad).sum(axis=1) / counts[:, None]
     if not grad:
         return M2, None
@@ -150,14 +149,13 @@ def _graph_means_backward(model: EnhancerModel, cache, g_m2: np.ndarray):
     E_pad, A = cache["E_pad"], cache["A"]
     g_p = np.broadcast_to((g_m2 / cache["counts"][:, None])[:, None, :], E_pad.shape)
     g_e = A.transpose(0, 2, 1) @ g_p
-    g_a = np.matmul(g_p, E_pad.transpose(0, 2, 1),
-                    out=cache["gcache"]["buffers"].get("g_a", A.shape))
+    g_a = g_p @ E_pad.transpose(0, 2, 1)
     g_e += mutual_knn_median_backward(cache["gcache"], g_a)
     sg, _ = backward_batch(model.sigma_net, cache["sig_cache"], g_e[cache["real"]])
     return sg
 
 
-def _chunked_graph_means(model: EnhancerModel, batch: PackedBags, buffers: GraphBuffers | None):
+def _chunked_graph_means(model: EnhancerModel, batch: PackedBags):
     """Forward-only _graph_means of a batch built in chunks of at most GRAPH_CHUNK_CELLS // 2 cells.
 
     The bags are sorted by size and cut into chunks [lo, hi) that pad to
@@ -166,16 +164,10 @@ def _chunked_graph_means(model: EnhancerModel, batch: PackedBags, buffers: Graph
     that is a chunk of its own. The chunks, largest first, go each to the
     worker with fewer cells so far, of _graph_workers() workers: the calling
     thread and, for each other worker, a thread started for this pass and
-    joined before it returns. A worker builds its chunks largest first in
-    one holder, the calling thread in `buffers` (or a fresh one) and each
-    other worker in one of that holder's children, so a holder's (B, N, N)
-    graph arrays are sized by its first chunk and reused by the rest. The
-    distance scratch in its "remaining" array grows with a chunk's set
-    count as well, so a later chunk that pads to a larger N with fewer sets
-    can still grow it; that no later chunk reallocates a buffer is checked
-    only at the default GRAPH_CHUNK_CELLS. Each chunk writes its own rows
-    of the means, so the result does not depend on the worker count. An
-    exception in any worker is raised here once every worker has stopped.
+    joined before it returns. A worker builds its chunks largest first,
+    each in arrays of its own. Each chunk writes its own rows of the means,
+    so the result does not depend on the worker count. An exception in any
+    worker is raised here once every worker has stopped.
     """
     M2 = np.empty((len(batch), model.embed_dim))
     budget = GRAPH_CHUNK_CELLS // 2
@@ -198,28 +190,26 @@ def _chunked_graph_means(model: EnhancerModel, batch: PackedBags, buffers: Graph
         worker = loads.index(min(loads))
         shares[worker].append(idx)
         loads[worker] += cells
-    buffers = GraphBuffers() if buffers is None else buffers
-    holders = [buffers] + buffers.children(workers - 1)
     errors = []
 
-    def build(share, holder):
+    def build(share):
         for idx in share:
-            M2[idx] = _graph_means(model, batch.take(idx), holder, grad=False)[0]
+            M2[idx] = _graph_means(model, batch.take(idx), grad=False)[0]
 
-    def build_in_thread(share, holder):
+    def build_in_thread(share):
         try:
-            build(share, holder)
+            build(share)
         except BaseException as exc:  # raised on the calling thread after the join
             errors.append(exc)
 
     threads = []
     try:
-        for share, holder in zip(shares[1:], holders[1:]):
+        for share in shares[1:]:
             if share:
-                thread = threading.Thread(target=build_in_thread, args=(share, holder))
+                thread = threading.Thread(target=build_in_thread, args=(share,))
                 thread.start()
                 threads.append(thread)
-        build(shares[0], holders[0])
+        build(shares[0])
     finally:
         for thread in threads:
             thread.join()
@@ -254,18 +244,16 @@ def _row_normalize(adj: np.ndarray):
     return adj / scale[:, None], scale
 
 
-def _refine_forward(model: EnhancerModel, base_logits: np.ndarray,
-                    buffers: GraphBuffers | None = None, grad: bool = True):
-    """Label-graph refinement of base logits (B, t), its label graph built in
-    `buffers` when given; returns (EnhancedBatch, cache), the cache None with
-    grad=False."""
+def _refine_forward(model: EnhancerModel, base_logits: np.ndarray, grad: bool = True):
+    """Label-graph refinement of base logits (B, t); returns (EnhancedBatch,
+    cache), the cache None with grad=False."""
     if base_logits.ndim != 2 or base_logits.shape[0] < 1:
         raise ShapeError("batch logits must be a non-empty 2-D matrix")
     t = base_logits.shape[1]
     if t < 2:
         raise ConfigError("label-graph refinement needs label_count >= 2")
     d0 = softmax_rows(base_logits)
-    adj, lab_cache = mutual_knn_median(d0.T[None], [t], model.k_label, buffers, grad=grad)
+    adj, lab_cache = mutual_knn_median(d0.T[None], [t], model.k_label, grad=grad)
     adj = adj[0]
     adj_n, scale = _row_normalize(adj)
     refined = base_logits + base_logits @ adj_n.T
@@ -281,25 +269,17 @@ def _refine_forward(model: EnhancerModel, base_logits: np.ndarray,
     return batch, cache
 
 
-def enhancer_forward(model: EnhancerModel, batch: PackedBags, buffers: GraphBuffers | None = None,
-                     label_buffers: GraphBuffers | None = None, grad: bool = True):
+def enhancer_forward(model: EnhancerModel, batch: PackedBags, grad: bool = True):
     """Full forward over a batch packed with its bag features; returns (EnhancedBatch, cache).
 
-    The instance graph is built in `buffers` and the label graph in
-    `label_buffers` when given, so the cache is valid only until the next
-    forward with the same buffers. The two graphs never share buffers: the
-    label graph is built while the instance graph's cache is still needed.
-    The label graph spans the whole batch.
-
-    With grad=False both graphs are built forward only and the cache is
-    None; the outputs are the same bit for bit. A forward-only batch whose
-    (B, N, N) block holds more than GRAPH_CHUNK_CELLS cells has its instance
-    graphs built in size-sorted chunks of at most half that, on up to two
-    workers, each largest chunk first in its own holder: `buffers` (or a
-    fresh one) on the calling thread, one of its children on the other
-    (_chunked_graph_means). Any other batch takes one build on the calling
-    thread, and the branch nets and the label graph always run there, after
-    the workers are joined.
+    The label graph spans the whole batch. With grad=False both graphs are
+    built forward only and the cache is None; the outputs are the same bit
+    for bit. A forward-only batch whose (B, N, N) block holds more than
+    GRAPH_CHUNK_CELLS cells has its instance graphs built in size-sorted
+    chunks of at most half that, on up to two workers, each largest chunk
+    first (_chunked_graph_means). Any other batch takes one build on the
+    calling thread, and the branch nets and the label graph always run
+    there, after the workers are joined.
     """
     global _instance_graph_builds
     if not len(batch):
@@ -310,11 +290,11 @@ def enhancer_forward(model: EnhancerModel, batch: PackedBags, buffers: GraphBuff
     else:
         _instance_graph_builds += len(batch)
         if grad or len(batch) * int(batch.counts.max()) ** 2 <= GRAPH_CHUNK_CELLS:
-            M2, graph_cache = _graph_means(model, batch, buffers, grad)
+            M2, graph_cache = _graph_means(model, batch, grad)
         else:
-            M2 = _chunked_graph_means(model, batch, buffers)
+            M2 = _chunked_graph_means(model, batch)
     base, net_caches = _branch_logits(model, batch, M2, grad)
-    out, refine_cache = _refine_forward(model, base, label_buffers, grad)
+    out, refine_cache = _refine_forward(model, base, grad)
     if not grad:
         return out, None
     return out, {"graph": graph_cache, "nets": net_caches, "refine": refine_cache}

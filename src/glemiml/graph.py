@@ -6,7 +6,7 @@ graph, a batch of zero-padded point sets at a time.
 
 from __future__ import annotations
 
-import math
+import functools
 
 import numpy as np
 
@@ -19,21 +19,6 @@ WIDTH_FLOOR = 1e-8
 # 2^15 0.79 and 1.81 ms, 2^17 0.75 and 1.57 ms, 2^20 0.87 and 2.07 ms. 2^17
 # would put the forward-only label build's peak above 1 MB.
 _DIST_BLOCK = 1 << 15
-
-# Largest share of a build's cells that are mutual pairs for which
-# mutual_knn_median exponentiates only those pairs; above it, it
-# exponentiates every cell and masks, as small-bag and 6-label graphs do. Per
-# build, the two cost the same near 0.13 (32 sets of 10-14 points, k = 3:
-# 24.6 us each); at 0.03 (32 sets of 20-50 points) every cell takes 198 us
-# against 58 us. The pairs-only path allocates an index and two per-pair
-# arrays; taken by every build, it made warm default enhance passes take a
-# median of 137 minor faults and the predict passes after them 24, against 0
-# and 0 with this split (getrusage around each pass in a 40 s benchmark run),
-# and read default predict_bags_per_s -18% and enhance_bags_per_s -12%, 0 of
-# 10 pairs each. Those faults were glibc's default heap thresholds returning
-# freed memory to the kernel; with the policy _heap sets at import, freed
-# memory stays in the heap, so that comparison is open again.
-_MAX_SPARSE_EDGES = 0.125
 
 # Smallest (sets x pairs) block on which mutual_knn_median finds the median
 # pair(s) with np.sort instead of a stable argsort of every pair. Measured on
@@ -77,57 +62,22 @@ class GraphPlan:
         self.sets = np.arange(n_sets)[:, None]
 
 
-class GraphBuffers:
-    """Scratch arrays that successive mutual_knn_median builds and backward passes reuse.
+@functools.lru_cache(maxsize=2)
+def _plan(counts: bytes, n: int, k: int) -> GraphPlan:
+    """The GraphPlan of int64 set sizes `counts` (as bytes) at padded size n and k, memoised.
 
-    One flat buffer per role, grown to the largest request seen; each request
-    gets a contiguous view of the buffer's front, so successive builds
-    allocate no (B, N, N) array of their own. A build's adjacency and cache
-    live in these buffers, so they are valid only until the next build with
-    the same buffers, and two graphs that must be alive at once (the
-    instance and the label graph of one forward) must not share them. The
-    buffers also keep the GraphPlan of their last build and the circulant
-    gather index of their last distances. A holder also keeps the child
-    holders in which the other workers of a chunked enhancer pass build
-    their chunks (children), so a caller that reuses the holder, such as
-    training's epoch holder, reuses theirs too.
+    Two entries hold a training batch's instance plan and the label plan:
+    the batch's build, backward and forward-only rebuild share the one, and
+    every batch of a train() call the other. The arrays are read-only, since
+    every caller, and both workers of a chunked enhancer pass, share them.
     """
-
-    def __init__(self):
-        self._flat = {}
-        self._plan_key = None
-        self._plan = None
-        self._circulant_n = None
-        self._circulant = None
-        self._children = []
-
-    def children(self, count: int) -> list:
-        """The first `count` child holders, made on first request."""
-        while len(self._children) < count:
-            self._children.append(GraphBuffers())
-        return self._children[:count]
-
-    def get(self, role: str, shape) -> np.ndarray:
-        size = math.prod(shape)
-        flat = self._flat.get(role)
-        if flat is None or flat.size < size:
-            flat = self._flat[role] = np.empty(size)
-        return flat[:size].reshape(shape)
-
-    def circulant(self, n: int) -> np.ndarray:
-        """The (n * n,) gather index of pairwise_sq_dists for n points: the last one when n matches."""
-        if n != self._circulant_n:
-            self._circulant, self._circulant_n = _circulant_index(n), n
-        return self._circulant
-
-    def plan(self, counts: np.ndarray, n: int, k: int) -> GraphPlan:
-        """The plan for (counts, n, k): the last one when it matches, else a new one."""
-        key = (counts.tobytes(), n, k)
-        if key != self._plan_key:
-            self._plan, self._plan_key = GraphPlan(counts, n, k), key
-        return self._plan
+    plan = GraphPlan(np.frombuffer(counts, dtype=np.int64), n, k)
+    for array in vars(plan).values():
+        array.setflags(write=False)
+    return plan
 
 
+@functools.lru_cache(maxsize=2)
 def _circulant_index(n: int) -> np.ndarray:
     """Where each entry of an (n, n) distance matrix sits in a set's circulant sums.
 
@@ -142,10 +92,12 @@ def _circulant_index(n: int) -> np.ndarray:
     index = np.where(offset <= half, (offset - 1) * n + point[:, None],
                      (n - offset - 1) * n + point)
     index[offset == 0] = half * n
-    return index.reshape(-1)
+    index = index.reshape(-1)
+    index.setflags(write=False)  # memoised, so shared by every caller
+    return index
 
 
-def pairwise_sq_dists(points: np.ndarray, buffers: GraphBuffers) -> np.ndarray:
+def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
     """Squared distances between the rows of each (n, p) matrix of a (..., n, p) stack.
 
     Every stack takes one layout: instance sets of any size, and the label
@@ -158,8 +110,7 @@ def pairwise_sq_dists(points: np.ndarray, buffers: GraphBuffers) -> np.ndarray:
     bits, so every value equals the one a full (n, n) sum would give, and a
     set's distances do not depend on the padded n of the stack that holds
     it. One gather then writes each value to (i, j) and (j, i), and +0.0 to
-    the diagonal (GraphBuffers.circulant holds its index). The result is
-    written into `buffers`.
+    the diagonal (_circulant_index memoises its index).
 
     The work goes in steps of about _DIST_BLOCK elements of scratch: as many
     feature rows as fit, then as many sets as fit. Each feature row is first
@@ -171,24 +122,21 @@ def pairwise_sq_dists(points: np.ndarray, buffers: GraphBuffers) -> np.ndarray:
     summed on its own and then added, or a reduction along a contiguous
     axis, which NumPy sums pairwise, would round differently.)
 
-    The sums and the scratch live in the holder's "remaining" buffer, which
-    mutual_knn_median writes only once the distances are done: the sums take
-    about half a (sets, n, n) array, and a step at most about _DIST_BLOCK
-    elements (two feature rows of a set of 180 points or more take more).
+    Besides the result, the sums take about half a (sets, n, n) array, and a
+    step's scratch at most about _DIST_BLOCK elements (two feature rows of a
+    set of 180 points or more take more).
     """
     n, p = points.shape[-2:]
     cols = points.reshape((-1, n, p)).transpose(0, 2, 1)  # (sets, p, n)
     n_sets = cols.shape[0]
-    d2 = buffers.get("d2", (n_sets, n, n))
     half = n // 2  # partners per point
     cells = half * n  # one feature's differences
     per_row = cells + n + half  # and its wrapped points
     rows = min(max(2, _DIST_BLOCK // per_row), p)
     step = max(1, min(_DIST_BLOCK // (rows * per_row), n_sets))
-    flat = buffers.get("remaining", (n_sets * (cells + 1) + step * rows * per_row,))
-    sums = flat[:n_sets * (cells + 1)].reshape(n_sets, cells + 1)
+    sums = np.empty((n_sets, cells + 1))
     sums[:, cells] = 0.0  # the diagonal's value
-    scratch = flat[sums.size:]
+    scratch = np.empty(step * rows * per_row)
     for s in range(0, n_sets, step):
         k = min(step, n_sets - s)
         out = sums[s:s + k, :cells]
@@ -210,8 +158,7 @@ def pairwise_sq_dists(points: np.ndarray, buffers: GraphBuffers) -> np.ndarray:
                 block[:, 0] = out
             np.add.reduce(block, axis=1, out=out)
             lo, start = hi, 1
-    # mode="raise" would gather into a temporary (B, N, N) copy first
-    sums.take(buffers.circulant(n), axis=1, out=d2.reshape(n_sets, n * n), mode="clip")
+    d2 = sums.take(_circulant_index(n), axis=1)
     return d2.reshape(points.shape[:-1] + (n,))
 
 
@@ -261,50 +208,42 @@ def _ranked_pairs(vals: np.ndarray, plan: GraphPlan) -> np.ndarray:
     return pick
 
 
-def mutual_knn_median(points: np.ndarray, counts, k: int, buffers: GraphBuffers | None = None,
-                      grad: bool = True):
+def mutual_knn_median(points: np.ndarray, counts, k: int, grad: bool = True):
     """Median-width mutual-KNN adjacencies of a batch of point sets, plus a cache for backprop.
 
     `points` is a zero-padded (B, N, p) block: set b is its first counts[b]
     rows. Returns (adjacency (B, N, N), cache). Each set's adjacency is zero
     on padded rows and columns and is the one the set alone would get, bit
-    for bit while its points are finite. The width is the median of the set's squared pairwise distances, floored at
-    WIDTH_FLOOR. The Gaussian weights exp(-d2 / (2 w)) go on the mutual
-    pairs and +0.0 elsewhere. A build whose mutual pairs are at most
-    _MAX_SPARSE_EDGES of its cells exponentiates only them; a denser one
-    exponentiates every cell and masks. The two give the same bits wherever
-    the points are finite. Where a point is not finite (Bag rejects such
-    data, so only a diverging embedding makes one), its NaN distances, or a
-    NaN width, leave NaN off the mutual pairs in a dense build and +0.0 in a
-    sparse one. The cache records everything needed to push a gradient on the
-    adjacency entries back onto the points, including the dependence of each
-    width on its median pair(s). `k` must be at least 1; TrainConfig
-    and EnhancerModel check it where it enters.
+    for bit while its points are finite. The width is the median of the
+    set's squared pairwise distances, floored at WIDTH_FLOOR. The Gaussian
+    weights exp(-d2 / (2 w)) are computed on the mutual pairs alone, and
+    every other entry is +0.0. So where a point is not finite (Bag rejects
+    such data, so only a diverging embedding makes one), its NaN distances,
+    or a NaN width, reach the mutual pairs only. The cache records everything
+    needed to push a gradient on the adjacency entries back onto the points,
+    including the dependence of each width on its median pair(s). `k` must
+    be at least 1; TrainConfig and EnhancerModel check it where it enters.
 
-    The (B, N, N) float arrays of this build and of its backward pass are
-    views into `buffers` (a fresh GraphBuffers when None), which the cache
-    keeps. So the adjacency and the cache stay valid only until the next
-    build with the same buffers, and the build's GraphPlan is the buffers'
-    last one when (counts, N, k) match. With grad=False the build is forward
-    only: it reads the median from a sort of the pair values instead of
-    locating the median pair(s), writes the adjacency over the distances and
-    returns None for the cache; the adjacency is the same bit for bit.
+    Every array of a build and of its backward pass is allocated by that
+    call, apart from the read-only GraphPlan of (counts, N, k), which _plan
+    memoises. With grad=False the build is forward only: it reads the median
+    from a sort of the pair values instead of locating the median pair(s),
+    writes the adjacency over the distances and returns None for the cache;
+    the adjacency is the same bit for bit.
     """
     points = np.asarray(points, dtype=np.float64)
     counts = np.asarray(counts, dtype=np.int64)
-    buffers = GraphBuffers() if buffers is None else buffers
     n = points.shape[1]
     if n < 2:
-        cache = {"points": points, "buffers": buffers} if grad else None
+        cache = {"points": points} if grad else None
         return np.zeros((points.shape[0], n, n)), cache
-    plan = buffers.plan(counts, n, k)
-    d2 = pairwise_sq_dists(points, buffers)
-    remaining = buffers.get("remaining", d2.shape)
-    np.copyto(remaining, np.inf)
-    np.copyto(remaining, d2, where=plan.pairs)
+    plan = _plan(counts.tobytes(), n, k)
+    d2 = pairwise_sq_dists(points)
+    remaining = np.where(plan.pairs, d2, np.inf)
     # each set's pairs in np.triu_indices order, padded pairs +inf so they sort last
     vals = remaining.reshape(len(counts), -1)[:, plan.flat]
     mask = _mutual_mask(remaining, plan)
+    del remaining  # used up; freed before the weights are computed
 
     if grad:
         pick = _ranked_pairs(vals, plan)
@@ -315,23 +254,15 @@ def mutual_knn_median(points: np.ndarray, counts, k: int, buffers: GraphBuffers 
     med_raw = np.where(plan.has_pairs, 0.5 * (mid[:, 0] + mid[:, 1]), 1.0)
     width = np.maximum(med_raw, WIDTH_FLOOR)
 
-    # exp(-d2 / (2 w)) on mutual pairs, 0 elsewhere
-    adj = buffers.get("adj", d2.shape) if grad else d2
-    if np.count_nonzero(mask) > _MAX_SPARSE_EDGES * mask.size:
-        np.negative(d2, out=adj)
-        adj /= (2.0 * width)[:, None, None]
-        np.exp(adj, out=adj)
-        adj *= mask
-    else:
-        # the neighbour search is done with `remaining`, so the weights take its front
-        edges = mask.reshape(-1).nonzero()[0]
-        weights = remaining.reshape(-1)[:edges.size]
-        np.take(d2.reshape(-1), edges, out=weights, mode="clip")
-        np.negative(weights, out=weights)
-        weights /= (2.0 * width)[edges // (n * n)]
-        np.exp(weights, out=weights)
-        adj.fill(0.0)
-        adj.reshape(-1)[edges] = weights
+    # exp(-d2 / (2 w)) on mutual pairs, +0.0 elsewhere
+    edges = np.flatnonzero(mask)
+    weights = d2.reshape(-1)[edges]
+    np.negative(weights, out=weights)
+    weights /= (2.0 * width)[edges // (n * n)]
+    np.exp(weights, out=weights)
+    adj = np.empty_like(d2) if grad else d2
+    adj.fill(0.0)
+    adj.reshape(-1)[edges] = weights
     if not grad:
         return adj, None
     cache = {
@@ -339,7 +270,7 @@ def mutual_knn_median(points: np.ndarray, counts, k: int, buffers: GraphBuffers 
         "med_rows": plan.rows[pick], "med_cols": plan.cols[pick],
         # no width gradient reaches the middle pairs of a floored width
         "med_weights": plan.med_pattern * (med_raw >= WIDTH_FLOOR)[:, None],
-        "plan": plan, "buffers": buffers,
+        "plan": plan,
     }
     return adj, cache
 
@@ -355,14 +286,11 @@ def mutual_knn_median_backward(cache, grad_adj: np.ndarray) -> np.ndarray:
     if "d2" not in cache:
         return np.zeros_like(points)
     d2, mask, adj, width = cache["d2"], cache["mask"], cache["adj"], cache["width"]
-    buffers = cache["buffers"]
 
-    g_d2 = buffers.get("g_d2", d2.shape)
-    np.copyto(g_d2, 0.0)
-    np.copyto(g_d2, grad_adj, where=mask)
+    g_d2 = np.where(mask, grad_adj, 0.0)
     g_d2 *= adj
     # width dependence: da/dw = a * d2 / (2 w^2), routed to the median pair(s)
-    work = np.multiply(g_d2, d2, out=buffers.get("work", d2.shape))
+    work = g_d2 * d2
     g_width = work.sum(axis=(1, 2)) / (2.0 * width * width)
     # direct dependence: a = exp(-d2 / (2 w))  =>  da/dd2 = -a / (2 w)
     g_d2 *= -1.0 / (2.0 * width[:, None, None])

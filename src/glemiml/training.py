@@ -30,7 +30,6 @@ from .enhancer import (
     set_enhancer_params,
 )
 from .errors import ConfigError, DegenerateInputError, NumericError
-from .graph import GraphBuffers
 from .losses import (
     SIM_MODES,
     LossWeights,
@@ -141,16 +140,14 @@ def build_models(feature_dim: int, label_count: int, cfg: TrainConfig):
     return enh, clf
 
 
-def _enhancer_batch(enh, bags: PackedBags, clf_probs, cfg, buffers: GraphBuffers | None = None,
-                    label_buffers: GraphBuffers | None = None):
+def _enhancer_batch(enh, bags: PackedBags, clf_probs, cfg):
     """Forward + loss components + gradient on enhancer parameters.
 
-    `bags` is the mini-batch packed with its bag features; its instance graph
-    is built in `buffers` and its label graph in `label_buffers` when given.
+    `bags` is the mini-batch packed with its bag features.
     """
     w = cfg.loss_weights
     logical = bags.logical
-    batch, cache = enhancer_forward(enh, bags, buffers, label_buffers)
+    batch, cache = enhancer_forward(enh, bags)
     d, p_star = batch.distributions, batch.confidences
 
     l_cl, g_pstar = asymmetric_interaction_loss(clf_probs, p_star, logical,
@@ -202,16 +199,11 @@ def train(train_ds: MIMLDataset, val_ds: MIMLDataset | None, cfg: TrainConfig,
     history = TrainHistory()
     # every mini-batch is gathered from this one pack of the split
     packed = pack_bags(train_ds.bags, bag_features=True)
-    # every batch's label graph has the same shape, so one plan serves the call
-    label_buffers = GraphBuffers()
 
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(train_ds))
         sums = {k: 0.0 for k in LOSS_COLUMNS}
         n_batches = 0
-        # the epoch's instance graphs reuse these arrays; they are dropped
-        # before validation, so the process does not hold them between epochs
-        buffers = GraphBuffers()
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             if idx.size < 2:
@@ -221,14 +213,13 @@ def train(train_ds: MIMLDataset, val_ds: MIMLDataset | None, cfg: TrainConfig,
             # the enhancer step leaves the classifier unchanged, so its step
             # reuses this forward pass
             clf_out = classifier_forward(clf, bags)
-            _, enh_losses, enh_grad = _enhancer_batch(enh, bags, clf_out[1], cfg, buffers,
-                                                      label_buffers)
+            _, enh_losses, enh_grad = _enhancer_batch(enh, bags, clf_out[1], cfg)
             _check_finite(enh_losses, epoch, n_batches)
             enh_vec = enh_opt.step(enh_vec, enh_grad)
             set_enhancer_params(enh, enh_vec)
 
             # the classifier step needs no enhancer gradient: build forward only
-            fresh = enhancer_forward(enh, bags, buffers, label_buffers, grad=False)[0]
+            fresh = enhancer_forward(enh, bags, grad=False)[0]
             clf_losses, clf_grad = _classifier_batch(clf, clf_out, bags.logical,
                                                      fresh.distributions, cfg)
             _check_finite(clf_losses, epoch, n_batches)
@@ -238,7 +229,6 @@ def train(train_ds: MIMLDataset, val_ds: MIMLDataset | None, cfg: TrainConfig,
             for k, v in {**enh_losses, **clf_losses}.items():
                 sums[k] += v
             n_batches += 1
-        del buffers
 
         record = {"epoch": epoch}
         record.update({k: sums[k] / max(n_batches, 1) for k in LOSS_COLUMNS})

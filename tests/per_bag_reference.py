@@ -118,8 +118,8 @@ def mutual_knn_median_backward(cache, grad_adj):
 
 # ---------------------------------------- former steps of the batched graph
 # The batched builder in glemiml.graph computes these steps with sorted
-# values, preallocated buffers and in-place arithmetic; it must reproduce
-# them bit for bit.
+# values, a circulant pair layout and in-place arithmetic; it must
+# reproduce them bit for bit.
 
 def sq_dists_by_feature(points):
     """Squared distances of a (B, n, p) stack, one feature at a time with fresh temporaries."""

@@ -23,7 +23,6 @@ from glemiml.enhancer import (
     set_enhancer_params,
 )
 from glemiml.errors import ConfigError, DataFormatError, ShapeError
-from glemiml.graph import GraphBuffers
 from glemiml.nets import DenseLayer, FeedForwardNet, forward_batch
 from glemiml.training import TrainConfig, train
 
@@ -146,7 +145,7 @@ class TestRefine:
     def test_zero_adjacency_is_identity(self, model, monkeypatch):
         logits = np.random.default_rng(8).normal(size=(4, 3))
 
-        def fake(points, counts, k, buffers=None, grad=True):
+        def fake(points, counts, k, grad=True):
             n_sets, n, _ = points.shape
             return np.zeros((n_sets, n, n)), {"points": points} if grad else None
 
@@ -231,11 +230,11 @@ def test_graph_chunk_size_changes_no_bit(monkeypatch, seed):
             assert getattr(out[budget], name).tobytes() == getattr(out[default], name).tobytes()
 
 
-def by_holder(builds):
-    """The builds of a list of (holder, build) in the order each holder made them."""
+def by_thread(builds):
+    """The builds of a list of (thread, build) in the order each thread made them."""
     out = {}
-    for holder, build in builds:
-        out.setdefault(id(holder), []).append(build)
+    for thread, build in builds:
+        out.setdefault(thread, []).append(build)
     return list(out.values())
 
 
@@ -255,12 +254,13 @@ def test_graph_chunks_keep_the_cell_budget_and_change_no_bit(monkeypatch, instan
         bags.insert(7, make_bag(np.random.default_rng(5), oversized, ds.feature_dim,
                                 ds.label_count))
     model = init_enhancer(ds.feature_dim, ds.label_count, seed=3)
-    builds = []  # (holder, (bags, largest bag, smallest bag)) per build
+    builds = []  # (thread, (bags, largest bag, smallest bag)) per build
     real = enh_mod._graph_means
 
-    def recorded(model, batch, buffers=None, grad=True):
-        builds.append((buffers, (len(batch), int(batch.counts.max()), int(batch.counts.min()))))
-        return real(model, batch, buffers, grad)
+    def recorded(model, batch, grad=True):
+        builds.append((threading.current_thread(),
+                       (len(batch), int(batch.counts.max()), int(batch.counts.min()))))
+        return real(model, batch, grad)
 
     monkeypatch.setattr(enh_mod, "_graph_means", recorded)
     out = []
@@ -275,9 +275,9 @@ def test_graph_chunks_keep_the_cell_budget_and_change_no_bit(monkeypatch, instan
             chunks = [chunk for _, chunk in builds]
             assert sum(b for b, _, _ in chunks) == len(bags)
             if len(bags) * max(b.instances.shape[0] for b in bags) ** 2 <= budget:
-                assert len(chunks) == 1 and builds[0][0] is None
+                assert len(chunks) == 1 and builds[0][0] is threading.current_thread()
                 continue
-            shares = by_holder(builds)
+            shares = by_thread(builds)
             assert len(shares) == min(workers, len(chunks))
             loads = []
             for share in shares:
@@ -297,49 +297,38 @@ def test_graph_chunks_keep_the_cell_budget_and_change_no_bit(monkeypatch, instan
     assert all(o == out[0] for o in out)
 
 
-def test_chunked_pass_builds_in_one_workspace(monkeypatch):
-    """Each worker builds its chunks in one GraphBuffers, largest first: the
-    calling thread in the pass's holder and the other worker in that
-    holder's child. So a worker's first chunk sizes each of its holder's flat
-    buffers and no later chunk reallocates one. Checked at the default
-    budget, where a chunk's cells mostly outgrow the in-order distance
-    scratch; chunks of a few thousand cells need scratch that grows with
-    their set count, so a smaller chunk may need more."""
+def test_chunked_pass_builds_each_workers_chunks_largest_first(monkeypatch):
+    """Each worker, the calling thread and one thread started for the pass,
+    builds its chunks largest first, at the default budget, where the
+    chunks' cell order is not their bags' size order. The label graph is
+    built last, on the calling thread."""
     ds, _ = generate_synthetic(SyntheticConfig(num_bags=300, instances_min=20, instances_max=50,
                                                seed=4))
     model = init_enhancer(ds.feature_dim, ds.label_count, seed=3)
     monkeypatch.setattr(enh_mod, "_graph_workers", lambda: 2)
-    builds = []  # (holder, (cells, sets, the holder's flat buffers after the build, thread))
+    builds = []  # (thread, (cells, sets)) per build
     real = enh_mod.mutual_knn_median
 
-    def recorded(points, counts, k, buffers=None, grad=True):
-        out = real(points, counts, k, buffers, grad=grad)
-        builds.append((buffers, (points.shape[0] * points.shape[1] ** 2, len(points),
-                                 dict(buffers._flat) if buffers else None,
-                                 threading.current_thread())))
-        return out
+    def recorded(points, counts, k, grad=True):
+        builds.append((threading.current_thread(), (points.shape[0] * points.shape[1] ** 2,
+                                                    len(points))))
+        return real(points, counts, k, grad=grad)
 
     monkeypatch.setattr(enh_mod, "mutual_knn_median", recorded)
     enhance_batch(model, ds.bags)
     # the last build is the label graph's, on the calling thread after the join
-    assert builds[-1][1][3] is threading.current_thread()
+    assert builds[-1][0] is threading.current_thread()
     instance = builds[:-1]
-    assert len(instance) > 3 and sum(sets for _, (_, sets, _, _) in instance) == len(ds)
-    holders = {thread: holder for holder, (_, _, _, thread) in instance}
-    assert len(holders) == 2 and len({id(h) for h in holders.values()}) == 2
-    caller = holders.pop(threading.current_thread())
-    assert caller is not None and list(holders.values()) == caller.children(1)
+    assert len(instance) > 3 and sum(sets for _, (_, sets) in instance) == len(ds)
+    threads = {thread for thread, _ in instance}
+    assert len(threads) == 2 and threading.current_thread() in threads
     # the chunks' cell order is not their bags' size order
-    by_cells = sorted((cells, round((cells / sets) ** 0.5)) for _, (cells, sets, _, _) in instance)
+    by_cells = sorted((cells, round((cells / sets) ** 0.5)) for _, (cells, sets) in instance)
     sizes = [n for _, n in by_cells]
     assert sizes != sorted(sizes) and sizes != sorted(sizes, reverse=True)
-    for share in by_holder(instance):
-        cells = [c for c, _, _, _ in share]
+    for share in by_thread(instance):
+        cells = [c for c, _ in share]
         assert cells == sorted(cells, reverse=True)
-        first = share[0][2]
-        for _, _, flat, _ in share[1:]:
-            assert flat.keys() == first.keys()
-            assert all(flat[role] is first[role] for role in first)
 
 
 class TimedThread(threading.Thread):
@@ -405,10 +394,10 @@ def test_worker_failure_is_raised_after_the_join(monkeypatch, timed_threads, fai
     caller = threading.current_thread()
     real = enh_mod._graph_means
 
-    def failing_chunk(model, batch, buffers=None, grad=True):
+    def failing_chunk(model, batch, grad=True):
         if (threading.current_thread() is caller) == (failing == "calling"):
             raise ShapeError("a chunk failed")
-        return real(model, batch, buffers, grad)
+        return real(model, batch, grad)
 
     monkeypatch.setattr(enh_mod, "_graph_means", failing_chunk)
     active = threading.active_count()
@@ -436,7 +425,8 @@ def test_wide_bag_pass_memory_stays_bounded():
     benchmark set (seed 5) peaked at 6.62 MB when each of its seven chunks
     took a fresh GraphBuffers and the sigma net's cache lived through each
     build, and at 5.47 MB with one holder per pass, largest chunk first, and
-    the cache freed."""
+    the cache freed. With each build allocating its own arrays it peaks at
+    4.5-5.4 MB on two workers, as their builds happen to overlap."""
     ds, _ = generate_synthetic(SyntheticConfig(instances_min=20, instances_max=50, seed=5))
     model = init_enhancer(ds.feature_dim, ds.label_count, seed=5)
     enhance_batch(model, ds.bags)
@@ -511,7 +501,9 @@ class TestForwardOnlyCounts:
         """A batch's enhancer-step build, its backward and its forward-only
         rebuild share one instance-graph plan, and the label graphs of a
         train() call share one. A rebuild through the size-sorted chunks
-        would gather the bags in another order and make plans of its own."""
+        would gather the bags in another order and make plans of its own.
+        The plan memo is emptied first, as a new process starts it."""
+        graph_mod._plan.cache_clear()
         ds, _ = generate_synthetic(SyntheticConfig(num_bags=40, feature_dim=4, label_count=3,
                                                    instances_min=2, instances_max=9, seed=3))
         plans = []
@@ -535,8 +527,8 @@ class TestForwardOnlyCounts:
         assert all(a != b for a, b in zip(instance_plans, instance_plans[1:]))
 
 
-class TestGraphBuffers:
-    """Instance graphs built in reused buffers, as train() builds them within an epoch."""
+class TestTrainingSteps:
+    """Enhancer steps as train() runs them, one batch after another."""
 
     @staticmethod
     def wide_setup(seed=4):
@@ -547,55 +539,57 @@ class TestGraphBuffers:
         return model, pack_bags(ds.bags, bag_features=True)
 
     @staticmethod
-    def step(model, batch, upstream, buffers, label_buffers):
+    def step(model, batch, upstream):
         """A training step's enhancer work: forward, backward, then the
         forward-only pass that train() runs for the classifier step.
         Returns the gradient and both forwards' outputs."""
-        out, cache = enhancer_forward(model, batch, buffers, label_buffers)
+        out, cache = enhancer_forward(model, batch)
         grad = enhancer_backward(model, cache, upstream)
         del cache
-        again, no_cache = enhancer_forward(model, batch, buffers, label_buffers, grad=False)
+        again, no_cache = enhancer_forward(model, batch, grad=False)
         assert no_cache is None
         return [grad] + [getattr(b, name) for b in (out, again)
                          for name in ("logits", "distributions", "confidences")]
 
-    def test_shared_buffers_change_no_bit(self):
+    def test_steps_through_the_memo_change_no_bit(self):
+        """Successive steps, which take their plans and gather indices from the
+        memo, give the bytes of a cold step, one made with the memo empty."""
         model, packed = self.wide_setup()
-        # the second batch is smaller and its bags shorter, so it gets smaller
-        # views of buffers that still hold the first batch's values and plan
+        # the second batch is smaller and its bags shorter
         batches = [packed.take(np.arange(32)), packed.take(np.argsort(packed.counts)[:20])]
-        buffers, label_buffers = GraphBuffers(), GraphBuffers()
-        for i, batch in enumerate(batches):
-            upstream = np.random.default_rng(i).normal(size=(len(batch), model.label_count))
-            shared = self.step(model, batch, upstream, buffers, label_buffers)
-            fresh = self.step(model, batch, upstream, None, None)
-            assert [a.tobytes() for a in shared] == [b.tobytes() for b in fresh]
+        upstreams = [np.random.default_rng(i).normal(size=(len(batch), model.label_count))
+                     for i, batch in enumerate(batches)]
+        cold = []
+        for batch, upstream in zip(batches, upstreams):
+            graph_mod._plan.cache_clear()
+            graph_mod._circulant_index.cache_clear()
+            cold.append([a.tobytes() for a in self.step(model, batch, upstream)])
+        for i in (0, 1, 0, 1):
+            warm = self.step(model, batches[i], upstreams[i])
+            assert [a.tobytes() for a in warm] == cold[i]
             # at unchanged parameters the forward-only pass repeats the first
-            assert [a.tobytes() for a in shared[1:4]] == [a.tobytes() for a in shared[4:]]
+            assert [a.tobytes() for a in warm[1:4]] == [a.tobytes() for a in warm[4:]]
 
-    def test_warm_buffers_allocate_no_graph_arrays(self):
-        """With fresh arrays the step peaked at 6.6 (B, N, N) float arrays, with
-        warm buffers at 2.0 in the sigma net's backward. That backward now takes
-        tanh's derivative from the cached activations, and the step peaks at
-        1.82, in the first forward's graph build: the sorted copy of the
-        (B, N(N-1)/2) pair values that locates the median pairs, held with the
-        distance and neighbour buffers, the bool neighbour mask and the
-        sigma-net caches."""
+    def test_step_peak_stays_below_seven_graph_arrays(self):
+        """A step measured from a state that holds no graph arrays peaks at
+        6.57 (B, N, N) float arrays, in the instance graph's backward. When
+        graph builds took their arrays from holders that lived all epoch, the
+        same measurement read 8.0: the holders kept about six arrays alive
+        between steps."""
         model, packed = self.wide_setup()
         batch = packed.take(np.arange(32))
         upstream = np.random.default_rng(0).normal(size=(32, model.label_count))
-        buffers, label_buffers = GraphBuffers(), GraphBuffers()
-        self.step(model, batch, upstream, buffers, label_buffers)
+        self.step(model, batch, upstream)  # puts the step's plans in the memo
         graph_array = 8 * len(batch) * int(batch.counts.max()) ** 2
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            self.step(model, batch, upstream, buffers, label_buffers)
+            self.step(model, batch, upstream)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 2.0 * graph_array
+        assert peak < 7.0 * graph_array
 
 
 class TestGradients:

@@ -9,10 +9,10 @@ from glemiml.data import Bag, pack_bags
 from glemiml.enhancer import EnhancerModel, _graph_means
 from glemiml.errors import ShapeError
 from glemiml.graph import (
-    _MAX_SPARSE_EDGES,
     _SORTED_MEDIAN_MIN_PAIRS,
-    GraphBuffers,
     GraphPlan,
+    _circulant_index,
+    _plan,
     _ranked_pairs,
     mutual_knn_median,
     mutual_knn_median_backward,
@@ -300,20 +300,19 @@ class TestPlansAndForwardOnly:
         upstream = rng.normal(size=cold.shape)
         cold_grad = mutual_knn_median_backward(cold_cache, upstream)
 
-        # another block first leaves other values and another plan in the buffers
-        buffers = GraphBuffers()
+        # another block first puts another plan in the memo
         other = draw_counts()
-        mutual_knn_median(ragged_block(rng, other, p, ties), other, k, buffers)
-        mutual_knn_median(points, counts, k, buffers)
-        plan = buffers.plan(counts, n, k)
-        warm, warm_cache = mutual_knn_median(points, counts, k, buffers)
+        mutual_knn_median(ragged_block(rng, other, p, ties), other, k)
+        mutual_knn_median(points, counts, k)
+        plan = _plan(counts.astype(np.int64).tobytes(), n, k)
+        warm, warm_cache = mutual_knn_median(points, counts, k)
         assert warm_cache["plan"] is plan
         assert warm.tobytes() == cold.tobytes()
         for key in CACHE_ARRAYS:
             assert warm_cache[key].tobytes() == cold_cache[key].tobytes(), key
         assert mutual_knn_median_backward(warm_cache, upstream).tobytes() == cold_grad.tobytes()
-        # the forward-only build in the same buffers, as train()'s second pass runs it
-        forward_only = mutual_knn_median(points, counts, k, buffers, grad=False)[0]
+        # the forward-only build on the memo's plan, as train()'s second pass runs it
+        forward_only = mutual_knn_median(points, counts, k, grad=False)[0]
         assert forward_only.tobytes() == cold.tobytes()
 
 
@@ -361,18 +360,17 @@ class TestInOrderDistances:
         points, 8 features: three sets, so seven end part-way through a
         step) or split one set's features (91 points: a block of seven
         feature rows, then the running sum and the eighth), and a set may
-        have one feature and two points. A larger stack first leaves stale
-        values, and another n's gather index, in the buffers."""
+        have one feature and two points. Another stack first puts another n's
+        gather index in the memo."""
         p = features if feature_major else 1 + (features - 1) % (2 * n)
         rng = np.random.default_rng(seed)
         values = rng.normal(size=(p, n) if feature_major else (sets, n, p))
         if rounded:
             values = np.round(values, 1)
         points = values.T[None] if feature_major else values
-        buffers = GraphBuffers()
-        if buffered:  # a larger stack first leaves stale values in longer buffers
-            pairwise_sq_dists(rng.normal(size=(sets + 2, n + 3, 2)), buffers)
-        d2 = pairwise_sq_dists(points, buffers)
+        if buffered:  # another stack first
+            pairwise_sq_dists(rng.normal(size=(sets + 2, n + 3, 2)))
+        d2 = pairwise_sq_dists(points)
         assert d2.shape == points.shape[:-1] + (n,)
         assert d2.tobytes() == sq_dists_by_feature(points).tobytes()
         diagonal = np.diagonal(d2, axis1=-2, axis2=-1)
@@ -398,11 +396,9 @@ class TestLabelLayoutDistances:
         # more bags than labels, the label graph's usual shape
         bags = labels + extra
         points = label_points(np.random.default_rng(seed), bags, labels, rounded, tied)
-        buffers = GraphBuffers()
-        if buffered:
-            pairwise_sq_dists(label_points(np.random.default_rng(seed + 1), bags + 7, labels),
-                              buffers)
-        d2 = pairwise_sq_dists(points, buffers)
+        if buffered:  # another stack first
+            pairwise_sq_dists(label_points(np.random.default_rng(seed + 1), bags + 7, labels))
+        d2 = pairwise_sq_dists(points)
         assert d2.shape == (1, labels, labels)
         assert d2.tobytes() == strided_sq_dists(points).tobytes()
 
@@ -441,9 +437,10 @@ class TestMutualPairWeights:
     @example(seed=2, p=8, k=3, ties="none", counts=[45, 1, 2, 3, 45, 30, 45, 40], data=None)
     def test_equals_the_masked_full_exp_bit_for_bit(self, seed, p, k, ties, counts, data):
         """Random sets, coincident points (d2 = 0 and floored widths), sets
-        of 1-3 points padded in a batch, and blocks on both sides of
-        _SORTED_MEDIAN_MIN_PAIRS and of _MAX_SPARSE_EDGES, with grad=True
-        and grad=False."""
+        of 1-3 points padded in a batch, blocks on both sides of
+        _SORTED_MEDIAN_MIN_PAIRS, and mutual pairs that take most cells
+        (few points, large k) or few of them, with grad=True and
+        grad=False."""
         counts = np.array(counts)
         points = ragged_block(np.random.default_rng(seed), counts, p, ties)
         adj, cache = mutual_knn_median(points, counts, k)
@@ -466,26 +463,62 @@ class TestMutualPairWeights:
         np.testing.assert_array_equal(adj[0], 1.0 - np.eye(3))
         assert not adj[1].any()
 
-    def test_non_finite_point_leaves_zeros_off_sparse_mutual_pairs(self):
-        """A NaN coordinate makes its point's distances NaN, its own on the
-        diagonal too, and enough NaN points make the width NaN. The mutual
-        pairs hold the full formula's weights, NaN included. Where they are
-        at most _MAX_SPARSE_EDGES of the cells (40 points, k = 2), every
-        other entry is +0.0, where the masked full exp left NaN."""
-        points = np.random.default_rng(11).normal(size=(3, 40, 3))
-        points[0, 2, 1] = np.nan  # one point: the width stays finite
-        points[1, :30, 0] = np.nan  # most points: the median pair is NaN
-        cache = mutual_knn_median(points, [40, 40, 40], 2)[1]
+    @staticmethod
+    def check_non_finite(points, k):
+        """The adjacency of a block holding NaN points: the full formula's
+        weights on the mutual pairs, NaN included, and +0.0 everywhere else,
+        where the masked full exp leaves NaN. Returns the mask."""
+        counts = [points.shape[1]] * len(points)
+        cache = mutual_knn_median(points, counts, k)[1]
         mask = cache["mask"]
-        assert np.count_nonzero(mask) <= _MAX_SPARSE_EDGES * mask.size
-        assert np.isfinite(cache["width"][[0, 2]]).all() and np.isnan(cache["width"][1])
         with np.errstate(invalid="ignore"):
             full = np.exp(-cache["d2"] / (2 * cache["width"][:, None, None]))
         assert np.isnan(full[~mask]).any()
         for grad in (True, False):
-            adj = mutual_knn_median(points, [40, 40, 40], 2, grad=grad)[0]
+            adj = mutual_knn_median(points, counts, k, grad=grad)[0]
             assert adj[mask].tobytes() == full[mask].tobytes()
             assert adj[~mask].tobytes() == np.zeros(np.count_nonzero(~mask)).tobytes()
+        return cache
+
+    def test_non_finite_point_leaves_zeros_off_sparse_mutual_pairs(self):
+        """A NaN coordinate makes its point's distances NaN, its own on the
+        diagonal too, and enough NaN points make the width NaN. Here the
+        mutual pairs are a small share of the cells (40 points, k = 2)."""
+        points = np.random.default_rng(11).normal(size=(3, 40, 3))
+        points[0, 2, 1] = np.nan  # one point: the width stays finite
+        points[1, :30, 0] = np.nan  # most points: the median pair is NaN
+        cache = self.check_non_finite(points, 2)
+        assert np.count_nonzero(cache["mask"]) <= cache["mask"].size // 8
+        assert np.isfinite(cache["width"][[0, 2]]).all() and np.isnan(cache["width"][1])
+
+    def test_non_finite_point_leaves_zeros_off_dense_mutual_pairs(self):
+        """The same where mutual pairs take most cells (5 points, k = 4: every
+        pair of a finite set), so that only the diagonal and a NaN width's
+        set lie off them. A build whose mutual pairs took more than an eighth
+        of its cells used to exponentiate every cell and leave NaN there."""
+        points = np.random.default_rng(12).normal(size=(3, 5, 3))
+        points[0, 2, 1] = np.nan  # one point: the width stays finite
+        points[1, :4, 0] = np.nan  # most points: the median pair is NaN
+        cache = self.check_non_finite(points, 4)
+        assert np.count_nonzero(cache["mask"]) > cache["mask"].size // 8
+        assert np.isfinite(cache["width"][[0, 2]]).all() and np.isnan(cache["width"][1])
+
+
+def test_memoised_plans_and_gather_indices_are_shared_and_read_only():
+    """Builds of the same (counts, N, k), and both workers of a chunked
+    enhancer pass, share one GraphPlan, and stacks of the same n one gather
+    index, so writing into either raises."""
+    counts = np.array([4, 2, 3])
+    points = np.random.default_rng(0).normal(size=(3, 4, 2))
+    plan = mutual_knn_median(points, counts, 2)[1]["plan"]
+    assert plan is _plan(counts.tobytes(), 4, 2)
+    for name, array in vars(plan).items():
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = array
+    index = _circulant_index(4)
+    assert index is _circulant_index(4)
+    with pytest.raises(ValueError, match="read-only"):
+        index[0] = 0
 
 
 class TestRankedPairs:
