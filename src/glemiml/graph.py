@@ -13,11 +13,13 @@ import numpy as np
 WIDTH_FLOOR = 1e-8
 
 # About the elements of scratch one step of pairwise_sq_dists takes (256 KiB).
-# On a 32-set stack of 20-50 points with 8 features and on the 30-label graph of
-# 2,000 bags (2-vCPU Xeon, 48 KiB L1d and 2 MiB L2 per core, NumPy 2.4, min of
-# 5 interleaved rounds), 2^12 took 1.70 and 3.43 ms, 2^14 0.90 and 2.06 ms,
-# 2^15 0.79 and 1.81 ms, 2^17 0.75 and 1.57 ms, 2^20 0.87 and 2.07 ms. 2^17
-# would put the forward-only label build's peak above 1 MB.
+# With each step's sets innermost, on a 32-set stack of 20-50 points with 8
+# features, the 30-label graph of 2,000 bags and 500 sets of 2-5 points
+# (2-vCPU Xeon, 48 KiB L1d and 2 MiB L2 per core, NumPy 2.4, min of 15
+# interleaved rounds), 2^12 took 1.63, 3.22 and 0.222 ms, 2^14 0.83, 1.61 and
+# 0.132 ms, 2^15 0.67, 1.52 and 0.115 ms, 2^16 0.62, 1.45 and 0.104 ms, 2^17
+# 0.59, 1.38 and 0.096 ms. 2^16 puts the forward-only label build's peak at
+# 0.67 MB, above the 0.5 MB a test allows it.
 _DIST_BLOCK = 1 << 15
 
 # Smallest (sets x pairs) block on which mutual_knn_median finds the median
@@ -105,60 +107,74 @@ def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
     bags). Each unordered pair is computed once, in a circulant layout: for
     offsets d = 1..n//2, row d - 1 of a set's (n//2, n) sums holds the
     distance from point i to point (i + d) mod n. (At d = n/2, n even, each
-    pair appears twice.) A pair's squared differences are added one feature
-    at a time, in feature order, and (a - b)^2 and (b - a)^2 are the same
-    bits, so every value equals the one a full (n, n) sum would give, and a
-    set's distances do not depend on the padded n of the stack that holds
-    it. One gather then writes each value to (i, j) and (j, i), and +0.0 to
-    the diagonal (_circulant_index memoises its index).
+    pair appears twice.)
 
     The work goes in steps of about _DIST_BLOCK elements of scratch: as many
-    feature rows as fit, then as many sets as fit. Each feature row is first
-    copied, contiguous, with its first n//2 points appended, so that one
-    strided window over the copy holds every offset's partner points with a
-    contiguous inner axis. A C-ordered (sets, rows, n//2, n) block then takes
-    the squared differences; its row 0 holds each set's running sum, and
-    np.add.reduce over axis 1 adds the rows in order into the sum. (A block
-    summed on its own and then added, or a reduction along a contiguous
-    axis, which NumPy sums pairwise, would round differently.)
+    feature rows as fit, then as many sets as fit, and a step's sets lie
+    innermost. Its feature rows are copied into a C-ordered (rows, n + n//2,
+    sets) block, each with its first n//2 points appended, so that one
+    strided window over the copy holds every offset's partner points. The
+    squared differences fill a C-ordered (rows, n//2, n, sets) block, so for
+    one feature and offset a step's points x sets are one contiguous run
+    (1,200 values in a step of 240 sets of five points, where a layout with
+    the sets outermost runs over five at a time). Row 0 of the block holds
+    the running sum, and np.add.reduce over axis 0, the outermost, adds the
+    rows in order into the step's (n//2 * n + 1, sets) sums, whose last row
+    is the diagonal's +0.0. One gather per step, through the index that
+    _circulant_index memoises, then writes each value to (i, j) and (j, i)
+    of the step's sets. A one-set step, such as every label graph's, has a
+    unit sets axis: it reduces straight into its sums and gathers them
+    without a copy. A step of several sets gathers through one transposed
+    copy of its sums.
 
-    Besides the result, the sums take about half a (sets, n, n) array, and a
-    step's scratch at most about _DIST_BLOCK elements (two feature rows of a
-    set of 180 points or more take more).
+    So each pair's squared differences are added one feature at a time, in
+    feature order, and (a - b)^2 and (b - a)^2 are the same bits: every
+    value equals the one a full (n, n) sum would give, whatever the padded n
+    of the stack and whichever sets share the step. (A block summed on its
+    own and then added, or a reduction along a contiguous axis, which NumPy
+    sums pairwise, would round differently.)
+
+    Besides the result, a call holds one step's scratch, at most about
+    _DIST_BLOCK elements (two feature rows of a set of 180 points or more
+    take more), and its sums.
     """
     n, p = points.shape[-2:]
-    cols = points.reshape((-1, n, p)).transpose(0, 2, 1)  # (sets, p, n)
-    n_sets = cols.shape[0]
+    cols = points.reshape((-1, n, p)).transpose(2, 1, 0)  # (p, n, sets)
+    n_sets = cols.shape[2]
     half = n // 2  # partners per point
     cells = half * n  # one feature's differences
     per_row = cells + n + half  # and its wrapped points
     rows = min(max(2, _DIST_BLOCK // per_row), p)
     step = max(1, min(_DIST_BLOCK // (rows * per_row), n_sets))
-    sums = np.empty((n_sets, cells + 1))
-    sums[:, cells] = 0.0  # the diagonal's value
-    scratch = np.empty(step * rows * per_row)
+    work = step * rows * per_row
+    scratch = np.empty(work + step * (cells + 1))
+    index = _circulant_index(n)
+    d2 = np.empty((n_sets, n * n))
     for s in range(0, n_sets, step):
         k = min(step, n_sets - s)
-        out = sums[s:s + k, :cells]
+        sums = scratch[work:work + (cells + 1) * k].reshape(cells + 1, k)
+        sums[cells] = 0.0  # the diagonal's value
+        out = sums[:cells].reshape(half, n, k)
         lo, start = 0, 0  # the first block has no running sum yet
         while lo < p:
             hi = min(p, lo + rows - start)
-            ext = scratch[:k * (hi - lo) * (n + half)].reshape(k, hi - lo, n + half)
-            ext[..., :n] = cols[s:s + k, lo:hi]
-            ext[..., n:] = ext[..., :half]
-            # partners[s, f, d - 1, i] = ext[s, f, i + d]
-            partners = np.ndarray((k, hi - lo, half, n), ext.dtype, ext, ext.itemsize,
-                                  ext.strides[:2] + (ext.itemsize, ext.itemsize))
-            block = scratch[ext.size:ext.size + k * (start + hi - lo) * cells]
-            sq = block.reshape(k, start + hi - lo, half, n)[:, start:]
-            np.subtract(partners, ext[..., None, :n], out=sq)
+            ext = scratch[:(hi - lo) * (n + half) * k].reshape(hi - lo, n + half, k)
+            ext[:, :n] = cols[lo:hi, :, s:s + k]
+            ext[:, n:] = ext[:, :half]
+            # partners[f, d - 1, i, j] = ext[f, i + d, j]
+            partners = np.ndarray((hi - lo, half, n, k), ext.dtype, ext, ext.strides[1],
+                                  ext.strides[:2] + ext.strides[1:])
+            block = scratch[ext.size:ext.size + (start + hi - lo) * cells * k]
+            block = block.reshape(start + hi - lo, half, n, k)
+            sq = block[start:]
+            np.subtract(partners, ext[:, None, :n], out=sq)
             np.multiply(sq, sq, out=sq)
-            block = block.reshape(k, start + hi - lo, cells)
             if start:
-                block[:, 0] = out
-            np.add.reduce(block, axis=1, out=out)
+                block[0] = out
+            np.add.reduce(block, axis=0, out=out)
             lo, start = hi, 1
-    d2 = sums.take(_circulant_index(n), axis=1)
+        # the index is in range; mode "clip" lets take write into d2 unbuffered
+        sums.T.take(index, axis=1, out=d2[s:s + k], mode="clip")
     return d2.reshape(points.shape[:-1] + (n,))
 
 

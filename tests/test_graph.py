@@ -331,22 +331,43 @@ class TestInOrderDistances:
 
     @given(seed=st.integers(0, 2**32 - 1), sets=st.integers(1, 24), n=st.integers(2, 100),
            features=st.integers(1, 130), feature_major=st.booleans(), rounded=st.booleans(),
-           buffered=st.booleans())
+           buffered=st.booleans(), padded=st.booleans())
     @settings(max_examples=80, deadline=None)
-    @example(seed=1, sets=7, n=30, features=8, feature_major=False, rounded=False, buffered=True)
-    @example(seed=2, sets=3, n=91, features=8, feature_major=False, rounded=True, buffered=False)
-    @example(seed=3, sets=1, n=2, features=1, feature_major=False, rounded=False, buffered=True)
-    @example(seed=4, sets=1, n=30, features=2000, feature_major=True, rounded=True, buffered=True)
-    @example(seed=5, sets=1, n=2, features=2100, feature_major=True, rounded=True, buffered=True)
-    @example(seed=6, sets=1, n=3, features=1000, feature_major=True, rounded=True, buffered=True)
-    @example(seed=7, sets=1, n=4, features=600, feature_major=True, rounded=True, buffered=False)
-    @example(seed=8, sets=7, n=50, features=8, feature_major=False, rounded=False, buffered=True)
-    @example(seed=9, sets=1, n=6, features=32, feature_major=True, rounded=False, buffered=True)
-    @example(seed=10, sets=24, n=5, features=3, feature_major=False, rounded=True, buffered=True)
-    @example(seed=11, sets=24, n=5, features=8, feature_major=False, rounded=False, buffered=True)
-    @example(seed=12, sets=5, n=2, features=4, feature_major=False, rounded=True, buffered=False)
+    @example(seed=1, sets=7, n=30, features=8, feature_major=False, rounded=False,
+             buffered=True, padded=False)
+    @example(seed=2, sets=3, n=91, features=8, feature_major=False, rounded=True,
+             buffered=False, padded=False)
+    @example(seed=3, sets=1, n=2, features=1, feature_major=False, rounded=False,
+             buffered=True, padded=False)
+    @example(seed=4, sets=1, n=30, features=2000, feature_major=True, rounded=True,
+             buffered=True, padded=False)
+    @example(seed=5, sets=1, n=2, features=2100, feature_major=True, rounded=True,
+             buffered=True, padded=False)
+    @example(seed=6, sets=1, n=3, features=1000, feature_major=True, rounded=True,
+             buffered=True, padded=False)
+    @example(seed=7, sets=1, n=4, features=600, feature_major=True, rounded=True,
+             buffered=False, padded=False)
+    @example(seed=8, sets=7, n=50, features=8, feature_major=False, rounded=False,
+             buffered=True, padded=False)
+    @example(seed=9, sets=1, n=6, features=32, feature_major=True, rounded=False,
+             buffered=True, padded=False)
+    @example(seed=10, sets=24, n=5, features=3, feature_major=False, rounded=True,
+             buffered=True, padded=False)
+    @example(seed=11, sets=24, n=5, features=8, feature_major=False, rounded=False,
+             buffered=True, padded=False)
+    @example(seed=12, sets=5, n=2, features=4, feature_major=False, rounded=True,
+             buffered=False, padded=False)
+    @example(seed=13, sets=500, n=5, features=8, feature_major=False, rounded=False,
+             buffered=False, padded=False)
+    @example(seed=14, sets=2000, n=5, features=8, feature_major=False, rounded=False,
+             buffered=False, padded=True)
+    @example(seed=15, sets=4000, n=2, features=4, feature_major=False, rounded=True,
+             buffered=False, padded=False)
+    @example(seed=16, sets=2500, n=3, features=6, feature_major=False, rounded=False,
+             buffered=True, padded=False)
     def test_equals_the_feature_by_feature_sum_bit_for_bit(self, seed, sets, n, features,
-                                                           feature_major, rounded, buffered):
+                                                           feature_major, rounded, buffered,
+                                                           padded):
         """Row-major sets of up to twice as many features as points, and
         single feature-major sets of any width, the label graph's layout,
         give the bytes of adding each feature's squared differences to a
@@ -360,13 +381,21 @@ class TestInOrderDistances:
         points, 8 features: three sets, so seven end part-way through a
         step) or split one set's features (91 points: a block of seven
         feature rows, then the running sum and the eighth), and a set may
-        have one feature and two points. Another stack first puts another n's
-        gather index in the memo."""
+        have one feature and two points. Stacks of small sets span several
+        full steps and end in a partial one: 500 sets of five points with
+        8 features, the default embedding width, take steps of 240, 240 and
+        20 sets; 2,000 sets of 2-5 points zero-padded to five, as
+        enhance_batch packs a default-shape batch, nine steps; 4,000 sets of
+        two points with four features 1,638, 1,638 and 724; 2,500 sets of
+        three points with six features 780 three times and 160. Another
+        stack first puts another n's gather index in the memo."""
         p = features if feature_major else 1 + (features - 1) % (2 * n)
         rng = np.random.default_rng(seed)
         values = rng.normal(size=(p, n) if feature_major else (sets, n, p))
         if rounded:
             values = np.round(values, 1)
+        if padded and not feature_major:  # zeros past each set's 2..n points
+            values[np.arange(n) >= rng.integers(2, n + 1, size=(sets, 1))] = 0.0
         points = values.T[None] if feature_major else values
         if buffered:  # another stack first
             pairwise_sq_dists(rng.normal(size=(sets + 2, n + 3, 2)))
