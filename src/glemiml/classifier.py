@@ -78,14 +78,15 @@ def init_classifier(feature_dim: int, label_count: int, depth: int = 2,
 # and its bags are.
 PREDICT_CHUNK_BAGS = 256
 
-# Packed rows per instance-net block in predict_dataset. A chunk of 256 bags
-# of 20-50 rows holds about 9k rows, and each of its hidden arrays takes
-# 2.3 MB. Over 500 such bags, in a process that trains between passes (2-vCPU
-# AMD EPYC, BLAS on one thread, the heap policy of _heap, medians of 28
-# interleaved passes), a pass in one block per chunk took 1.21 ms; in blocks
-# of at most 256, 512, 1024, 2048 and 4096 rows it took 1.56, 1.25, 1.14, 1.09
-# and 1.31 ms, none of them faulting. The blocks also bound the pass's memory.
-# Chunks of short bags (about 900 rows) are one block.
+# Packed rows per instance-net block of a forward-only classifier_forward,
+# which predict_dataset runs per chunk. A chunk of 256 bags of 20-50 rows
+# holds about 9k rows, and each of its hidden arrays takes 2.3 MB. Over 500
+# such bags, in a process that trains between passes (2-vCPU AMD EPYC, BLAS
+# on one thread, the heap policy of _heap, medians of 28 interleaved passes),
+# a pass in one block per chunk took 1.21 ms; in blocks of at most 256, 512,
+# 1024, 2048 and 4096 rows it took 1.56, 1.25, 1.14, 1.09 and 1.31 ms, none
+# of them faulting. The blocks also bound the pass's memory. Chunks of short
+# bags (about 900 rows) are one block.
 PREDICT_BLOCK_ROWS = 1024
 
 # Smallest number of stacked cells (rows x width) per rank of the largest bag
@@ -106,44 +107,18 @@ _RANK_POOL_MIN_CELLS = 2048
 def predict_dataset(model: ClassifierModel, ds: MIMLDataset):
     """Stacked (B, t) logits and probabilities, one row per bag.
 
-    Equal to classifier_forward on each PREDICT_CHUNK_BAGS chunk of bags to
-    within rounding: each row block is its own instance-net product, and BLAS
-    may round a row differently in a product of another row count.
+    classifier_forward(..., grad=False) on each PREDICT_CHUNK_BAGS chunk of
+    bags, so it equals the training forward on each chunk to within
+    rounding: each row block is its own instance-net product, and BLAS may
+    round a row differently in a product of another row count.
     """
     logits, probs = [], []
     for lo in range(0, len(ds), PREDICT_CHUNK_BAGS):
-        s, p = _predict_chunk(model, pack_bags(ds.bags[lo:lo + PREDICT_CHUNK_BAGS]))
+        s, p, _ = classifier_forward(model, pack_bags(ds.bags[lo:lo + PREDICT_CHUNK_BAGS]),
+                                     grad=False)
         logits.append(s)
         probs.append(p)
     return np.concatenate(logits), np.concatenate(probs)
-
-
-def _predict_chunk(model: ClassifierModel, batch: PackedBags):
-    """classifier_forward's logits and probabilities, the instance net run a row block at a time.
-
-    The chunk is split into blocks, each a run of whole bags holding at most
-    PREDICT_BLOCK_ROWS rows, or one larger bag, and the head runs once over
-    all the chunk's pooled rows. Both nets run forward only, so no layer's
-    activations outlive it. A chunk of at most PREDICT_BLOCK_ROWS rows is one
-    block, and its bytes are classifier_forward's.
-    """
-    X, counts, starts = batch.instances, batch.counts, batch.starts
-    if X.shape[1] != model.feature_dim:
-        raise ShapeError(f"bag feature dim {X.shape[1]} != model feature dim {model.feature_dim}")
-    ends = starts + counts
-    pooled = np.empty((len(counts), model.head.input_dim))
-    lo = 0
-    while lo < len(counts):
-        first = starts[lo]
-        hi = max(lo + 1, np.searchsorted(ends, first + PREDICT_BLOCK_ROWS, side="right"))
-        hidden = X[first:ends[hi - 1]]
-        if model.instance_net is not None:
-            hidden = forward_batch(model.instance_net, hidden, grad=False)[0]
-        pooled[lo:hi] = _max_pool(hidden, counts[lo:hi], starts[lo:hi] - first)
-        del hidden  # before the next block's activations are allocated
-        lo = hi
-    S = forward_batch(model.head, pooled, grad=False)[0]
-    return S, sigmoid(S)
 
 
 def binarize(probs: np.ndarray, threshold: float = 0.5) -> np.ndarray:
@@ -156,23 +131,36 @@ def binarize(probs: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     return (probs > threshold).astype(np.int64)
 
 
-def classifier_forward(model: ClassifierModel, batch: PackedBags):
-    """Batched forward with caches. Returns (logits (B, t), probs, cache).
+def classifier_forward(model: ClassifierModel, batch: PackedBags, grad: bool = True):
+    """Batched forward. Returns (logits (B, t), probs, cache).
 
-    One instance-net pass over the stacked instances of all bags, a
-    per-bag max pool over their hidden rows, one head pass over the pooled rows.
+    The instance net runs over the stacked instances of the bags, a per-bag
+    max pool takes their hidden rows, and the head runs once over all the
+    pooled rows. With grad=False both nets run forward only, the cache is
+    None, and the instance net and the pool run over blocks of whole bags
+    holding at most PREDICT_BLOCK_ROWS rows, or one larger bag, so no
+    block's activations outlive it; a batch of at most PREDICT_BLOCK_ROWS
+    rows is one block, and its bytes are grad=True's. With grad the batch
+    is one block, whatever its rows.
     """
-    X = batch.instances
+    X, counts, starts = batch.instances, batch.counts, batch.starts
     if X.shape[1] != model.feature_dim:
         raise ShapeError(f"bag feature dim {X.shape[1]} != model feature dim {model.feature_dim}")
-    if model.instance_net is None:
-        hidden, inst_cache = X, None
-    else:
-        hidden, inst_cache = forward_batch(model.instance_net, X)
-    pooled = _max_pool(hidden, batch.counts, batch.starts)
-    S, head_cache = forward_batch(model.head, pooled)
-    cache = {"inst": inst_cache, "hidden": hidden, "pooled": pooled, "counts": batch.counts,
-             "starts": batch.starts, "head": head_cache}
+    ends = starts + counts
+    pooled = np.empty((len(counts), model.head.input_dim))
+    lo = 0
+    while lo < len(counts):
+        first = starts[lo]
+        hi = len(counts) if grad else max(
+            lo + 1, np.searchsorted(ends, first + PREDICT_BLOCK_ROWS, side="right"))
+        hidden, inst_cache = X[first:ends[hi - 1]], None
+        if model.instance_net is not None:
+            hidden, inst_cache = forward_batch(model.instance_net, hidden, grad)
+        pooled[lo:hi] = _max_pool(hidden, counts[lo:hi], starts[lo:hi] - first)
+        lo = hi
+    S, head_cache = forward_batch(model.head, pooled, grad)
+    cache = {"inst": inst_cache, "hidden": hidden, "pooled": pooled, "counts": counts,
+             "starts": starts, "head": head_cache} if grad else None
     return S, sigmoid(S), cache
 
 

@@ -261,7 +261,7 @@ def _export_distributions(enh, splits, out_dir: str) -> None:
 def _dump_graph_debug(enh, ds: MIMLDataset, out_dir: str) -> None:
     """The instance graph the trained enhancer builds for the first bag of `ds`,
     and its Laplacian diag(A 1) - A."""
-    emb, _ = forward_batch(enh.sigma_net, ds.bags[0].instances)
+    emb, _ = forward_batch(enh.sigma_net, ds.bags[0].instances, grad=False)
     adj = mutual_knn_median(emb[None], [len(emb)], enh.instance_k, grad=False)[0][0]
     lap = np.diag(adj.sum(axis=1)) - adj
     for name, mat in (("adjacency", adj), ("laplacian", lap)):

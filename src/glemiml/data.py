@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atomic import atomic_open
-from .errors import ConfigError, DataFormatError, ShapeError
+from .errors import ConfigError, DataFormatError, ShapeError, check_finite, check_seed
 
 
 @dataclass(frozen=True)
@@ -133,6 +133,8 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self)
+        check_seed("split seed", self.seed)
         fracs = (self.train_frac, self.test_frac, self.val_frac)
         if any(f <= 0 for f in fracs):
             raise ConfigError("split fractions must be positive")
@@ -226,6 +228,8 @@ class SyntheticConfig:
     noise_scale: float = 0.1
 
     def __post_init__(self):
+        check_finite(self)
+        check_seed("data seed", self.seed)
         if self.instances_min < 1:
             raise ConfigError("instances_min must be >= 1")
         if self.instances_max < self.instances_min:

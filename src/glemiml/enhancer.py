@@ -163,11 +163,11 @@ def _chunked_graph_means(model: EnhancerModel, batch: PackedBags):
     block holds at most GRAPH_CHUNK_CELLS // 2 cells, and a bag larger than
     that is a chunk of its own. The chunks, largest first, go each to the
     worker with fewer cells so far, of _graph_workers() workers: the calling
-    thread and, for each other worker, a thread started for this pass and
-    joined before it returns. A worker builds its chunks largest first,
-    each in arrays of its own. Each chunk writes its own rows of the means,
-    so the result does not depend on the worker count. An exception in any
-    worker is raised here once every worker has stopped.
+    thread and, for the others, a thread pool that lives for this pass. A
+    worker builds its chunks largest first, each in arrays of its own. Each
+    chunk writes its own rows of the means, so the result does not depend on
+    the worker count. An exception in any worker is raised here once the
+    pool's threads have stopped.
     """
     M2 = np.empty((len(batch), model.embed_dim))
     budget = GRAPH_CHUNK_CELLS // 2
@@ -190,31 +190,29 @@ def _chunked_graph_means(model: EnhancerModel, batch: PackedBags):
         worker = loads.index(min(loads))
         shares[worker].append(idx)
         loads[worker] += cells
-    errors = []
+
+    # A pool thread that finished its share before the last submit would be
+    # handed the next share as well, so no share is built before each has
+    # its own thread.
+    submitted = threading.Event()
 
     def build(share):
+        submitted.wait()
         for idx in share:
             M2[idx] = _graph_means(model, batch.take(idx), grad=False)[0]
 
-    def build_in_thread(share):
-        try:
-            build(share)
-        except BaseException as exc:  # raised on the calling thread after the join
-            errors.append(exc)
+    # imported here: concurrent.futures imports logging, about 0.5 MiB that a
+    # process whose passes are never chunked would otherwise hold
+    from concurrent.futures import ThreadPoolExecutor
 
-    threads = []
-    try:
-        for share in shares[1:]:
-            if share:
-                thread = threading.Thread(target=build_in_thread, args=(share,))
-                thread.start()
-                threads.append(thread)
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        try:
+            others = [pool.submit(build, share) for share in shares[1:] if share]
+        finally:
+            submitted.set()
         build(shares[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+        for future in others:
+            future.result()
     return M2
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PackedBags
-from .errors import ConfigError, DegenerateInputError, NumericError, ShapeError
+from .errors import ConfigError, DegenerateInputError, NumericError, ShapeError, check_finite
 
 PROB_CLAMP = 1e-7
 SIM_MODES = ("mse", "eq9-literal")
@@ -28,6 +28,7 @@ class LossWeights:
     gamma_neg: float = 4.0
 
     def __post_init__(self):
+        check_finite(self)
         betas = (self.beta1, self.beta2, self.beta3)
         if any(b < 0 for b in betas):
             raise ConfigError("beta weights must be non-negative")

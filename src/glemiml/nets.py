@@ -117,27 +117,23 @@ def init_net(dims, activation: str, seed: int, output_activation: str = "identit
 def forward_batch(net: FeedForwardNet, x: np.ndarray, grad: bool = True):
     """Batched forward pass. Returns (output (n, out), cache for backward).
 
-    With grad=False the cache is None and each layer is computed in place in
-    one fresh array, z = a @ W.T; z += b; act(z, out=z): the same operations,
-    so the output is the same bit for bit, without keeping each layer's
+    Each layer is z = a @ W.T; z += b, then its activation. With grad it
+    caches (a, z) and applies the activation into a fresh array. With
+    grad=False the cache is None and the activation is applied in place, so
+    the output is the same bit for bit without keeping each layer's
     pre-activations and outputs alive.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ShapeError(f"input shape {x.shape} incompatible with input_dim {net.input_dim}")
-    if not grad:
-        a = x
-        for layer in net.layers:
-            a = a @ layer.weights.T
-            a += layer.bias
-            _act(layer.activation, a, out=a)
-        return a, None
-    cache = []
+    cache = [] if grad else None
     a = x
     for layer in net.layers:
-        z = a @ layer.weights.T + layer.bias
-        cache.append((a, z))
-        a = _act(layer.activation, z)
+        z = a @ layer.weights.T
+        z += layer.bias
+        if grad:
+            cache.append((a, z))
+        a = _act(layer.activation, z, out=None if grad else z)
     return a, cache
 
 

@@ -29,7 +29,7 @@ from .enhancer import (
     init_enhancer,
     set_enhancer_params,
 )
-from .errors import ConfigError, DegenerateInputError, NumericError
+from .errors import ConfigError, DegenerateInputError, NumericError, check_finite, check_seed
 from .losses import (
     SIM_MODES,
     LossWeights,
@@ -65,6 +65,9 @@ class TrainConfig:
     ablation: str = "full"
 
     def __post_init__(self):
+        check_finite(self)
+        # init_enhancer derives seeds up to seed * 4 + 4
+        check_seed("seed", self.seed, scale=4, offset=4)
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 2:
@@ -89,9 +92,6 @@ class TrainConfig:
 @dataclass
 class TrainHistory:
     records: list[dict] = field(default_factory=list)
-
-    def column(self, key: str) -> list[float]:
-        return [r[key] for r in self.records]
 
 
 class _Adam:
@@ -141,7 +141,7 @@ def build_models(feature_dim: int, label_count: int, cfg: TrainConfig):
 
 
 def _enhancer_batch(enh, bags: PackedBags, clf_probs, cfg):
-    """Forward + loss components + gradient on enhancer parameters.
+    """Loss components + gradient on enhancer parameters.
 
     `bags` is the mini-batch packed with its bag features.
     """
@@ -165,7 +165,7 @@ def _enhancer_batch(enh, bags: PackedBags, clf_probs, cfg):
         + softmax_rows_backward(d, w.beta2 * g_d_sim + w.beta3 * g_d_thr)
     )
     grad = enhancer_backward(enh, cache, grad_refined)
-    return batch, {"L_CL": l_cl, "L_Sim": l_sim, "L_thr": l_thr, "L_CLE": l_cle}, grad
+    return {"L_CL": l_cl, "L_Sim": l_sim, "L_thr": l_thr, "L_CLE": l_cle}, grad
 
 
 def _classifier_batch(clf, forward, logical, distributions, cfg):
@@ -213,7 +213,7 @@ def train(train_ds: MIMLDataset, val_ds: MIMLDataset | None, cfg: TrainConfig,
             # the enhancer step leaves the classifier unchanged, so its step
             # reuses this forward pass
             clf_out = classifier_forward(clf, bags)
-            _, enh_losses, enh_grad = _enhancer_batch(enh, bags, clf_out[1], cfg)
+            enh_losses, enh_grad = _enhancer_batch(enh, bags, clf_out[1], cfg)
             _check_finite(enh_losses, epoch, n_batches)
             enh_vec = enh_opt.step(enh_vec, enh_grad)
             set_enhancer_params(enh, enh_vec)

@@ -211,7 +211,7 @@ def test_criterion_1_gradient_fidelity():
 
         def enhancer_total(vec):
             set_enhancer_params(enh, vec)
-            _, losses, grad = tr_mod._enhancer_batch(enh, bags, clf_probs, cfg)
+            losses, grad = tr_mod._enhancer_batch(enh, bags, clf_probs, cfg)
             return losses["L_CLE"], grad
 
         err = grad_check(enhancer_total, enhancer_params(enh), FD_EPS)

@@ -107,6 +107,31 @@ class TestDepthVariants:
         np.testing.assert_allclose(predict_bag(model, bag)[0],
                                    forward(model.head, pooled), atol=1e-12)
 
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_forward_only_pass_is_the_training_forward(self, depth):
+        """On a batch that fills one row block, grad=False keeps no cache and
+        gives grad=True's logits and probabilities byte for byte."""
+        model = init_classifier(40, 3, depth=depth, seed=depth)
+        rng = np.random.default_rng(depth)
+        bags = [make_bag(rng, n=int(n), d=40) for n in rng.integers(1, 40, size=100)]
+        rows = np.cumsum([bag.num_instances for bag in bags])
+        batch = pack_bags(bags[:np.searchsorted(rows, PREDICT_BLOCK_ROWS, side="right")])
+        s, p, cache = classifier_forward(model, batch, grad=False)
+        s_grad, p_grad, cache_grad = classifier_forward(model, batch)
+        assert cache is None and cache_grad is not None
+        assert s.tobytes() == s_grad.tobytes() and p.tobytes() == p_grad.tobytes()
+
+    def test_training_forward_is_one_block_whatever_its_rows(self):
+        """Row blocks split only the forward-only pass: with grad, a batch
+        above PREDICT_BLOCK_ROWS keeps every row in one block and its bytes."""
+        model = init_classifier(4, 3, depth=3, seed=5)
+        batch = pack_bags([make_bag(np.random.default_rng(5), n=n) for n in (3, 1, 4, 2)])
+        s, p, cache = classifier_forward(model, batch)
+        with mock.patch.object(clf_mod, "PREDICT_BLOCK_ROWS", 2):
+            s_small, p_small, cache_small = classifier_forward(model, batch)
+        assert len(cache_small["hidden"]) == len(batch.instances)
+        assert s_small.tobytes() == s.tobytes() and p_small.tobytes() == p.tobytes()
+
     @pytest.mark.parametrize("depth,n_layers", [(1, 0), (2, 1), (3, 2)])
     def test_layer_counts(self, depth, n_layers):
         model = init_classifier(4, 3, depth=depth, seed=0)

@@ -306,6 +306,22 @@ class TestTrainCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    # every float setting at each non-finite value, and each seed just outside
+    # what np.uint64 holds
+    OUT_OF_RANGE = [(key, value) for key, (_, typ, _) in cli._SETTINGS.items() if typ is float
+                    for value in ("nan", "inf", "-inf")] + [
+        (key, value) for key in ("seed", "data_seed", "split_seed") for value in ("-1", str(2**64))]
+
+    @pytest.mark.parametrize("key, value", OUT_OF_RANGE,
+                             ids=[f"{key}={value}" for key, value in OUT_OF_RANGE])
+    def test_out_of_range_setting_is_config_error_before_the_output_directory(
+            self, tmp_path, capsys, key, value):
+        out = tmp_path / "run"
+        assert run_train(out, [f"--{key.replace('_', '-')}={value}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not out.exists()
+
     def test_empty_split_is_config_error_before_the_output_directory(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["train", "--synth", "--num-bags", "10", "--train-frac", "0.75",

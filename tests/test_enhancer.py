@@ -2,7 +2,9 @@ import json
 import re
 import sys
 import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -381,6 +383,27 @@ def test_worker_count_changes_no_bit(monkeypatch, timed_threads):
     assert builds == {1: len(ds), 2: len(ds), 4: len(ds)}
     assert len(timed_threads.started) == 1 + 3
     assert timed_threads.late == [False] * 4
+
+
+def test_each_other_worker_builds_on_its_own_thread(monkeypatch, timed_threads):
+    """A pool thread that has built its share by the next submit would be
+    handed that share too. With a pause after every submit, 4 workers still
+    build on the calling thread and 3 threads of their own, all joined."""
+    ds, _ = generate_synthetic(SyntheticConfig(num_bags=120, instances_min=2, instances_max=60,
+                                               seed=8))
+    model = init_enhancer(ds.feature_dim, ds.label_count, seed=2)
+    monkeypatch.setattr(enh_mod, "GRAPH_CHUNK_CELLS", 1 << 9)
+    monkeypatch.setattr(enh_mod, "_graph_workers", lambda: 4)
+    submit = ThreadPoolExecutor.submit
+
+    def slow_submit(pool, *args):
+        future = submit(pool, *args)
+        time.sleep(0.05)
+        return future
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", slow_submit)
+    enhance_batch(model, ds.bags)
+    assert len(timed_threads.started) == 3 and timed_threads.late == [False] * 3
 
 
 @pytest.mark.parametrize("failing", ["calling", "other"])

@@ -1,10 +1,13 @@
 """The package carries no code that only the tests reach.
 
-Fails on an import that a module of src/glemiml never uses, and on a
+Fails on an import that a module of src/glemiml never uses, on a
 top-level function or class of src/glemiml that nothing in src/ or
-benchmarks/ refers to outside its own definition. A reference is a name, an
-attribute, an imported name or a string that is exactly the name (the
-benchmark's tracer and `__all__` name functions by string).
+benchmarks/ refers to outside its own definition, and on a method or
+property of such a class that nothing there reads. A reference is a name,
+an attribute, an imported name or a string that is exactly the name (the
+benchmark's tracer and `__all__` name functions by string); a method is
+read only as an attribute or by such a string, since a bare name that
+equals it is some other variable.
 """
 
 import ast
@@ -25,19 +28,23 @@ def parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def references(node, skip=()):
-    """Every name that the code under `node` refers to, leaving out the subtrees in `skip`."""
+def references(node, skip=(), attributes_only=False):
+    """Every name that the code under `node` refers to, leaving out the subtrees in `skip`.
+
+    With `attributes_only`, only attributes read and identifier strings count.
+    """
     found = set()
     stack = [node]
     while stack:
         node = stack.pop()
         if node in skip:
             continue
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Attribute):
+            if not attributes_only or isinstance(node.ctx, ast.Load):
+                found.add(node.attr)
+        elif isinstance(node, ast.Name) and not attributes_only:
             found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-        elif isinstance(node, ast.alias):
+        elif isinstance(node, ast.alias) and not attributes_only:
             found.add(node.name.split(".")[-1])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
             found.add(node.value)
@@ -77,3 +84,20 @@ def test_every_top_level_definition_has_a_caller_outside_tests():
                     uncalled.add(f"{module}.{node.name}")
     assert not uncalled - ALLOWED.keys(), f"reached only from tests: {sorted(uncalled - ALLOWED.keys())}"
     assert not ALLOWED.keys() - uncalled, f"stale allow-list entries: {sorted(ALLOWED.keys() - uncalled)}"
+
+
+def test_every_method_is_read_outside_tests():
+    """Methods that Python calls itself, the dunders, are left out."""
+    modules = package_modules()
+    benchmarks = [parse(p) for p in (ROOT / "benchmarks").glob("*.py")]
+    unread = []
+    for module, tree in modules.items():
+        others = set().union(*(references(t, attributes_only=True) for t in benchmarks),
+                             *(references(t, attributes_only=True)
+                               for name, t in modules.items() if name != module))
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                    if node.name not in others | references(tree, {node}, attributes_only=True):
+                        unread.append(f"{module}.{cls.name}.{node.name}")
+    assert not unread, f"read only from tests: {unread}"

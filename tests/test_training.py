@@ -20,7 +20,7 @@ from glemiml.data import (
     split_dataset,
     SplitSpec,
 )
-from glemiml.enhancer import EnhancerModel, enhancer_params, set_enhancer_params
+from glemiml.enhancer import EnhancerModel, enhancer_forward, enhancer_params, set_enhancer_params
 from glemiml.errors import ConfigError, NumericError
 from glemiml.losses import LossWeights
 from glemiml.nets import DenseLayer, FeedForwardNet, grad_check
@@ -59,10 +59,19 @@ class TestTrainConfig:
         {"epochs": 0}, {"batch_size": 1}, {"learning_rate": 0.0},
         {"optimizer": "rmsprop"}, {"ablation": "D"}, {"instance_k": 0}, {"k_label": -2},
         {"embed_dim": 0}, {"classifier_depth": 0}, {"classifier_depth": 4}, {"sim_mode": "bogus"},
+        {"learning_rate": float("nan")}, {"learning_rate": float("inf")}, {"seed": -1},
+        {"seed": 2**62},
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ConfigError):
             TrainConfig(**kw)
+
+    def test_largest_seed_builds_its_models(self):
+        """init_enhancer derives seed * 4 + 4, which must fit np.uint64."""
+        largest = (2**64 - 5) // 4
+        build_models(4, 3, TrainConfig(seed=largest))
+        with pytest.raises(ConfigError, match="seed must lie in"):
+            TrainConfig(seed=largest + 1)
 
 
 class TestLoopAccounting:
@@ -163,7 +172,7 @@ class TestAlternation:
 
         def f(vec):
             set_enhancer_params(enh, vec)
-            _, losses, grad = tr_mod._enhancer_batch(enh, bags, clf_probs, cfg)
+            losses, grad = tr_mod._enhancer_batch(enh, bags, clf_probs, cfg)
             return losses["L_CLE"], grad
 
         assert grad_check(f, enhancer_params(enh), 1e-6) < 1e-4
@@ -209,8 +218,9 @@ class TestFlatRegion:
         cfg = fast_cfg(loss_weights=LossWeights(beta1=0.0, beta2=0.0, beta3=1.0))
         clf_probs = np.full(logical.shape, 0.5)
 
-        batch, losses, grad = tr_mod._enhancer_batch(enh, bags, clf_probs, cfg)
+        losses, grad = tr_mod._enhancer_batch(enh, bags, clf_probs, cfg)
         # precondition: min positive strictly above max negative in every bag
+        batch = enhancer_forward(enh, bags, grad=False)[0]
         for row, lab in zip(batch.distributions, logical):
             assert row[lab == 1].min() > row[lab == 0].max()
         assert losses["L_thr"] == 0.0
@@ -240,7 +250,7 @@ class TestLearningSignal:
     def test_enhancer_loss_decreases_on_synthetic(self):
         ds = small_dataset(num_bags=60, seed=5)
         _, _, hist = train(ds, None, TrainConfig(epochs=50, batch_size=32, seed=0))
-        cle = hist.column("L_CLE")
+        cle = [r["L_CLE"] for r in hist.records]
         assert cle[-1] < cle[0]
 
 
