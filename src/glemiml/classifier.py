@@ -121,14 +121,12 @@ def predict_dataset(model: ClassifierModel, ds: MIMLDataset):
     return np.concatenate(logits), np.concatenate(probs)
 
 
-def binarize(probs: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    """Strict inequality: ties resolve to negative."""
-    if not 0.0 < threshold < 1.0:
-        raise ConfigError(f"threshold must lie in (0, 1), got {threshold!r}")
+def binarize(probs: np.ndarray) -> np.ndarray:
+    """Positive above 0.5, a strict inequality: ties resolve to negative."""
     probs = np.asarray(probs, dtype=np.float64)
     if probs.min() < 0.0 or probs.max() > 1.0:
         raise ShapeError("probabilities must lie in [0, 1]")
-    return (probs > threshold).astype(np.int64)
+    return (probs > 0.5).astype(np.int64)
 
 
 def classifier_forward(model: ClassifierModel, batch: PackedBags, grad: bool = True):

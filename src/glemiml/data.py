@@ -154,7 +154,11 @@ def load_dataset(path) -> MIMLDataset:
         for key in ("name", "feature_dim", "label_count"):
             if key not in header:
                 raise DataFormatError(f"{path}: header missing field {key!r}")
-        d, t = int(header["feature_dim"]), int(header["label_count"])
+        for key in ("feature_dim", "label_count"):
+            if type(header[key]) is not int:  # bool is an int subclass
+                raise DataFormatError(f"{path}: malformed line 1: header field {key!r} must be "
+                                      f"an integer, got {header[key]!r}")
+        d, t = header["feature_dim"], header["label_count"]
         for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
@@ -225,7 +229,6 @@ class SyntheticConfig:
     instances_min: int = 2
     instances_max: int = 5
     seed: int = 7
-    noise_scale: float = 0.1
 
     def __post_init__(self):
         check_finite(self)
@@ -247,7 +250,8 @@ def generate_synthetic(cfg: SyntheticConfig):
 
     Each label owns a latent feature prototype. A bag's ground-truth
     distribution is the normalized exponential of Gaussian draws; its
-    instances are that distribution's prototype mixture plus Gaussian noise.
+    instances are that distribution's prototype mixture plus Gaussian noise of
+    scale 0.1.
     Logical label j is 1 iff the distribution entry exceeds 1/(2t); bags
     without at least one positive and one negative label are resampled.
     """
@@ -267,7 +271,7 @@ def generate_synthetic(cfg: SyntheticConfig):
             continue
         n_i = int(rng.integers(cfg.instances_min, cfg.instances_max + 1))
         base = dist @ prototypes
-        inst = base[None, :] + cfg.noise_scale * rng.normal(size=(n_i, d))
+        inst = base[None, :] + 0.1 * rng.normal(size=(n_i, d))
         bags.append(Bag(inst, labels))
         truths.append(dist)
 

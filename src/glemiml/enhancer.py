@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -45,12 +44,12 @@ _instance_graph_builds = 0
 
 # Cells (bags x N x N) at most in one forward-only instance-graph build: 1 MiB
 # per (B, N, N) float64 array. A larger batch is built in chunks of bags
-# sorted by size, of at most half this many cells each, on up to two
-# workers (_chunked_graph_means). So a chunk pads little, the two workers'
-# graph arrays together stay within this budget however many bags are
-# enhanced, and the chunks, hence the outputs, do not depend on the host's
-# CPUs. The 500 bags of 2-5 instances of a default-shape set, and every
-# default training batch, take one build on the calling thread.
+# sorted by size, of at most half this many cells each, on the calling
+# thread and at most one pool thread (_chunked_graph_means). So a chunk pads
+# little, the two workers' graph arrays together stay within this budget
+# however many bags are enhanced, and the chunks, hence the outputs, do not
+# depend on the host's CPUs. The 500 bags of 2-5 instances of a default-shape
+# set, and every default training batch, take one build on the calling thread.
 GRAPH_CHUNK_CELLS = 1 << 17
 
 
@@ -162,12 +161,12 @@ def _chunked_graph_means(model: EnhancerModel, batch: PackedBags):
     their largest bag's size N: a chunk grows while its (hi - lo) x N x N
     block holds at most GRAPH_CHUNK_CELLS // 2 cells, and a bag larger than
     that is a chunk of its own. The chunks, largest first, go each to the
-    worker with fewer cells so far, of _graph_workers() workers: the calling
-    thread and, for the others, a thread pool that lives for this pass. A
-    worker builds its chunks largest first, each in arrays of its own. Each
-    chunk writes its own rows of the means, so the result does not depend on
-    the worker count. An exception in any worker is raised here once the
-    pool's threads have stopped.
+    worker with fewer cells so far, the calling thread on a tie. With two
+    usable CPUs (_graph_workers) the other worker is one pool thread, made
+    only when its share has chunks. A worker builds its chunks largest
+    first, each in arrays of its own. Each chunk writes its own rows of the
+    means, so the result does not depend on the worker count. An exception
+    in either worker is raised here once the pool's thread has stopped.
     """
     M2 = np.empty((len(batch), model.embed_dim))
     budget = GRAPH_CHUNK_CELLS // 2
@@ -183,36 +182,32 @@ def _chunked_graph_means(model: EnhancerModel, batch: PackedBags):
         hi = max(hi, lo + 1)
         chunks.append(((hi - lo) * sizes[hi - 1] ** 2, by_size[lo:hi]))
         lo = hi
-    workers = _graph_workers()
-    shares = [[] for _ in range(workers)]
-    loads = [0] * workers
+    two = _graph_workers() > 1
+    mine, other = [], []
+    lead = 0  # the calling thread's cells less the other worker's
     for cells, idx in sorted(chunks, key=lambda chunk: chunk[0], reverse=True):
-        worker = loads.index(min(loads))
-        shares[worker].append(idx)
-        loads[worker] += cells
-
-    # A pool thread that finished its share before the last submit would be
-    # handed the next share as well, so no share is built before each has
-    # its own thread.
-    submitted = threading.Event()
+        if two and lead > 0:
+            other.append(idx)
+            lead -= cells
+        else:
+            mine.append(idx)
+            lead += cells
 
     def build(share):
-        submitted.wait()
         for idx in share:
             M2[idx] = _graph_means(model, batch.take(idx), grad=False)[0]
 
+    if not other:
+        build(mine)
+        return M2
     # imported here: concurrent.futures imports logging, about 0.5 MiB that a
-    # process whose passes are never chunked would otherwise hold
+    # process whose passes never have two shares would otherwise hold
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        try:
-            others = [pool.submit(build, share) for share in shares[1:] if share]
-        finally:
-            submitted.set()
-        build(shares[0])
-        for future in others:
-            future.result()
+    with ThreadPoolExecutor(1) as pool:
+        future = pool.submit(build, other)
+        build(mine)
+        future.result()
     return M2
 
 
@@ -274,10 +269,10 @@ def enhancer_forward(model: EnhancerModel, batch: PackedBags, grad: bool = True)
     built forward only and the cache is None; the outputs are the same bit
     for bit. A forward-only batch whose (B, N, N) block holds more than
     GRAPH_CHUNK_CELLS cells has its instance graphs built in size-sorted
-    chunks of at most half that, on up to two workers, each largest chunk
-    first (_chunked_graph_means). Any other batch takes one build on the
-    calling thread, and the branch nets and the label graph always run
-    there, after the workers are joined.
+    chunks of at most half that, on the calling thread and at most one pool
+    thread, each largest chunk first (_chunked_graph_means). Any other batch
+    takes one build on the calling thread, and the branch nets and the label
+    graph always run there, after the pool thread is joined.
     """
     global _instance_graph_builds
     if not len(batch):

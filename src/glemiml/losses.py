@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PackedBags
-from .errors import ConfigError, DegenerateInputError, NumericError, ShapeError, check_finite
+from .errors import ConfigError, ShapeError, check_finite
 
 PROB_CLAMP = 1e-7
 SIM_MODES = ("mse", "eq9-literal")
@@ -133,8 +133,6 @@ def _threshold_pairs(D: np.ndarray, L: np.ndarray):
     """
     pos, neg = L == 1, L == 0
     eligible = pos.any(axis=1) & neg.any(axis=1)
-    if not eligible.any():
-        raise DegenerateInputError("no bag has both a positive and a negative label")
     j_neg = np.argmax(np.where(neg, D, -np.inf), axis=1)
     j_pos = np.argmin(np.where(pos, D, np.inf), axis=1)
     return eligible, j_neg, j_pos
@@ -143,7 +141,8 @@ def _threshold_pairs(D: np.ndarray, L: np.ndarray):
 def threshold_loss(distributions: np.ndarray, logical: np.ndarray):
     """Mean hinge between the best irrelevant and worst relevant label value.
 
-    Returns (value, gradient wrt the distributions).
+    Returns (value, gradient wrt the distributions), both zero for a batch
+    where no bag has both a positive and a negative label.
     """
     D = np.asarray(distributions, dtype=np.float64)
     L = np.asarray(logical)
@@ -151,11 +150,13 @@ def threshold_loss(distributions: np.ndarray, logical: np.ndarray):
         raise ShapeError("distributions and logical labels must share a shape")
     eligible, j_neg, j_pos = _threshold_pairs(D, L)
     m = eligible.sum()
+    grad = np.zeros_like(D)
+    if not m:
+        return 0.0, grad
     rows = np.arange(D.shape[0])
     margin = D[rows, j_neg] - D[rows, j_pos]
     value = float(np.maximum(margin, 0.0)[eligible].sum() / m)
     rows = rows[eligible & (margin > 0.0)]
-    grad = np.zeros_like(D)
     grad[rows, j_neg[rows]] += 1.0 / m
     grad[rows, j_pos[rows]] -= 1.0 / m
     return value, grad
@@ -180,8 +181,6 @@ def distribution_loss(d: np.ndarray, s: np.ndarray):
     total = exp.sum(axis=1)
     lse = shift[:, 0] + np.log(total)
     val = float(np.mean(np.sum(d * (lse[:, None] - s), axis=1)))
-    if not np.isfinite(val):
-        raise NumericError("distribution loss is non-finite")
     g_s = (d.sum(axis=1, keepdims=True) * (exp / total[:, None]) - d) / d.shape[0]
     return val, g_s
 

@@ -29,8 +29,6 @@ class MetricsReport:
     ranking_loss: float
     macro_avg_precision: float
     macro_f1: float
-    # Which mAP reading produced this report (label-wise macro averaging).
-    map_definition: str = "label-wise"
 
     def as_dict(self) -> dict:
         return {
@@ -38,7 +36,8 @@ class MetricsReport:
             "ranking_loss": self.ranking_loss,
             "macro_avg_precision": self.macro_avg_precision,
             "macro_f1": self.macro_f1,
-            "map_definition": self.map_definition,
+            # the mAP reading behind every report: label-wise macro averaging
+            "map_definition": "label-wise",
         }
 
 

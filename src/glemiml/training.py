@@ -29,7 +29,7 @@ from .enhancer import (
     init_enhancer,
     set_enhancer_params,
 )
-from .errors import ConfigError, DegenerateInputError, NumericError, check_finite, check_seed
+from .errors import ConfigError, NumericError, check_finite, check_seed
 from .losses import (
     SIM_MODES,
     LossWeights,
@@ -95,9 +95,10 @@ class TrainHistory:
 
 
 class _Adam:
-    def __init__(self, size: int, lr: float, b1: float = 0.9, b2: float = 0.999,
-                 eps: float = 1e-8):
-        self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, size: int, lr: float):
+        self.lr = lr
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
@@ -112,7 +113,7 @@ class _Adam:
 
 
 class _SGD:
-    def __init__(self, size: int, lr: float):
+    def __init__(self, lr: float):
         self.lr = lr
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -122,7 +123,7 @@ class _SGD:
 def _make_optimizer(cfg: TrainConfig, size: int):
     if cfg.optimizer == "adam":
         return _Adam(size, cfg.learning_rate)
-    return _SGD(size, cfg.learning_rate)
+    return _SGD(cfg.learning_rate)
 
 
 def _sigmoid_backward(sig: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -153,11 +154,7 @@ def _enhancer_batch(enh, bags: PackedBags, clf_probs, cfg):
     l_cl, g_pstar = asymmetric_interaction_loss(clf_probs, p_star, logical,
                                                 w.gamma_pos, w.gamma_neg)
     l_sim, g_d_sim = similarity_loss(bags, d, cfg.sim_mode)
-    try:
-        l_thr, g_d_thr = threshold_loss(d, logical)
-    except DegenerateInputError:
-        # batch where no bag has both a positive and a negative label
-        l_thr, g_d_thr = 0.0, np.zeros_like(d)
+    l_thr, g_d_thr = threshold_loss(d, logical)
     l_cle = enhancer_total_loss(w, l_cl, l_sim, l_thr)
 
     grad_refined = (

@@ -287,7 +287,7 @@ def classifier_backward(model, caches, grad_logits):
 # ----------------------------------------------------------------- losses
 
 def threshold_loss(D, L):
-    """Row-loop hinge; None when no row has both a positive and a negative label."""
+    """Row-loop hinge; 0 when no row has both a positive and a negative label."""
     total, m = 0.0, 0
     for i in range(D.shape[0]):
         pos, neg = L[i] == 1, L[i] == 0
@@ -295,7 +295,7 @@ def threshold_loss(D, L):
             continue
         total += max(D[i, neg].max() - D[i, pos].min(), 0.0)
         m += 1
-    return total / m if m else None
+    return total / m if m else 0.0
 
 
 def threshold_loss_grad(D, L):

@@ -251,10 +251,6 @@ class TestBinarize:
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
         np.testing.assert_array_equal(binarize(binarize(x).astype(float)), x.astype(int))
 
-    def test_bad_threshold(self):
-        with pytest.raises(ConfigError):
-            binarize(np.zeros((1, 1)), threshold=1.0)
-
 
 def test_checkpoint_roundtrip(tmp_path):
     for depth in (1, 2, 3):

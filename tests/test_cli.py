@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import socket
@@ -147,6 +148,21 @@ def test_every_held_setting_reaches_its_dataclass_field(monkeypatch):
     for key, (config, name, value) in HELD.items():
         assert getattr(config(), name) != value, key
         assert getattr(built[config], name) == value, key
+
+
+# fields of a config dataclass that no setting sets, each with what sets it instead
+UNSET_FIELDS = {
+    "TrainConfig.loss_weights": "built from the [loss] settings",
+    "TrainConfig.ablation": "set per variant by run_ablation",
+}
+
+
+def test_every_config_field_is_set_by_a_setting_or_allowed():
+    """A config field that no setting sets holds one value in every run: a
+    constant, unless it is allow-listed with what sets it."""
+    unset = {f"{config.__name__}.{field.name}" for config, held in cli._FIELDS.items()
+             for field in dataclasses.fields(config) if field.name not in held.values()}
+    assert unset == set(UNSET_FIELDS)
 
 
 class TestTrainCommand:

@@ -112,6 +112,21 @@ class TestLoadSave:
         with pytest.raises(DataFormatError, match="line 3: bag 1: non-finite"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("key", ["feature_dim", "label_count"])
+    @pytest.mark.parametrize("value", [2.9, 2.0, True, "2"])
+    def test_non_integer_header_size_names_file_and_field(self, tmp_path, key, value):
+        """A size is refused even where the bags fit what int() would make of it."""
+        sizes = {"feature_dim": 2, "label_count": 2, key: int(value)}
+        header = {"name": "x", **sizes, key: value}
+        bag = {"instances": [[0.5] * sizes["feature_dim"]],
+               "labels": [1] + [0] * (sizes["label_count"] - 1)}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(header) + "\n" + json.dumps(bag) + "\n")
+        with pytest.raises(DataFormatError) as info:
+            load_dataset(path)
+        assert str(info.value) == (f"{path}: malformed line 1: header field {key!r} must be an "
+                                   f"integer, got {value!r}")
+
 
 class TestSplit:
     def test_2000_bags_7_2_1(self):

@@ -2,7 +2,6 @@ import json
 import re
 import sys
 import threading
-import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -358,9 +357,9 @@ def timed_threads(monkeypatch):
 
 def test_worker_count_changes_no_bit(monkeypatch, timed_threads):
     """The chunks do not depend on the worker count, and each chunk writes only
-    its own rows, so 1, 2 and 4 workers give the same bits, with a thread
+    its own rows, so 1 and 2 workers give the same bits, with a thread
     switch forced as often as the interpreter allows. Bags of 2-60 instances
-    make chunks padded to many sizes."""
+    make chunks padded to many sizes. Two workers start one thread."""
     ds, _ = generate_synthetic(SyntheticConfig(num_bags=120, instances_min=2, instances_max=60,
                                                seed=8))
     model = init_enhancer(ds.feature_dim, ds.label_count, seed=2)
@@ -370,7 +369,7 @@ def test_worker_count_changes_no_bit(monkeypatch, timed_threads):
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
-        for workers in (1, 2, 4):
+        for workers in (1, 2):
             monkeypatch.setattr(enh_mod, "_graph_workers", lambda: workers)
             before = enh_mod.instance_graph_build_count()
             batch = enhance_batch(model, ds.bags)
@@ -379,31 +378,44 @@ def test_worker_count_changes_no_bit(monkeypatch, timed_threads):
                                                   batch.confidences)]
     finally:
         sys.setswitchinterval(interval)
-    assert out[2] == out[1] and out[4] == out[1]
-    assert builds == {1: len(ds), 2: len(ds), 4: len(ds)}
-    assert len(timed_threads.started) == 1 + 3
-    assert timed_threads.late == [False] * 4
+    assert out[2] == out[1]
+    assert builds == {1: len(ds), 2: len(ds)}
+    assert len(timed_threads.started) == 1
+    assert timed_threads.late == [False]
 
 
-def test_each_other_worker_builds_on_its_own_thread(monkeypatch, timed_threads):
-    """A pool thread that has built its share by the next submit would be
-    handed that share too. With a pause after every submit, 4 workers still
-    build on the calling thread and 3 threads of their own, all joined."""
-    ds, _ = generate_synthetic(SyntheticConfig(num_bags=120, instances_min=2, instances_max=60,
-                                               seed=8))
-    model = init_enhancer(ds.feature_dim, ds.label_count, seed=2)
+def test_one_share_makes_no_pool(monkeypatch, timed_threads):
+    """A chunked pass whose second share has no chunk, on one worker or with
+    one bag above the budget, builds on the calling thread and makes no
+    pool; a pass with two shares makes one."""
+    ds, _ = generate_synthetic(SyntheticConfig(num_bags=40, instances_min=20, instances_max=50,
+                                               seed=4))
+    model = init_enhancer(ds.feature_dim, ds.label_count, seed=3)
     monkeypatch.setattr(enh_mod, "GRAPH_CHUNK_CELLS", 1 << 9)
-    monkeypatch.setattr(enh_mod, "_graph_workers", lambda: 4)
-    submit = ThreadPoolExecutor.submit
+    pools = []
+    init = ThreadPoolExecutor.__init__
 
-    def slow_submit(pool, *args):
-        future = submit(pool, *args)
-        time.sleep(0.05)
-        return future
+    def recorded(pool, *args, **kwargs):
+        pools.append(pool)
+        init(pool, *args, **kwargs)
 
-    monkeypatch.setattr(ThreadPoolExecutor, "submit", slow_submit)
-    enhance_batch(model, ds.bags)
-    assert len(timed_threads.started) == 3 and timed_threads.late == [False] * 3
+    monkeypatch.setattr(ThreadPoolExecutor, "__init__", recorded)
+    chunked = []  # bags per chunked pass
+    real = enh_mod._chunked_graph_means
+
+    def counted(model, batch):
+        chunked.append(len(batch))
+        return real(model, batch)
+
+    monkeypatch.setattr(enh_mod, "_chunked_graph_means", counted)
+    oversized = make_bag(np.random.default_rng(5), 30, ds.feature_dim, ds.label_count)
+    for workers, bags, made in ((1, ds.bags, 0), (2, [oversized], 0), (2, ds.bags, 1)):
+        monkeypatch.setattr(enh_mod, "_graph_workers", lambda: workers)
+        pools.clear()
+        enhance_batch(model, bags)
+        assert chunked.pop() == len(bags)
+        assert len(pools) == made
+    assert len(timed_threads.started) == 1
 
 
 @pytest.mark.parametrize("failing", ["calling", "other"])

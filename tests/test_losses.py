@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glemiml.data import Bag, pack_bags
-from glemiml.errors import ConfigError, DegenerateInputError, ShapeError
+from glemiml.errors import ConfigError, ShapeError
 from glemiml.losses import (
     SIM_MODES,
     LossWeights,
@@ -232,9 +232,11 @@ class TestThresholdLoss:
         lab = np.array([[1, 1], [1, 0]])  # first bag has no negative
         assert threshold_loss(d, lab)[0] == pytest.approx(0.0, abs=1e-12)
 
-    def test_all_skipped_raises(self):
-        with pytest.raises(DegenerateInputError):
-            threshold_loss(np.array([[0.5, 0.5]]), np.array([[1, 1]]))
+    def test_all_skipped_is_zero(self):
+        value, grad = threshold_loss(np.array([[0.5, 0.5], [0.2, 0.8]]),
+                                     np.array([[1, 1], [0, 0]]))
+        assert value == 0.0
+        np.testing.assert_array_equal(grad, np.zeros((2, 2)))
 
     def test_grad_matches_fd(self):
         rng = np.random.default_rng(5)

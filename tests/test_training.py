@@ -262,6 +262,21 @@ class TestNumericGuard:
         with pytest.raises(NumericError, match=r"epoch 1.*batch 0"):
             train(ds, None, fast_cfg(batch_size=32))
 
+    def test_non_finite_distribution_loss_names_epoch_and_batch(self, monkeypatch):
+        """An infinite logit makes L_DC NaN; the trainer names it like any loss."""
+        ds = small_dataset()
+        real = tr_mod.classifier_forward
+
+        def infinite_logit(clf, batch):
+            s, p, cache = real(clf, batch)
+            s[0, 0], p[0, 0] = np.inf, 1.0
+            return s, p, cache
+
+        monkeypatch.setattr(tr_mod, "classifier_forward", infinite_logit)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NumericError, match=r"^non-finite L_DC at epoch 1, batch 0$"):
+            train(ds, None, fast_cfg(batch_size=32))
+
 
 class TestEvaluate:
     def test_zero_classifier_hamming_equals_positive_density(self):
@@ -334,7 +349,7 @@ class TestAblationGrid:
 
 class TestOptimizers:
     def test_sgd_single_step_closed_form(self):
-        opt = tr_mod._SGD(3, lr=0.1)
+        opt = tr_mod._SGD(lr=0.1)
         p = np.array([1.0, 2.0, 3.0])
         g = np.array([1.0, -1.0, 0.0])
         np.testing.assert_allclose(opt.step(p, g), [0.9, 2.1, 3.0], atol=1e-15)
@@ -349,7 +364,7 @@ class TestOptimizers:
                                          0.01 * 0.001 / (0.001 + 1e-8)], atol=1e-12)
 
     def test_zero_gradient_is_fixed_point(self):
-        for opt in (tr_mod._SGD(2, 0.1), tr_mod._Adam(2, 0.1)):
+        for opt in (tr_mod._SGD(0.1), tr_mod._Adam(2, 0.1)):
             p = np.array([1.0, -2.0])
             np.testing.assert_array_equal(opt.step(p.copy(), np.zeros(2)), p)
 
