@@ -138,28 +138,33 @@ def classifier_forward(model: ClassifierModel, batch: PackedBags, grad: bool = T
     None, and the instance net and the pool run over blocks of whole bags
     holding at most PREDICT_BLOCK_ROWS rows, or one larger bag, so no
     block's activations outlive it; a batch of at most PREDICT_BLOCK_ROWS
-    rows is one block, and its bytes are grad=True's. With grad the batch
-    is one block, whatever its rows.
+    rows is one block, and its bytes are grad=True's. With grad the whole
+    batch is pooled at once, whatever its rows.
     """
     X, counts, starts = batch.instances, batch.counts, batch.starts
     if X.shape[1] != model.feature_dim:
         raise ShapeError(f"bag feature dim {X.shape[1]} != model feature dim {model.feature_dim}")
+    if grad:
+        hidden, inst_cache = X, None
+        if model.instance_net is not None:
+            hidden, inst_cache = forward_batch(model.instance_net, X)
+        pooled = _max_pool(hidden, counts, starts)
+        S, head_cache = forward_batch(model.head, pooled)
+        return S, sigmoid(S), {"inst": inst_cache, "hidden": hidden, "pooled": pooled,
+                               "counts": counts, "starts": starts, "head": head_cache}
     ends = starts + counts
     pooled = np.empty((len(counts), model.head.input_dim))
     lo = 0
     while lo < len(counts):
         first = starts[lo]
-        hi = len(counts) if grad else max(
-            lo + 1, np.searchsorted(ends, first + PREDICT_BLOCK_ROWS, side="right"))
-        hidden, inst_cache = X[first:ends[hi - 1]], None
+        hi = max(lo + 1, np.searchsorted(ends, first + PREDICT_BLOCK_ROWS, side="right"))
+        hidden = X[first:ends[hi - 1]]
         if model.instance_net is not None:
-            hidden, inst_cache = forward_batch(model.instance_net, hidden, grad)
+            hidden = forward_batch(model.instance_net, hidden, grad=False)[0]
         pooled[lo:hi] = _max_pool(hidden, counts[lo:hi], starts[lo:hi] - first)
         lo = hi
-    S, head_cache = forward_batch(model.head, pooled, grad)
-    cache = {"inst": inst_cache, "hidden": hidden, "pooled": pooled, "counts": counts,
-             "starts": starts, "head": head_cache} if grad else None
-    return S, sigmoid(S), cache
+    S = forward_batch(model.head, pooled, grad=False)[0]
+    return S, sigmoid(S), None
 
 
 def _max_pool(hidden: np.ndarray, counts: np.ndarray, starts: np.ndarray) -> np.ndarray:

@@ -154,6 +154,9 @@ def load_dataset(path) -> MIMLDataset:
         for key in ("name", "feature_dim", "label_count"):
             if key not in header:
                 raise DataFormatError(f"{path}: header missing field {key!r}")
+        if not isinstance(header["name"], str):
+            raise DataFormatError(f"{path}: malformed line 1: header field 'name' must be a "
+                                  f"string, got {header['name']!r}")
         for key in ("feature_dim", "label_count"):
             if type(header[key]) is not int:  # bool is an int subclass
                 raise DataFormatError(f"{path}: malformed line 1: header field {key!r} must be "
@@ -177,7 +180,7 @@ def load_dataset(path) -> MIMLDataset:
                 raise DataFormatError(f"{path}: line {lineno}: bag {bag_idx}: {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{path}: malformed line {lineno}: {exc}") from exc
-    return MIMLDataset(bags=bags, feature_dim=d, label_count=t, name=str(header["name"]))
+    return MIMLDataset(bags=bags, feature_dim=d, label_count=t, name=header["name"])
 
 
 def save_dataset(ds: MIMLDataset, path) -> None:

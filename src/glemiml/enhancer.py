@@ -1,9 +1,17 @@
 """Label-distribution recovery: instance embedding, graph interaction, label-graph refinement.
 
-Per-bag logits are the sum of three branches (pooled raw features, pooled
+Per-bag base logits are the sum of three branches (pooled raw features, pooled
 graph-propagated embeddings, logical labels); a single label-graph propagation
-pass refines the stacked batch logits. Distributions are the row-softmax of
-the refined logits, confidences their elementwise sigmoid.
+pass refines them: refined = base + base @ A.T, A the row-normalised label
+graph. Distributions are the row-softmax of the refined logits, confidences
+their elementwise sigmoid.
+
+Training builds the label graph over each mini-batch's base logits, with its
+gradient. At the end of train() the label graph of the whole training split
+is frozen on the model (EnhancerModel.label_graph), and enhance_batch refines
+with it, so a trained model's output for a bag depends on that bag alone. A
+model without a frozen graph (untrained, or loaded from a schema-1 or epoch
+checkpoint) builds the graph over each call's bags, as training does.
 """
 
 from __future__ import annotations
@@ -20,7 +28,6 @@ from .data import PackedBags, pack_bags
 from .errors import ConfigError, ShapeError
 from .graph import mutual_knn_median, mutual_knn_median_backward
 from .nets import (
-    CHECKPOINT_SCHEMA,
     FeedForwardNet,
     backward_batch,
     forward_batch,
@@ -41,6 +48,10 @@ from .nets import (
 # ablation C prove its branch is dead. Only the calling thread of a pass
 # adds to it, once per pass.
 _instance_graph_builds = 0
+
+# Layout of enhancer checkpoints. Schema 2 adds "label_graph": the frozen
+# label graph, or null. Schema 1 (or no "schema" key) has none.
+ENHANCER_SCHEMA = 2
 
 # Cells (bags x N x N) at most in one forward-only instance-graph build: 1 MiB
 # per (B, N, N) float64 array. A larger batch is built in chunks of bags
@@ -73,6 +84,9 @@ class EnhancerModel:
     instance_k: int = 3
     k_label: int = 3
     use_instance_graph: bool = True
+    # (t, t) row-normalised label graph frozen by train(); None: each
+    # enhance_batch call builds one over its own bags
+    label_graph: np.ndarray | None = None
 
     def __post_init__(self):
         t = self.omega1_net.output_dim
@@ -230,53 +244,18 @@ def _branch_logits(model: EnhancerModel, batch: PackedBags, M2: np.ndarray, grad
     return o1 + o2 + o3, (c1, c2, c3)
 
 
-def _row_normalize(adj: np.ndarray):
-    """Scale rows with sum > 1 down to sum exactly 1; smaller rows untouched."""
-    sums = adj.sum(axis=1)
-    scale = np.where(sums > 1.0, sums, 1.0)
-    return adj / scale[:, None], scale
+def _base_logits(model: EnhancerModel, batch: PackedBags, grad: bool = True):
+    """Base logits (B, t) of a batch packed with its bag features, with the
+    instance-graph and branch-net caches backprop needs (None with grad=False).
 
-
-def _refine_forward(model: EnhancerModel, base_logits: np.ndarray, grad: bool = True):
-    """Label-graph refinement of base logits (B, t); returns (EnhancedBatch,
-    cache), the cache None with grad=False."""
-    if base_logits.ndim != 2 or base_logits.shape[0] < 1:
-        raise ShapeError("batch logits must be a non-empty 2-D matrix")
-    t = base_logits.shape[1]
-    if t < 2:
-        raise ConfigError("label-graph refinement needs label_count >= 2")
-    d0 = softmax_rows(base_logits)
-    adj, lab_cache = mutual_knn_median(d0.T[None], [t], model.k_label, grad=grad)
-    adj = adj[0]
-    adj_n, scale = _row_normalize(adj)
-    refined = base_logits + base_logits @ adj_n.T
-    batch = EnhancedBatch(
-        logits=refined,
-        distributions=softmax_rows(refined),
-        confidences=sigmoid(refined),
-    )
-    if not grad:
-        return batch, None
-    cache = {"base": base_logits, "d0": d0, "adj": adj, "adj_n": adj_n,
-             "scale": scale, "lab_cache": lab_cache}
-    return batch, cache
-
-
-def enhancer_forward(model: EnhancerModel, batch: PackedBags, grad: bool = True):
-    """Full forward over a batch packed with its bag features; returns (EnhancedBatch, cache).
-
-    The label graph spans the whole batch. With grad=False both graphs are
-    built forward only and the cache is None; the outputs are the same bit
-    for bit. A forward-only batch whose (B, N, N) block holds more than
+    A forward-only batch whose (B, N, N) block holds more than
     GRAPH_CHUNK_CELLS cells has its instance graphs built in size-sorted
     chunks of at most half that, on the calling thread and at most one pool
     thread, each largest chunk first (_chunked_graph_means). Any other batch
-    takes one build on the calling thread, and the branch nets and the label
-    graph always run there, after the pool thread is joined.
+    takes one build on the calling thread, and the branch nets always run
+    there, after the pool thread is joined.
     """
     global _instance_graph_builds
-    if not len(batch):
-        raise ShapeError("enhancer_forward needs at least one bag")
     graph_cache = None
     if not model.use_instance_graph:
         M2 = np.zeros((len(batch), model.embed_dim))
@@ -287,17 +266,100 @@ def enhancer_forward(model: EnhancerModel, batch: PackedBags, grad: bool = True)
         else:
             M2 = _chunked_graph_means(model, batch)
     base, net_caches = _branch_logits(model, batch, M2, grad)
+    return base, graph_cache, net_caches
+
+
+def _row_normalize(adj: np.ndarray):
+    """Scale rows with sum > 1 down to sum exactly 1; smaller rows untouched."""
+    sums = adj.sum(axis=1)
+    scale = np.where(sums > 1.0, sums, 1.0)
+    return adj / scale[:, None], scale
+
+
+def _label_graph(model: EnhancerModel, base_logits: np.ndarray, grad: bool = True):
+    """Row-normalised label graph (t, t) of base logits (B, t), with its cache.
+
+    The t labels are the points, each the column of the row-softmax of the
+    logits over the B bags, joined by one mutual-KNN build. With grad=False
+    the build is forward only and the cache is None.
+    """
+    if base_logits.ndim != 2 or base_logits.shape[0] < 1:
+        raise ShapeError("batch logits must be a non-empty 2-D matrix")
+    t = base_logits.shape[1]
+    if t < 2:
+        raise ConfigError("label-graph refinement needs label_count >= 2")
+    d0 = softmax_rows(base_logits)
+    adj, lab_cache = mutual_knn_median(d0.T[None], [t], model.k_label, grad=grad)
+    adj = adj[0]
+    adj_n, scale = _row_normalize(adj)
+    if not grad:
+        return adj_n, None
+    return adj_n, {"d0": d0, "adj": adj, "scale": scale, "lab_cache": lab_cache}
+
+
+def _enhanced(base_logits: np.ndarray, adj_n: np.ndarray) -> EnhancedBatch:
+    """Base logits (B, t) refined by one propagation over a label graph (t, t)."""
+    refined = base_logits + base_logits @ adj_n.T
+    return EnhancedBatch(
+        logits=refined,
+        distributions=softmax_rows(refined),
+        confidences=sigmoid(refined),
+    )
+
+
+def _refine_forward(model: EnhancerModel, base_logits: np.ndarray, grad: bool = True):
+    """Refinement of base logits (B, t) by the label graph built over them;
+    returns (EnhancedBatch, cache), the cache None with grad=False."""
+    adj_n, cache = _label_graph(model, base_logits, grad)
+    out = _enhanced(base_logits, adj_n)
+    if not grad:
+        return out, None
+    return out, {"base": base_logits, "adj_n": adj_n, **cache}
+
+
+def enhancer_forward(model: EnhancerModel, batch: PackedBags, grad: bool = True):
+    """Training's forward over a batch packed with its bag features; returns (EnhancedBatch, cache).
+
+    The label graph is built over the batch's base logits (_base_logits),
+    whether or not the model holds a frozen one. With grad=False both graphs
+    are built forward only and the cache is None; the outputs are the same
+    bit for bit. The label graph is built on the calling thread.
+    """
+    if not len(batch):
+        raise ShapeError("enhancer_forward needs at least one bag")
+    base, graph_cache, net_caches = _base_logits(model, batch, grad)
     out, refine_cache = _refine_forward(model, base, grad)
     if not grad:
         return out, None
     return out, {"graph": graph_cache, "nets": net_caches, "refine": refine_cache}
 
 
+def freeze_label_graph(model: EnhancerModel, batch: PackedBags) -> None:
+    """Set model.label_graph to the label graph of a packed set's base logits.
+
+    One forward-only _base_logits pass over the set, then one label-graph
+    build over all its bags; train() freezes its training split's graph this
+    way once the last batch is done.
+    """
+    model.label_graph = _label_graph(model, _base_logits(model, batch, grad=False)[0],
+                                     grad=False)[0]
+
+
 def enhance_batch(model: EnhancerModel, bags) -> EnhancedBatch:
-    """Forward-only enhancer_forward over a list of bags."""
+    """Forward-only enhancement of a list of bags.
+
+    With a frozen label graph the bags' base logits are refined by it and no
+    label graph is built, so each bag's output depends on that bag alone, up
+    to the rounding of the branch nets' products over the call's rows.
+    Without one, the call is enhancer_forward(..., grad=False): its label
+    graph spans the call's bags.
+    """
     if not bags:
         raise ShapeError("enhance_batch needs at least one bag")
-    return enhancer_forward(model, pack_bags(bags, bag_features=True), grad=False)[0]
+    batch = pack_bags(bags, bag_features=True)
+    if model.label_graph is None:
+        return enhancer_forward(model, batch, grad=False)[0]
+    return _enhanced(_base_logits(model, batch, grad=False)[0], model.label_graph)
 
 
 def _row_normalize_backward(adj: np.ndarray, scale: np.ndarray, grad_n: np.ndarray) -> np.ndarray:
@@ -353,7 +415,7 @@ def set_enhancer_params(model: EnhancerModel, vec: np.ndarray) -> None:
 def enhancer_to_json_dict(model: EnhancerModel) -> dict:
     return {
         "kind": "enhancer",
-        "schema": CHECKPOINT_SCHEMA,
+        "schema": ENHANCER_SCHEMA,
         "instance_k": model.instance_k,
         "k_label": model.k_label,
         "use_instance_graph": model.use_instance_graph,
@@ -361,11 +423,32 @@ def enhancer_to_json_dict(model: EnhancerModel) -> dict:
         "omega1": net_to_json_dict(model.omega1_net),
         "omega2": net_to_json_dict(model.omega2_net),
         "omega3": net_to_json_dict(model.omega3_net),
+        "label_graph": None if model.label_graph is None else model.label_graph.tolist(),
     }
 
 
+def _label_graph_from_json(value, t: int) -> np.ndarray:
+    """A stored frozen label graph: a (t, t) matrix of finite, non-negative
+    weights whose rows sum to at most 1, as _row_normalize leaves them (up to
+    its division's rounding). Anything else raises ShapeError naming the key."""
+    try:
+        adj = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"label_graph: {exc}") from exc
+    if adj.shape != (t, t):
+        raise ShapeError(f"label_graph: shape {adj.shape} is not ({t}, {t})")
+    if not np.isfinite(adj).all():
+        raise ShapeError("label_graph: non-finite weight")
+    if (adj < 0.0).any():
+        raise ShapeError("label_graph: negative weight")
+    if (adj.sum(axis=1) > 1.0 + 1e-12).any():
+        raise ShapeError("label_graph: a row sums to more than 1")
+    return adj
+
+
 def enhancer_from_json_dict(doc: dict) -> EnhancerModel:
-    return EnhancerModel(
+    """The enhancer a checkpoint of schema 1 or 2 stores."""
+    model = EnhancerModel(
         sigma_net=net_from_json_dict(doc["sigma"], "sigma"),
         omega1_net=net_from_json_dict(doc["omega1"], "omega1"),
         omega2_net=net_from_json_dict(doc["omega2"], "omega2"),
@@ -374,6 +457,9 @@ def enhancer_from_json_dict(doc: dict) -> EnhancerModel:
         k_label=int(doc["k_label"]),
         use_instance_graph=bool(doc["use_instance_graph"]),
     )
+    if doc.get("schema", 1) >= 2 and doc["label_graph"] is not None:
+        model.label_graph = _label_graph_from_json(doc["label_graph"], model.label_count)
+    return model
 
 
 def save_enhancer(model: EnhancerModel, path) -> None:
@@ -382,4 +468,4 @@ def save_enhancer(model: EnhancerModel, path) -> None:
 
 
 def load_enhancer(path) -> EnhancerModel:
-    return read_checkpoint(path, enhancer_from_json_dict)
+    return read_checkpoint(path, enhancer_from_json_dict, ENHANCER_SCHEMA)

@@ -176,12 +176,15 @@ def distribution_loss(d: np.ndarray, s: np.ndarray):
     s = np.asarray(s, dtype=np.float64)
     if d.shape != s.shape:
         raise ShapeError("distribution and logit shapes differ")
-    shift = s.max(axis=1, keepdims=True)
-    exp = np.exp(s - shift)
-    total = exp.sum(axis=1)
-    lse = shift[:, 0] + np.log(total)
-    val = float(np.mean(np.sum(d * (lse[:, None] - s), axis=1)))
-    g_s = (d.sum(axis=1, keepdims=True) * (exp / total[:, None]) - d) / d.shape[0]
+    # an infinite logit makes inf - inf here, so the value is NaN, which the
+    # trainer reports as a non-finite loss; the NaN is not warned about too
+    with np.errstate(invalid="ignore"):
+        shift = s.max(axis=1, keepdims=True)
+        exp = np.exp(s - shift)
+        total = exp.sum(axis=1)
+        lse = shift[:, 0] + np.log(total)
+        val = float(np.mean(np.sum(d * (lse[:, None] - s), axis=1)))
+        g_s = (d.sum(axis=1, keepdims=True) * (exp / total[:, None]) - d) / d.shape[0]
     return val, g_s
 
 

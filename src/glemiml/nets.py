@@ -244,17 +244,18 @@ def net_from_json_dict(doc: dict, key: str = "net") -> FeedForwardNet:
         raise ShapeError(f"{key}: {exc}") from exc
 
 
-# Version of the enhancer and classifier checkpoint layout. A checkpoint
-# without a "schema" key was written before it was recorded and is schema 1.
+# Version of the classifier checkpoint layout, and the first of the
+# enhancer's. A checkpoint without a "schema" key was written before it was
+# recorded and is schema 1.
 CHECKPOINT_SCHEMA = 1
 
 
-def read_checkpoint(path, from_json_dict):
+def read_checkpoint(path, from_json_dict, latest: int = CHECKPOINT_SCHEMA):
     """The model `from_json_dict` builds from the JSON checkpoint at `path`.
 
-    Invalid JSON, a schema other than CHECKPOINT_SCHEMA, a missing key and
-    values of the wrong type or shape raise a DataFormatError that names the
-    file and, where it can, the key or value.
+    Schemas 1 to `latest` are read. Invalid JSON, any other schema, a missing
+    key and values of the wrong type or shape raise a DataFormatError that
+    names the file and, where it can, the key or value.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -263,10 +264,11 @@ def read_checkpoint(path, from_json_dict):
             raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: a checkpoint must be a JSON object")
-    schema = doc.get("schema", CHECKPOINT_SCHEMA)
-    if type(schema) is not int or schema != CHECKPOINT_SCHEMA:
+    schema = doc.get("schema", 1)
+    if type(schema) is not int or not 1 <= schema <= latest:
+        readable = ", ".join(str(v) for v in range(1, latest + 1))
         raise DataFormatError(
-            f"{path}: unsupported checkpoint schema {schema!r} (this version reads {CHECKPOINT_SCHEMA})")
+            f"{path}: unsupported checkpoint schema {schema!r} (this version reads {readable})")
     try:
         return from_json_dict(doc)
     except KeyError as exc:

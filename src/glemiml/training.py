@@ -26,6 +26,7 @@ from .enhancer import (
     enhancer_backward,
     enhancer_forward,
     enhancer_params,
+    freeze_label_graph,
     init_enhancer,
     set_enhancer_params,
 )
@@ -184,9 +185,18 @@ def _classifier_batch(clf, forward, logical, distributions, cfg):
 def train(train_ds: MIMLDataset, val_ds: MIMLDataset | None, cfg: TrainConfig,
           enh: EnhancerModel | None = None, clf: ClassifierModel | None = None,
           epoch_callback=None):
-    """Alternating training. Returns (enhancer, classifier, history)."""
+    """Alternating training. Returns (enhancer, classifier, history).
+
+    Training's forwards build their label graph per batch. Once the last
+    batch and its validation are done, the label graph of the whole training
+    split is frozen on the enhancer (freeze_label_graph), before the last
+    epoch's callback: so that callback sees the finished model, and the
+    freeze's time falls within the last epoch. A frozen graph on a given
+    enhancer is dropped first.
+    """
     if enh is None or clf is None:
         enh, clf = build_models(train_ds.feature_dim, train_ds.label_count, cfg)
+    enh.label_graph = None
 
     enh_vec = enhancer_params(enh)
     clf_vec = classifier_params(clf)
@@ -234,6 +244,8 @@ def train(train_ds: MIMLDataset, val_ds: MIMLDataset | None, cfg: TrainConfig,
             record.update({f"val_{k}": v for k, v in val_report.as_dict().items()
                            if isinstance(v, float)})
         history.records.append(record)
+        if epoch == cfg.epochs:
+            freeze_label_graph(enh, packed)
         if epoch_callback is not None:
             epoch_callback(enh, clf, epoch)
     return enh, clf, history

@@ -11,7 +11,7 @@ import pytest
 from glemiml import cli
 from glemiml.cli import config_hash, main, resolve_config, build_parser
 from glemiml.data import SplitSpec, SyntheticConfig, generate_synthetic, split_dataset
-from glemiml.enhancer import load_enhancer
+from glemiml.enhancer import enhance_batch, load_enhancer
 from glemiml.graph import mutual_knn_median
 from glemiml.losses import LossWeights
 from glemiml.metrics import METRIC_DIRECTIONS
@@ -199,8 +199,9 @@ class TestTrainCommand:
         ({}, {"instances": 5, "labels": [1, 0]}),
         ({}, {"instances": [[1.0]], "labels": [1, "z"]}),
         ({}, {"instances": [[1.0]], "labels": [1.5, 0.9]}),
+        ({"name": None}, None),
     ], ids=["header-dim", "bag-list", "instance-text", "instances-number", "label-text",
-            "label-fraction"])
+            "label-fraction", "header-name-null"])
     def test_malformed_dataset_exit_2_without_traceback(self, tmp_path, header, bag):
         path = tmp_path / "bad.jsonl"
         good = {"instances": [[0.5]], "labels": [1, 0]}
@@ -287,6 +288,21 @@ class TestTrainCommand:
         assert run_train(out, ["--epochs", "2", "--checkpoint-every", "1"]) == 0
         assert (out / "enhancer_epoch0001.json").exists()
         assert (out / "classifier_epoch0002.json").exists()
+
+    def test_exported_distributions_are_rows_of_one_whole_dataset_pass(self, tmp_path):
+        """With the frozen label graph a bag's distribution depends on that bag
+        alone, so each split's CSV rows are that split's rows of one pass over
+        the whole dataset."""
+        out = tmp_path / "run"
+        assert run_train(out, ["--export-distributions"]) == 0
+        ds, _ = generate_synthetic(SyntheticConfig(num_bags=20, feature_dim=4, label_count=3))
+        whole = enhance_batch(load_enhancer(out / "enhancer.json"), ds.bags).distributions
+        position = {id(bag): i for i, bag in enumerate(ds.bags)}
+        for name, split in zip(("train", "test", "val"), split_dataset(ds, SplitSpec())):
+            rows = np.loadtxt(out / f"distributions_{name}.csv", delimiter=",", skiprows=1, ndmin=2)
+            assert rows[:, 0].tolist() == list(range(len(split)))
+            expect = whole[[position[id(bag)] for bag in split.bags]]
+            np.testing.assert_allclose(rows[:, 1:], expect, rtol=0, atol=1e-12)
 
     def test_export_and_graph_dump(self, tmp_path):
         out = tmp_path / "run"
@@ -460,7 +476,7 @@ class TestSynthAndEvaluate:
         out = tmp_path / "run"
         assert run_train(out) == 0
         enh, clf = out / "enhancer.json", out / "classifier.json"
-        assert json.loads(enh.read_text())["schema"] == 1
+        assert json.loads(enh.read_text())["schema"] == 2  # with the frozen label graph
         assert json.loads(clf.read_text())["schema"] == 1
         evaluate = ["evaluate", *FAST, "--enhancer", str(enh), "--classifier", str(clf)]
 
@@ -475,6 +491,27 @@ class TestSynthAndEvaluate:
         assert main(evaluate) == 2
         err = capsys.readouterr().err
         assert str(clf) in err and "schema 2" in err
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda doc: doc.update(schema=3), "schema 3"),
+        (lambda doc: doc["label_graph"].pop(), "label_graph: shape (2, 3) is not (3, 3)"),
+        (lambda doc: doc["label_graph"][0].__setitem__(1, float("inf")),
+         "label_graph: non-finite"),
+        (lambda doc: doc["label_graph"][0].__setitem__(1, -0.5), "label_graph: negative"),
+        (lambda doc: doc["label_graph"][0].__setitem__(1, 2.0),
+         "label_graph: a row sums to more than 1"),
+    ], ids=["schema-3", "shape", "non-finite", "negative", "row-sum"])
+    def test_bad_enhancer_checkpoint_exit_2(self, tmp_path, capsys, edit, named):
+        out = tmp_path / "run"
+        assert run_train(out) == 0
+        enh = out / "enhancer.json"
+        doc = json.loads(enh.read_text())
+        edit(doc)
+        enh.write_text(json.dumps(doc))
+        assert main(["evaluate", *FAST, "--enhancer", str(enh),
+                     "--classifier", str(out / "classifier.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(enh) in err and named in err
 
 
 class TestReportCommand:

@@ -128,6 +128,19 @@ class TestLoadSave:
                                    f"integer, got {value!r}")
 
 
+    @pytest.mark.parametrize("value", [None, 5, ["x"]])
+    def test_non_string_header_name_names_file_and_field(self, tmp_path, value):
+        """A null name would otherwise load as the dataset "None"."""
+        header = {"name": value, "feature_dim": 2, "label_count": 2}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(header) + "\n"
+                        + json.dumps({"instances": [[0.5, 0.5]], "labels": [1, 0]}) + "\n")
+        with pytest.raises(DataFormatError) as info:
+            load_dataset(path)
+        assert str(info.value) == (f"{path}: malformed line 1: header field 'name' must be a "
+                                   f"string, got {value!r}")
+
+
 class TestSplit:
     def test_2000_bags_7_2_1(self):
         ds = tiny_dataset(n=2000)

@@ -7,6 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import glemiml.enhancer as enh_mod
 import glemiml.graph as graph_mod
@@ -25,7 +27,7 @@ from glemiml.enhancer import (
 )
 from glemiml.errors import ConfigError, DataFormatError, ShapeError
 from glemiml.nets import DenseLayer, FeedForwardNet, forward_batch
-from glemiml.training import TrainConfig, train
+from glemiml.training import TrainConfig, build_models, train
 
 
 def identity_net(dim):
@@ -527,17 +529,22 @@ class TestForwardOnlyCounts:
         builds = self.record_builds(monkeypatch)
         before = enh_mod.instance_graph_build_count()
         train(ds, None, TrainConfig(epochs=1, batch_size=8))
-        # the enhancer step's instance and label graphs, then the forward-only pair
+        # the enhancer step's instance and label graphs, then the forward-only
+        # pair; after the last batch, the freeze's forward-only pair over the
+        # whole split
         assert builds == [build for size in (8, 8, 4)
-                          for build in ((size, True), (1, True), (size, False), (1, False))]
-        assert enh_mod.instance_graph_build_count() - before == 2 * len(ds)
+                          for build in ((size, True), (1, True), (size, False), (1, False))
+                          ] + [(len(ds), False), (1, False)]
+        assert enh_mod.instance_graph_build_count() - before == 3 * len(ds)
 
     def test_train_makes_one_instance_plan_per_batch_and_one_label_plan(self, monkeypatch):
         """A batch's enhancer-step build, its backward and its forward-only
         rebuild share one instance-graph plan, and the label graphs of a
-        train() call share one. A rebuild through the size-sorted chunks
-        would gather the bags in another order and make plans of its own.
-        The plan memo is emptied first, as a new process starts it."""
+        train() call share one, the frozen one included. A rebuild through
+        the size-sorted chunks would gather the bags in another order and
+        make plans of its own. The freeze's pass over the whole split makes
+        one more instance plan. The plan memo is emptied first, as a new
+        process starts it."""
         graph_mod._plan.cache_clear()
         ds, _ = generate_synthetic(SyntheticConfig(num_bags=40, feature_dim=4, label_count=3,
                                                    instances_min=2, instances_max=9, seed=3))
@@ -553,12 +560,14 @@ class TestForwardOnlyCounts:
         epochs, batch_size = 2, 8
         train(ds, None, TrainConfig(epochs=epochs, batch_size=batch_size))
         batches = epochs * len(ds) // batch_size
-        # per batch: the instance and label builds of the step, then of the rebuild
-        assert builds == [(batch_size, True), (1, True), (batch_size, False), (1, False)] * batches
+        # per batch: the instance and label builds of the step, then of the
+        # rebuild; then the freeze's over the whole split
+        assert builds == [(batch_size, True), (1, True), (batch_size, False), (1, False)
+                          ] * batches + [(len(ds), False), (1, False)]
         label_plan = (np.array([ds.label_count]).tobytes(), ds.label_count)
         instance_plans = [plan for plan in plans if plan != label_plan]
         assert len(plans) - len(instance_plans) == 1
-        assert len(instance_plans) == batches
+        assert len(instance_plans) == batches + 1
         assert all(a != b for a, b in zip(instance_plans, instance_plans[1:]))
 
 
@@ -697,3 +706,126 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, model, monkeypatch):
         save_enhancer(model, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["enhancer.json"]
+
+
+@pytest.fixture(scope="module")
+def trained():
+    """An enhancer trained for three epochs, its label graph frozen, and its training set."""
+    ds, _ = generate_synthetic(SyntheticConfig(num_bags=60, seed=3))
+    enh, _, _ = train(ds, None, TrainConfig(epochs=3, batch_size=16, seed=3))
+    return enh, ds
+
+
+def same_bytes(a, b):
+    return all(getattr(a, name).tobytes() == getattr(b, name).tobytes()
+               for name in ("logits", "distributions", "confidences"))
+
+
+class TestFrozenLabelGraph:
+    """train() freezes the label graph of its training split on the enhancer;
+    enhance_batch refines with it instead of building one over its bags."""
+
+    def test_on_the_training_split_it_is_the_whole_call_graph(self, trained):
+        """The frozen graph is the one a forward over the whole split builds,
+        so on that split the frozen pass gives the whole-call bytes."""
+        enh, ds = trained
+        packed = pack_bags(ds.bags, bag_features=True)
+        _, cache = enhancer_forward(enh, packed)
+        assert enh.label_graph.tobytes() == cache["refine"]["adj_n"].tobytes()
+        assert same_bytes(enhance_batch(enh, ds.bags), enhancer_forward(enh, packed, grad=False)[0])
+
+    def test_train_drops_a_given_graph_and_freezes_before_the_last_callback(self):
+        ds, _ = generate_synthetic(SyntheticConfig(num_bags=30, seed=4))
+        cfg = TrainConfig(epochs=2, batch_size=16, seed=4)
+        enh, clf = build_models(ds.feature_dim, ds.label_count, cfg)
+        enh.label_graph = np.full((ds.label_count, ds.label_count), 0.1)
+        frozen = []
+        train(ds, None, cfg, enh=enh, clf=clf,
+              epoch_callback=lambda e, c, epoch: frozen.append(e.label_graph is not None))
+        assert frozen == [False, True]
+        fresh, _, _ = train(ds, None, cfg)
+        assert enhancer_params(enh).tobytes() == enhancer_params(fresh).tobytes()
+        assert enh.label_graph.tobytes() == fresh.label_graph.tobytes()
+
+    def test_a_pass_builds_no_label_graph(self, trained, monkeypatch):
+        enh, ds = trained
+        builds = TestForwardOnlyCounts.record_builds(monkeypatch)
+        enhance_batch(enh, ds.bags[:10])
+        assert builds == [(10, False)]
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           sizes=st.lists(st.integers(1, 50), min_size=1, max_size=60),
+           data=st.data())
+    @example(seed=0, sizes=[1], data=None)
+    @settings(max_examples=40, deadline=None)
+    def test_each_bag_depends_on_that_bag_alone(self, trained, seed, sizes, data):
+        """Ragged bags in any order: each row of a call equals the call on
+        that bag alone, within 1e-12. Calls of more than GRAPH_CHUNK_CELLS
+        cells build their instance graphs in chunks, on two workers."""
+        enh, ds = trained
+        rng = np.random.default_rng(seed)
+        bags = [Bag(rng.normal(size=(n, ds.feature_dim)),
+                    rng.integers(0, 2, size=ds.label_count)) for n in sizes]
+        if data is not None:
+            bags = [bags[i] for i in data.draw(st.permutations(range(len(bags))))]
+        together = enhance_batch(enh, bags)
+        for i, bag in enumerate(bags):
+            alone = enhance_batch(enh, [bag])
+            for name in ("logits", "distributions", "confidences"):
+                np.testing.assert_allclose(getattr(together, name)[i], getattr(alone, name)[0],
+                                           rtol=0, atol=1e-12)
+
+    def test_schema_2_round_trip_gives_the_same_bytes(self, trained, tmp_path):
+        enh, ds = trained
+        path = tmp_path / "enh.json"
+        save_enhancer(enh, path)
+        assert json.loads(path.read_text())["schema"] == 2
+        loaded = load_enhancer(path)
+        assert loaded.label_graph.tobytes() == enh.label_graph.tobytes()
+        assert same_bytes(enhance_batch(loaded, ds.bags), enhance_batch(enh, ds.bags))
+
+    @pytest.mark.parametrize("schema", [None, 1, 2])
+    def test_checkpoint_without_a_graph_builds_one_per_call(self, trained, tmp_path, schema):
+        """A schema-1 checkpoint (with or without its "schema" key), and a
+        schema-2 one whose label_graph is null, as an untrained model writes,
+        enhance with the label graph of each call's bags."""
+        enh, ds = trained
+        path = tmp_path / "enh.json"
+        save_enhancer(enh, path)
+        doc = json.loads(path.read_text())
+        if schema == 2:
+            doc["label_graph"] = None
+        else:
+            del doc["label_graph"]
+            doc.pop("schema") if schema is None else doc.update(schema=schema)
+        path.write_text(json.dumps(doc))
+        loaded = load_enhancer(path)
+        assert loaded.label_graph is None
+        bags = ds.bags[:20]
+        whole_call = enhancer_forward(enh, pack_bags(bags, bag_features=True), grad=False)[0]
+        assert same_bytes(enhance_batch(loaded, bags), whole_call)
+        assert not same_bytes(enhance_batch(enh, bags), whole_call)
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda doc: doc.pop("label_graph"), "missing key 'label_graph'"),
+        (lambda doc: doc.update(schema=3), "unsupported checkpoint schema 3"),
+        (lambda doc: doc["label_graph"].pop(), "label_graph: shape (5, 6) is not (6, 6)"),
+        # ragged rows and text fail NumPy's conversion, whose words vary by version
+        (lambda doc: doc["label_graph"][0].append(0.0), "label_graph: "),
+        (lambda doc: doc.update(label_graph="dense"), "label_graph: "),
+        (lambda doc: doc["label_graph"][1].__setitem__(2, float("nan")),
+         "label_graph: non-finite weight"),
+        (lambda doc: doc["label_graph"][1].__setitem__(2, -0.25), "label_graph: negative weight"),
+        (lambda doc: doc["label_graph"][1].__setitem__(2, 1.5),
+         "label_graph: a row sums to more than 1"),
+    ], ids=["missing", "schema-3", "rows", "columns", "text", "nan", "negative", "row-sum"])
+    def test_malformed_graph_names_file_and_key(self, trained, tmp_path, edit, named):
+        enh, _ = trained
+        path = tmp_path / "enh.json"
+        save_enhancer(enh, path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match=re.escape(named)) as info:
+            load_enhancer(path)
+        assert str(path) in str(info.value)

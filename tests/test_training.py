@@ -1,4 +1,5 @@
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -273,9 +274,10 @@ class TestNumericGuard:
             return s, p, cache
 
         monkeypatch.setattr(tr_mod, "classifier_forward", infinite_logit)
-        with np.errstate(invalid="ignore"), pytest.raises(
-                NumericError, match=r"^non-finite L_DC at epoch 1, batch 0$"):
-            train(ds, None, fast_cfg(batch_size=32))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericError, match=r"^non-finite L_DC at epoch 1, batch 0$"):
+                train(ds, None, fast_cfg(batch_size=32))
 
 
 class TestEvaluate:
@@ -380,7 +382,8 @@ def test_ablation_constant_exported():
 
 class TestGraphWorkers:
     """Training's forward-only rebuild goes through the chunked, two-worker
-    enhancer pass only when a batch holds more than GRAPH_CHUNK_CELLS cells."""
+    enhancer pass only when a batch holds more than GRAPH_CHUNK_CELLS cells;
+    so does the freeze's pass over the whole split after the last batch."""
 
     @staticmethod
     def record_instance_builds(monkeypatch):
@@ -396,50 +399,69 @@ class TestGraphWorkers:
         monkeypatch.setattr(enh_mod, "_graph_means", recorded)
         return builds
 
-    def test_wide_epoch_at_batch_32_starts_no_thread(self, monkeypatch):
+    def test_wide_epoch_at_batch_32_builds_its_batches_on_the_calling_thread(self, monkeypatch):
         """Batches of 32 bags of 20-50 instances hold up to 80,000 cells: more
         than a chunk's half budget, within GRAPH_CHUNK_CELLS, so each takes
-        one build on the calling thread."""
+        one build on the calling thread. The freeze's pass over all 64 bags
+        holds more than GRAPH_CHUNK_CELLS, so it alone starts a thread."""
         ds, _ = generate_synthetic(SyntheticConfig(num_bags=64, instances_min=20,
                                                    instances_max=50, seed=5))
         monkeypatch.setattr(enh_mod, "_graph_workers", lambda: 2)
-        started = []
-        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
         builds = self.record_instance_builds(monkeypatch)
+        started = []  # the builds made before each thread start
+        real_start = threading.Thread.start
+
+        def start(thread):
+            started.append(len(builds))
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
         train(ds, None, TrainConfig(epochs=1, batch_size=32, seed=5))
-        assert started == []
-        assert len(builds) == 4 and all(on_caller for _, _, on_caller in builds)
+        assert started == [4]
+        assert all(on_caller for _, _, on_caller in builds[:4])
+        freeze = builds[4:]
+        assert any(on_caller for _, _, on_caller in freeze)
+        assert len({thread for thread, _, on_caller in freeze if not on_caller}) == 1
         widest = max(bag.instances.shape[0] for bag in ds.bags)
         assert enh_mod.GRAPH_CHUNK_CELLS // 2 < 32 * widest ** 2 <= enh_mod.GRAPH_CHUNK_CELLS
+        assert 64 * widest ** 2 > enh_mod.GRAPH_CHUNK_CELLS
 
     def test_chunked_rebuild_gives_the_same_bits_on_one_and_two_workers(self, monkeypatch):
         """With a budget below a batch's cells, every forward-only rebuild is
-        chunked. One and two workers train the same parameters and history,
-        and with two, every batch's rebuild builds chunks on the calling
-        thread and on one thread started for that rebuild, while the
-        enhancer step builds on the calling thread."""
+        chunked, and so is the freeze's pass. One and two workers train the
+        same parameters, history and frozen label graph, and with two, every
+        batch's rebuild and the freeze build chunks on the calling thread and
+        on one thread started for that pass, while the enhancer step builds
+        on the calling thread."""
         ds, _ = generate_synthetic(SyntheticConfig(num_bags=24, feature_dim=4, label_count=3,
                                                    instances_min=10, instances_max=20, seed=2))
         monkeypatch.setattr(enh_mod, "GRAPH_CHUNK_CELLS", 1 << 10)
         builds = self.record_instance_builds(monkeypatch)
+        real_freeze = tr_mod.freeze_label_graph
+
+        def marked_freeze(model, batch):
+            builds.append("freeze")
+            real_freeze(model, batch)
+
+        monkeypatch.setattr(tr_mod, "freeze_label_graph", marked_freeze)
         out = {}
         for workers in (1, 2):
             monkeypatch.setattr(enh_mod, "_graph_workers", lambda: workers)
             builds.clear()
             enh, clf, hist = train(ds, None, TrainConfig(epochs=2, batch_size=8, seed=2))
             out[workers] = (enhancer_params(enh).tobytes(), classifier_params(clf).tobytes(),
-                            repr(hist.records))
+                            repr(hist.records), enh.label_graph.tobytes())
         assert out[2] == out[1]
-        # the last run's builds, one batch per enhancer-step build
-        steps = [i for i, (_, grad, _) in enumerate(builds) if grad]
+        # the last run's builds: one batch per enhancer-step build, then the freeze
+        freeze = builds.index("freeze")
+        steps = [i for i, (_, grad, _) in enumerate(builds[:freeze]) if grad]
         assert len(steps) == 2 * 3
         assert all(builds[i][2] for i in steps)
         workers = []
-        for i, lo in enumerate(steps):
-            hi = steps[i + 1] if i + 1 < len(steps) else len(builds)
+        for lo, hi in zip(steps + [freeze], steps[1:] + [freeze, len(builds)]):
             rebuild = builds[lo + 1:hi]
             assert any(on_caller for _, _, on_caller in rebuild)
             others = {thread for thread, _, on_caller in rebuild if not on_caller}
             assert len(others) == 1
             workers.extend(others)
-        assert len(set(workers)) == len(steps)
+        assert len(set(workers)) == len(steps) + 1
