@@ -92,6 +92,8 @@ class EnhancerModel:
         t = self.omega1_net.output_dim
         if self.omega2_net.output_dim != t or self.omega3_net.output_dim != t:
             raise ConfigError("omega nets must share the label-count output dim")
+        if t < 2:
+            raise ConfigError(f"enhancer needs label_count >= 2, got {t}")
         if self.sigma_net.output_dim != self.omega2_net.input_dim:
             raise ConfigError("sigma output dim must match omega2 input dim")
         if self.instance_k < 1 or self.k_label < 1:
@@ -122,8 +124,6 @@ def init_enhancer(feature_dim: int, label_count: int, embed_dim: int = 8,
                   instance_k: int = 3, k_label: int = 3, seed: int = 0,
                   use_instance_graph: bool = True) -> EnhancerModel:
     """Two-layer tanh nets, hidden width max(16, 2t), identity outputs."""
-    if label_count < 2:
-        raise ConfigError("enhancer needs label_count >= 2")
     h = max(16, 2 * label_count)
     return EnhancerModel(
         sigma_net=init_net([feature_dim, h, embed_dim], "tanh", seed=seed * 4 + 1),
@@ -281,15 +281,11 @@ def _label_graph(model: EnhancerModel, base_logits: np.ndarray, grad: bool = Tru
 
     The t labels are the points, each the column of the row-softmax of the
     logits over the B bags, joined by one mutual-KNN build. With grad=False
-    the build is forward only and the cache is None.
+    the build is forward only and the cache is None. Its callers pass at
+    least one bag, and a model has at least two labels.
     """
-    if base_logits.ndim != 2 or base_logits.shape[0] < 1:
-        raise ShapeError("batch logits must be a non-empty 2-D matrix")
-    t = base_logits.shape[1]
-    if t < 2:
-        raise ConfigError("label-graph refinement needs label_count >= 2")
     d0 = softmax_rows(base_logits)
-    adj, lab_cache = mutual_knn_median(d0.T[None], [t], model.k_label, grad=grad)
+    adj, lab_cache = mutual_knn_median(d0.T[None], [d0.shape[1]], model.k_label, grad=grad)
     adj = adj[0]
     adj_n, scale = _row_normalize(adj)
     if not grad:
@@ -307,16 +303,6 @@ def _enhanced(base_logits: np.ndarray, adj_n: np.ndarray) -> EnhancedBatch:
     )
 
 
-def _refine_forward(model: EnhancerModel, base_logits: np.ndarray, grad: bool = True):
-    """Refinement of base logits (B, t) by the label graph built over them;
-    returns (EnhancedBatch, cache), the cache None with grad=False."""
-    adj_n, cache = _label_graph(model, base_logits, grad)
-    out = _enhanced(base_logits, adj_n)
-    if not grad:
-        return out, None
-    return out, {"base": base_logits, "adj_n": adj_n, **cache}
-
-
 def enhancer_forward(model: EnhancerModel, batch: PackedBags, grad: bool = True):
     """Training's forward over a batch packed with its bag features; returns (EnhancedBatch, cache).
 
@@ -328,10 +314,12 @@ def enhancer_forward(model: EnhancerModel, batch: PackedBags, grad: bool = True)
     if not len(batch):
         raise ShapeError("enhancer_forward needs at least one bag")
     base, graph_cache, net_caches = _base_logits(model, batch, grad)
-    out, refine_cache = _refine_forward(model, base, grad)
+    adj_n, label_cache = _label_graph(model, base, grad)
+    out = _enhanced(base, adj_n)
     if not grad:
         return out, None
-    return out, {"graph": graph_cache, "nets": net_caches, "refine": refine_cache}
+    return out, {"graph": graph_cache, "nets": net_caches,
+                 "refine": {"base": base, "adj_n": adj_n, **label_cache}}
 
 
 def freeze_label_graph(model: EnhancerModel, batch: PackedBags) -> None:
@@ -346,20 +334,23 @@ def freeze_label_graph(model: EnhancerModel, batch: PackedBags) -> None:
 
 
 def enhance_batch(model: EnhancerModel, bags) -> EnhancedBatch:
-    """Forward-only enhancement of a list of bags.
+    """Forward-only enhancement of a list of bags in three stages: their base
+    logits (_base_logits), a label graph, and one refinement by it (_enhanced).
 
-    With a frozen label graph the bags' base logits are refined by it and no
-    label graph is built, so each bag's output depends on that bag alone, up
-    to the rounding of the branch nets' products over the call's rows.
-    Without one, the call is enhancer_forward(..., grad=False): its label
-    graph spans the call's bags.
+    The label graph is the model's frozen one, so each bag's output depends
+    on that bag alone, up to the rounding of the branch nets' products over
+    the call's rows; a model without one builds it over the call's bags, as
+    training does. An enhancer checkpoint with fewer than two labels does
+    not load (DataFormatError).
     """
     if not bags:
         raise ShapeError("enhance_batch needs at least one bag")
     batch = pack_bags(bags, bag_features=True)
-    if model.label_graph is None:
-        return enhancer_forward(model, batch, grad=False)[0]
-    return _enhanced(_base_logits(model, batch, grad=False)[0], model.label_graph)
+    base = _base_logits(model, batch, grad=False)[0]
+    adj_n = model.label_graph
+    if adj_n is None:
+        adj_n = _label_graph(model, base, grad=False)[0]
+    return _enhanced(base, adj_n)
 
 
 def _row_normalize_backward(adj: np.ndarray, scale: np.ndarray, grad_n: np.ndarray) -> np.ndarray:

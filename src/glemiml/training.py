@@ -191,10 +191,13 @@ def train(train_ds: MIMLDataset, val_ds: MIMLDataset | None, cfg: TrainConfig,
     batch and its validation are done, the label graph of the whole training
     split is frozen on the enhancer (freeze_label_graph), before the last
     epoch's callback: so that callback sees the finished model, and the
-    freeze's time falls within the last epoch. A frozen graph on a given
-    enhancer is dropped first.
+    freeze's time falls within the last epoch. `enh` and `clf` are given
+    together or not at all; a frozen graph on a given enhancer is dropped
+    first.
     """
-    if enh is None or clf is None:
+    if (enh is None) != (clf is None):
+        raise ConfigError("train() takes both an enhancer and a classifier, or neither")
+    if enh is None:
         enh, clf = build_models(train_ds.feature_dim, train_ds.label_count, cfg)
     enh.label_graph = None
 

@@ -17,6 +17,7 @@ from glemiml.losses import LossWeights
 from glemiml.metrics import METRIC_DIRECTIONS
 from glemiml.nets import forward_batch
 from glemiml.training import TrainConfig
+from test_enhancer import write_one_label_checkpoint
 
 FAST = [
     "--synth", "--num-bags", "20", "--feature-dim", "4", "--label-count", "3",
@@ -471,6 +472,15 @@ class TestSynthAndEvaluate:
                      "--classifier", str(out / "classifier.json")]) == 2
         err = capsys.readouterr().err
         assert str(enh) in err and "k_label must be >= 1" in err
+
+    def test_one_label_enhancer_checkpoint_exit_2_without_traceback(self, tmp_path, capsys):
+        enh, clf = tmp_path / "e.json", tmp_path / "c.json"
+        write_one_label_checkpoint(enh)
+        clf.write_text("{}")  # not read: the enhancer loads first
+        assert main(["evaluate", *FAST, "--enhancer", str(enh), "--classifier", str(clf)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+        assert str(enh) in err and "label_count >= 2, got 1" in err
 
     def test_checkpoint_schema(self, tmp_path, capsys):
         out = tmp_path / "run"

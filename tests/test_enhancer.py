@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import sys
@@ -12,10 +13,18 @@ from hypothesis import strategies as st
 
 import glemiml.enhancer as enh_mod
 import glemiml.graph as graph_mod
-from glemiml.data import Bag, SyntheticConfig, generate_synthetic, pack_bags
+from glemiml.data import (
+    Bag,
+    SplitSpec,
+    SyntheticConfig,
+    generate_synthetic,
+    pack_bags,
+    split_dataset,
+)
 from glemiml.enhancer import (
     EnhancerModel,
-    _refine_forward,
+    _enhanced,
+    _label_graph,
     enhance_batch,
     enhancer_backward,
     enhancer_forward,
@@ -26,7 +35,7 @@ from glemiml.enhancer import (
     set_enhancer_params,
 )
 from glemiml.errors import ConfigError, DataFormatError, ShapeError
-from glemiml.nets import DenseLayer, FeedForwardNet, forward_batch
+from glemiml.nets import DenseLayer, FeedForwardNet, forward_batch, init_net, net_to_json_dict
 from glemiml.training import TrainConfig, build_models, train
 
 
@@ -49,7 +58,18 @@ def recover_logits(model, bag):
 
 
 def refine_with_label_graph(model, logits):
-    return _refine_forward(model, np.asarray(logits, dtype=np.float64))[0]
+    """Logits (B, t) refined by the label graph built over them."""
+    logits = np.asarray(logits, dtype=np.float64)
+    return _enhanced(logits, _label_graph(model, logits)[0])
+
+
+def write_one_label_checkpoint(path):
+    """An enhancer checkpoint, well formed but for having one label."""
+    dims = {"sigma": [4, 16, 8], "omega1": [4, 16, 1], "omega2": [8, 16, 1], "omega3": [1, 16, 1]}
+    doc = {"kind": "enhancer", "schema": 2, "instance_k": 3, "k_label": 3,
+           "use_instance_graph": True, "label_graph": None,
+           **{key: net_to_json_dict(init_net(d, "tanh", seed=0)) for key, d in dims.items()}}
+    path.write_text(json.dumps(doc))
 
 
 def make_bag(rng, n, d, t):
@@ -171,9 +191,20 @@ class TestRefine:
         np.testing.assert_allclose(batch.distributions.sum(axis=1), 1.0, atol=1e-9)
         assert (batch.distributions > 0).all()
 
-    def test_single_label_rejected(self, model):
-        with pytest.raises(ConfigError):
-            refine_with_label_graph(model, np.zeros((3, 1)))
+    def test_single_label_rejected(self, tmp_path):
+        """A label graph needs two labels, so an enhancer has them from the
+        start: a one-label model is a ConfigError, and a one-label checkpoint
+        a DataFormatError naming the file."""
+        with pytest.raises(ConfigError, match="label_count >= 2, got 1"):
+            init_enhancer(feature_dim=4, label_count=1)
+        with pytest.raises(ConfigError, match="label_count >= 2, got 1"):
+            EnhancerModel(sigma_net=identity_net(4), omega1_net=zero_net(4, 1),
+                          omega2_net=zero_net(4, 1), omega3_net=zero_net(1, 1))
+        path = tmp_path / "enh.json"
+        write_one_label_checkpoint(path)
+        with pytest.raises(DataFormatError, match="label_count >= 2, got 1") as info:
+            load_enhancer(path)
+        assert str(path) in str(info.value)
 
 
 class TestEnhanceBatch:
@@ -499,6 +530,32 @@ def test_small_bag_pass_memory_stays_bounded():
     assert peak < 8e6
 
 
+def test_frozen_many_labels_pass_memory_stays_bounded():
+    """A warm pass over the 2,000 bags of the many-labels-c benchmark set
+    (t = 30, 2-5 instances, ablation C, seed 5) with the model trained as the
+    benchmark trains it: no instance graph and a frozen label graph, so the
+    pass holds the pack, the branch nets' outputs and the three (B, t)
+    results. It peaked at 3.83 MB on each of three passes. The bound leaves
+    0.37 MB (about 10%), less than one more (B, t) float64 array (0.48 MB)
+    alive at the peak; running the branch nets with their backward caches
+    goes over it."""
+    ds, _ = generate_synthetic(SyntheticConfig(num_bags=2000, label_count=30, seed=5))
+    train_ds, _, _ = split_dataset(ds, SplitSpec(seed=5))
+    model, _, _ = train(train_ds, None, TrainConfig(epochs=30, batch_size=128, seed=5,
+                                                    ablation="C"))
+    assert model.label_graph is not None
+    enhance_batch(model, ds.bags)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        enhance_batch(model, ds.bags)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.2e6
+
+
 class TestForwardOnlyCounts:
     """Forward-only builds go through enhancer.mutual_knn_median, where the
     benchmark's tracer counts graph builds, and count as instance graphs."""
@@ -752,6 +809,23 @@ class TestFrozenLabelGraph:
         builds = TestForwardOnlyCounts.record_builds(monkeypatch)
         enhance_batch(enh, ds.bags[:10])
         assert builds == [(10, False)]
+
+    @pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "unfrozen"])
+    def test_a_pass_does_not_run_the_training_forward(self, trained, monkeypatch, frozen):
+        """enhance_batch builds its three stages itself, with or without a
+        frozen graph. Without one it gives the bytes of the training forward
+        over its bags; with one it does not."""
+        enh, ds = trained
+        if not frozen:
+            enh = dataclasses.replace(enh, label_graph=None)
+        bags = ds.bags[:20]
+        expected = enhancer_forward(enh, pack_bags(bags, bag_features=True), grad=False)[0]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("enhance_batch ran enhancer_forward")
+
+        monkeypatch.setattr(enh_mod, "enhancer_forward", refused)
+        assert same_bytes(enhance_batch(enh, bags), expected) == (not frozen)
 
     @given(seed=st.integers(0, 2**32 - 1),
            sizes=st.lists(st.integers(1, 50), min_size=1, max_size=60),

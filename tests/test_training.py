@@ -161,6 +161,16 @@ class TestAlternation:
         assert not np.array_equal(classifier_params(clf2), clf_before)
         assert not np.array_equal(enhancer_params(enh2), enh_before)
 
+    @pytest.mark.parametrize("given", ["enh", "clf"])
+    def test_one_model_alone_is_config_error(self, given):
+        """train() would otherwise build both models fresh and drop the given one."""
+        ds = small_dataset()
+        cfg = fast_cfg()
+        enh, clf = build_models(ds.feature_dim, ds.label_count, cfg)
+        models = {"enh": enh, "clf": clf}
+        with pytest.raises(ConfigError, match="both an enhancer and a classifier"):
+            train(ds, None, cfg, **{given: models[given]})
+
     def test_enhancer_grad_treats_classifier_probs_as_constant(self):
         # finite differences over enhancer parameters with fixed classifier
         # probabilities must match the analytic gradient of the enhancer loss

@@ -64,7 +64,7 @@ def shape_inputs(rng, sets, fewest, most, features):
         logits = rng.normal(size=(features, most))
         d0 = np.exp(logits - logits.max(axis=1, keepdims=True))
         d0 /= d0.sum(axis=1, keepdims=True)
-        return d0.T[None], np.array([most])  # the view enhancer._refine_forward passes
+        return d0.T[None], np.array([most])  # the view enhancer._label_graph passes
     counts = rng.integers(fewest, most + 1, size=sets)
     real = np.arange(most) < counts[:, None]
     points = np.where(real[:, :, None], rng.normal(size=(sets, most, features)), 0.0)
