@@ -28,8 +28,7 @@ _M_MMAP_THRESHOLD = -3
 # with glibc's defaults an enhance pass took 1,140 faults on many-labels-c,
 # 139 on default and 450 on wide-bags, a default predict pass 0 with an
 # upper quartile of 80, and a wide-bags epoch 503; with both thresholds set
-# each of these reads 0, apart from 3 per wide-bags enhance pass, the stack
-# pages of the pass's worker thread. This threshold alone left 991 faults per
+# each of these reads 0. This threshold alone left 991 faults per
 # many-labels-c enhance pass: glibc then keeps its 128 KiB trim threshold.
 MMAP_THRESHOLD = 32 << 20
 

@@ -19,6 +19,7 @@ from .nets import (
     CHECKPOINT_SCHEMA,
     FeedForwardNet,
     backward_batch,
+    checkpoint_scalar,
     forward_batch,
     grads_to_vector,
     init_net,
@@ -242,7 +243,7 @@ def classifier_to_json_dict(model: ClassifierModel) -> dict:
 def classifier_from_json_dict(doc: dict) -> ClassifierModel:
     inst = doc.get("instance_net")
     return ClassifierModel(
-        depth=int(doc["depth"]),
+        depth=checkpoint_scalar(doc, "depth", int),
         instance_net=net_from_json_dict(inst, "instance_net") if inst is not None else None,
         head=net_from_json_dict(doc["head"], "head"),
     )

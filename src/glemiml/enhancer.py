@@ -17,7 +17,6 @@ checkpoint) builds the graph over each call's bags, as training does.
 from __future__ import annotations
 
 import json
-import os
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -30,6 +29,7 @@ from .graph import mutual_knn_median, mutual_knn_median_backward
 from .nets import (
     FeedForwardNet,
     backward_batch,
+    checkpoint_scalar,
     forward_batch,
     grads_to_vector,
     init_net,
@@ -45,8 +45,7 @@ from .nets import (
 )
 
 # Bags whose instance graph was built; the label graph is not counted. Lets
-# ablation C prove its branch is dead. Only the calling thread of a pass
-# adds to it, once per pass.
+# ablation C prove its branch is dead. Added to once per pass.
 _instance_graph_builds = 0
 
 # Layout of enhancer checkpoints. Schema 2 adds "label_graph": the frozen
@@ -54,25 +53,17 @@ _instance_graph_builds = 0
 ENHANCER_SCHEMA = 2
 
 # Cells (bags x N x N) at most in one forward-only instance-graph build: 1 MiB
-# per (B, N, N) float64 array. A larger batch is built in chunks of bags
-# sorted by size, of at most half this many cells each, on the calling
-# thread and at most one pool thread (_chunked_graph_means). So a chunk pads
-# little, the two workers' graph arrays together stay within this budget
-# however many bags are enhanced, and the chunks, hence the outputs, do not
-# depend on the host's CPUs. The 500 bags of 2-5 instances of a default-shape
-# set, and every default training batch, take one build on the calling thread.
+# per (B, N, N) float64 array. A larger batch is built one chunk at a time,
+# in chunks of bags sorted by size of at most this many cells each
+# (_chunked_graph_means), so a chunk pads little and its graph arrays stay
+# within this budget however many bags are enhanced. The 500 bags of 2-5
+# instances of a default-shape set, and every training batch of the
+# benchmark's shapes (at most 32 x 50^2 cells), take one build.
 GRAPH_CHUNK_CELLS = 1 << 17
 
 
 def instance_graph_build_count() -> int:
     return _instance_graph_builds
-
-
-def _graph_workers() -> int:
-    """Workers of a chunked instance-graph pass: two when the process may run on two CPUs."""
-    getaffinity = getattr(os, "sched_getaffinity", None)  # absent on some platforms
-    cpus = len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
-    return min(2, cpus)
 
 
 @dataclass
@@ -169,59 +160,28 @@ def _graph_means_backward(model: EnhancerModel, cache, g_m2: np.ndarray):
 
 
 def _chunked_graph_means(model: EnhancerModel, batch: PackedBags):
-    """Forward-only _graph_means of a batch built in chunks of at most GRAPH_CHUNK_CELLS // 2 cells.
+    """Forward-only _graph_means of a batch built in chunks of at most GRAPH_CHUNK_CELLS cells.
 
     The bags are sorted by size and cut into chunks [lo, hi) that pad to
     their largest bag's size N: a chunk grows while its (hi - lo) x N x N
-    block holds at most GRAPH_CHUNK_CELLS // 2 cells, and a bag larger than
-    that is a chunk of its own. The chunks, largest first, go each to the
-    worker with fewer cells so far, the calling thread on a tie. With two
-    usable CPUs (_graph_workers) the other worker is one pool thread, made
-    only when its share has chunks. A worker builds its chunks largest
-    first, each in arrays of its own. Each chunk writes its own rows of the
-    means, so the result does not depend on the worker count. An exception
-    in either worker is raised here once the pool's thread has stopped.
+    block holds at most GRAPH_CHUNK_CELLS cells, and a bag larger than that
+    is a chunk of its own. Each chunk is built as soon as it is cut, in
+    arrays of its own, and writes its own rows of the means.
     """
     M2 = np.empty((len(batch), model.embed_dim))
-    budget = GRAPH_CHUNK_CELLS // 2
     by_size = np.argsort(batch.counts, kind="stable")
     sizes = batch.counts[by_size].tolist()
     ends = range(1, len(sizes) + 1)
-    chunks = []  # (cells, bags) per chunk
     lo = 0
     while lo < len(sizes):
         # a chunk's cells grow with its end, and ends[i] == i + 1, so the
         # index bisect_right returns is the last end that fits
-        hi = bisect_right(ends, budget, lo=lo, key=lambda end: (end - lo) * sizes[end - 1] ** 2)
+        hi = bisect_right(ends, GRAPH_CHUNK_CELLS, lo=lo,
+                          key=lambda end: (end - lo) * sizes[end - 1] ** 2)
         hi = max(hi, lo + 1)
-        chunks.append(((hi - lo) * sizes[hi - 1] ** 2, by_size[lo:hi]))
+        idx = by_size[lo:hi]
+        M2[idx] = _graph_means(model, batch.take(idx), grad=False)[0]
         lo = hi
-    two = _graph_workers() > 1
-    mine, other = [], []
-    lead = 0  # the calling thread's cells less the other worker's
-    for cells, idx in sorted(chunks, key=lambda chunk: chunk[0], reverse=True):
-        if two and lead > 0:
-            other.append(idx)
-            lead -= cells
-        else:
-            mine.append(idx)
-            lead += cells
-
-    def build(share):
-        for idx in share:
-            M2[idx] = _graph_means(model, batch.take(idx), grad=False)[0]
-
-    if not other:
-        build(mine)
-        return M2
-    # imported here: concurrent.futures imports logging, about 0.5 MiB that a
-    # process whose passes never have two shares would otherwise hold
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(1) as pool:
-        future = pool.submit(build, other)
-        build(mine)
-        future.result()
     return M2
 
 
@@ -250,10 +210,8 @@ def _base_logits(model: EnhancerModel, batch: PackedBags, grad: bool = True):
 
     A forward-only batch whose (B, N, N) block holds more than
     GRAPH_CHUNK_CELLS cells has its instance graphs built in size-sorted
-    chunks of at most half that, on the calling thread and at most one pool
-    thread, each largest chunk first (_chunked_graph_means). Any other batch
-    takes one build on the calling thread, and the branch nets always run
-    there, after the pool thread is joined.
+    chunks of at most that many cells (_chunked_graph_means). Any other
+    batch takes one build.
     """
     global _instance_graph_builds
     graph_cache = None
@@ -309,7 +267,7 @@ def enhancer_forward(model: EnhancerModel, batch: PackedBags, grad: bool = True)
     The label graph is built over the batch's base logits (_base_logits),
     whether or not the model holds a frozen one. With grad=False both graphs
     are built forward only and the cache is None; the outputs are the same
-    bit for bit. The label graph is built on the calling thread.
+    bit for bit.
     """
     if not len(batch):
         raise ShapeError("enhancer_forward needs at least one bag")
@@ -444,9 +402,9 @@ def enhancer_from_json_dict(doc: dict) -> EnhancerModel:
         omega1_net=net_from_json_dict(doc["omega1"], "omega1"),
         omega2_net=net_from_json_dict(doc["omega2"], "omega2"),
         omega3_net=net_from_json_dict(doc["omega3"], "omega3"),
-        instance_k=int(doc["instance_k"]),
-        k_label=int(doc["k_label"]),
-        use_instance_graph=bool(doc["use_instance_graph"]),
+        instance_k=checkpoint_scalar(doc, "instance_k", int),
+        k_label=checkpoint_scalar(doc, "k_label", int),
+        use_instance_graph=checkpoint_scalar(doc, "use_instance_graph", bool),
     )
     if doc.get("schema", 1) >= 2 and doc["label_graph"] is not None:
         model.label_graph = _label_graph_from_json(doc["label_graph"], model.label_count)

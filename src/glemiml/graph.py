@@ -71,7 +71,7 @@ def _plan(counts: bytes, n: int, k: int) -> GraphPlan:
     Two entries hold a training batch's instance plan and the label plan:
     the batch's build, backward and forward-only rebuild share the one, and
     every batch of a train() call the other. The arrays are read-only, since
-    every caller, and both workers of a chunked enhancer pass, share them.
+    every caller of a plan shares them.
     """
     plan = GraphPlan(np.frombuffer(counts, dtype=np.int64), n, k)
     for array in vars(plan).values():

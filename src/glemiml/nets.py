@@ -250,6 +250,16 @@ def net_from_json_dict(doc: dict, key: str = "net") -> FeedForwardNet:
 CHECKPOINT_SCHEMA = 1
 
 
+def checkpoint_scalar(doc: dict, key: str, kind: type):
+    """doc[key] when its JSON type is exactly `kind`, int or bool (a bool is
+    not an int); any other value raises a DataFormatError naming the key."""
+    value = doc[key]
+    if type(value) is not kind:
+        name = "an integer" if kind is int else "a boolean"
+        raise DataFormatError(f"field {key!r} must be {name}, got {value!r}")
+    return value
+
+
 def read_checkpoint(path, from_json_dict, latest: int = CHECKPOINT_SCHEMA):
     """The model `from_json_dict` builds from the JSON checkpoint at `path`.
 
@@ -273,5 +283,5 @@ def read_checkpoint(path, from_json_dict, latest: int = CHECKPOINT_SCHEMA):
         return from_json_dict(doc)
     except KeyError as exc:
         raise DataFormatError(f"{path}: missing key {exc.args[0]!r}") from exc
-    except (ConfigError, ShapeError, TypeError, ValueError) as exc:
+    except (ConfigError, DataFormatError, ShapeError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: {exc}") from exc

@@ -268,7 +268,12 @@ def test_checkpoint_roundtrip(tmp_path):
     (lambda doc: doc["instance_net"].pop("weights"), "'instance_net.weights'"),
     (lambda doc: doc["head"]["weights"][0].append([0.0]), "head"),
     (lambda doc: doc["instance_net"]["weights"].pop(), "instance_net"),
-], ids=["no-head", "no-depth", "no-instance-weights", "ragged-head-weights", "short-instance-weights"])
+    (lambda doc: doc.update(depth=3.0), "field 'depth' must be an integer, got 3.0"),
+    (lambda doc: doc.update(depth=3.5), "field 'depth' must be an integer, got 3.5"),
+    (lambda doc: doc.update(depth="3"), "field 'depth' must be an integer, got '3'"),
+    (lambda doc: doc.update(depth=True), "field 'depth' must be an integer, got True"),
+], ids=["no-head", "no-depth", "no-instance-weights", "ragged-head-weights", "short-instance-weights",
+        "float-depth", "fractional-depth", "string-depth", "bool-depth"])
 def test_malformed_checkpoint_names_file_and_key(tmp_path, edit, named):
     path = tmp_path / "clf.json"
     doc = classifier_to_json_dict(init_classifier(4, 3, depth=3, seed=0))

@@ -524,6 +524,27 @@ class TestSynthAndEvaluate:
         assert err.startswith("data error:") and str(enh) in err and named in err
 
 
+    @pytest.mark.parametrize("name, key, value, named", [
+        ("enhancer.json", "use_instance_graph", "false",
+         "field 'use_instance_graph' must be a boolean, got 'false'"),
+        ("enhancer.json", "instance_k", 2.9, "field 'instance_k' must be an integer, got 2.9"),
+        ("classifier.json", "depth", 2.0, "field 'depth' must be an integer, got 2.0"),
+    ], ids=["string-flag", "float-k", "float-depth"])
+    def test_checkpoint_scalar_of_another_type_exit_2_without_traceback(
+            self, tmp_path, capsys, name, key, value, named):
+        out = tmp_path / "run"
+        assert run_train(out) == 0
+        path = out / name
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        assert main(["evaluate", *FAST, "--enhancer", str(out / "enhancer.json"),
+                     "--classifier", str(out / "classifier.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+        assert str(path) in err and named in err
+
+
 class TestReportCommand:
     def make_report(self, path, method, dataset, metrics):
         path.write_text(json.dumps({

@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,22 +266,13 @@ def test_graph_chunk_size_changes_no_bit(monkeypatch, seed):
             assert getattr(out[budget], name).tobytes() == getattr(out[default], name).tobytes()
 
 
-def by_thread(builds):
-    """The builds of a list of (thread, build) in the order each thread made them."""
-    out = {}
-    for thread, build in builds:
-        out.setdefault(thread, []).append(build)
-    return list(out.values())
-
-
 @pytest.mark.parametrize("instances, oversized", [((2, 5), None), ((20, 50), 70)])
 def test_graph_chunks_keep_the_cell_budget_and_change_no_bit(monkeypatch, instances, oversized):
     """A set's distances do not depend on the padded size of its chunk, so
-    neither the budget nor the worker count moves a bit. A pass above the
-    budget is cut into chunks that each hold at most half the budget's
-    cells, or one bag larger than that, and end where the next bag would
-    break them. Each worker builds its chunks largest first, and the
-    workers' cells differ by at most one chunk."""
+    the budget moves no bit. A pass above the budget is cut into chunks
+    that each hold at most the budget's cells, or one bag larger than that,
+    and end where the next bag would break them. The chunks are built in
+    their bags' size order, on the calling thread."""
     lo, hi = instances
     ds, _ = generate_synthetic(SyntheticConfig(num_bags=60, instances_min=lo, instances_max=hi,
                                                seed=4))
@@ -288,204 +281,87 @@ def test_graph_chunks_keep_the_cell_budget_and_change_no_bit(monkeypatch, instan
         bags.insert(7, make_bag(np.random.default_rng(5), oversized, ds.feature_dim,
                                 ds.label_count))
     model = init_enhancer(ds.feature_dim, ds.label_count, seed=3)
-    builds = []  # (thread, (bags, largest bag, smallest bag)) per build
+    chunks = []  # (bags, largest bag, smallest bag) per build
     real = enh_mod._graph_means
+    caller = threading.current_thread()
 
     def recorded(model, batch, grad=True):
-        builds.append((threading.current_thread(),
-                       (len(batch), int(batch.counts.max()), int(batch.counts.min()))))
+        assert threading.current_thread() is caller
+        chunks.append((len(batch), int(batch.counts.max()), int(batch.counts.min())))
         return real(model, batch, grad)
 
     monkeypatch.setattr(enh_mod, "_graph_means", recorded)
     out = []
-    for workers in (1, 2):
-        monkeypatch.setattr(enh_mod, "_graph_workers", lambda: workers)
-        for budget in (1 << 4, 1 << 9, 1 << 12, enh_mod.GRAPH_CHUNK_CELLS):
-            monkeypatch.setattr(enh_mod, "GRAPH_CHUNK_CELLS", budget)
-            builds.clear()
-            batch = enhance_batch(model, bags)
-            out.append([a.tobytes() for a in (batch.logits, batch.distributions,
-                                              batch.confidences)])
-            chunks = [chunk for _, chunk in builds]
-            assert sum(b for b, _, _ in chunks) == len(bags)
-            if len(bags) * max(b.instances.shape[0] for b in bags) ** 2 <= budget:
-                assert len(chunks) == 1 and builds[0][0] is threading.current_thread()
-                continue
-            shares = by_thread(builds)
-            assert len(shares) == min(workers, len(chunks))
-            loads = []
-            for share in shares:
-                cells = [b * n * n for b, n, _ in share]
-                assert cells == sorted(cells, reverse=True)
-                loads.append(sum(cells))
-            assert max(loads) - min(loads) <= max(b * n * n for b, n, _ in chunks)
-            half = budget // 2
-            for b, n, _ in chunks:
-                assert b * n * n <= half or b == 1
-            # the chunks in size order; of two with the same bags' sizes, the full one first
-            in_order = sorted(chunks, key=lambda c: (c[2], c[1], -c[0]))
-            for (b, _, _), (_, _, next_first) in zip(in_order, in_order[1:]):
-                assert (b + 1) * next_first ** 2 > half
-            if oversized and oversized ** 2 > half:
-                assert (1, oversized, oversized) in chunks
+    for budget in (1 << 4, 1 << 9, 1 << 12, enh_mod.GRAPH_CHUNK_CELLS):
+        monkeypatch.setattr(enh_mod, "GRAPH_CHUNK_CELLS", budget)
+        chunks.clear()
+        batch = enhance_batch(model, bags)
+        out.append([a.tobytes() for a in (batch.logits, batch.distributions,
+                                          batch.confidences)])
+        assert sum(b for b, _, _ in chunks) == len(bags)
+        if len(bags) * max(b.instances.shape[0] for b in bags) ** 2 <= budget:
+            assert len(chunks) == 1
+            continue
+        for b, n, _ in chunks:
+            assert b * n * n <= budget or b == 1
+        for (b, largest, _), (_, _, next_first) in zip(chunks, chunks[1:]):
+            assert largest <= next_first
+            assert (b + 1) * next_first ** 2 > budget
+        if oversized and oversized ** 2 > budget:
+            assert (1, oversized, oversized) in chunks
     assert all(o == out[0] for o in out)
 
 
-def test_chunked_pass_builds_each_workers_chunks_largest_first(monkeypatch):
-    """Each worker, the calling thread and one thread started for the pass,
-    builds its chunks largest first, at the default budget, where the
-    chunks' cell order is not their bags' size order. The label graph is
-    built last, on the calling thread."""
-    ds, _ = generate_synthetic(SyntheticConfig(num_bags=300, instances_min=20, instances_max=50,
-                                               seed=4))
-    model = init_enhancer(ds.feature_dim, ds.label_count, seed=3)
-    monkeypatch.setattr(enh_mod, "_graph_workers", lambda: 2)
-    builds = []  # (thread, (cells, sets)) per build
-    real = enh_mod.mutual_knn_median
-
-    def recorded(points, counts, k, grad=True):
-        builds.append((threading.current_thread(), (points.shape[0] * points.shape[1] ** 2,
-                                                    len(points))))
-        return real(points, counts, k, grad=grad)
-
-    monkeypatch.setattr(enh_mod, "mutual_knn_median", recorded)
-    enhance_batch(model, ds.bags)
-    # the last build is the label graph's, on the calling thread after the join
-    assert builds[-1][0] is threading.current_thread()
-    instance = builds[:-1]
-    assert len(instance) > 3 and sum(sets for _, (_, sets) in instance) == len(ds)
-    threads = {thread for thread, _ in instance}
-    assert len(threads) == 2 and threading.current_thread() in threads
-    # the chunks' cell order is not their bags' size order
-    by_cells = sorted((cells, round((cells / sets) ** 0.5)) for _, (cells, sets) in instance)
-    sizes = [n for _, n in by_cells]
-    assert sizes != sorted(sizes) and sizes != sorted(sizes, reverse=True)
-    for share in by_thread(instance):
-        cells = [c for c, _ in share]
-        assert cells == sorted(cells, reverse=True)
-
-
-class TimedThread(threading.Thread):
-    """A thread whose join gives up after a timeout and records whether it returned in time."""
-
-    started, late = [], []
-
-    def start(self):
-        TimedThread.started.append(self)
-        super().start()
-
-    def join(self, timeout=None):
-        super().join(timeout=60)
-        TimedThread.late.append(self.is_alive())
-
-
-@pytest.fixture
-def timed_threads(monkeypatch):
-    """Threads started by the program are TimedThreads; the lists are emptied first."""
-    TimedThread.started.clear()
-    TimedThread.late.clear()
-    monkeypatch.setattr(threading, "Thread", TimedThread)
-    return TimedThread
-
-
-def test_worker_count_changes_no_bit(monkeypatch, timed_threads):
-    """The chunks do not depend on the worker count, and each chunk writes only
-    its own rows, so 1 and 2 workers give the same bits, with a thread
-    switch forced as often as the interpreter allows. Bags of 2-60 instances
-    make chunks padded to many sizes. Two workers start one thread."""
-    ds, _ = generate_synthetic(SyntheticConfig(num_bags=120, instances_min=2, instances_max=60,
-                                               seed=8))
-    model = init_enhancer(ds.feature_dim, ds.label_count, seed=2)
-    # chunks of up to 256 cells: 5 bags of 7, one bag of 16 or more
-    monkeypatch.setattr(enh_mod, "GRAPH_CHUNK_CELLS", 1 << 9)
-    out, builds = {}, {}
-    interval = sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-6)
-        for workers in (1, 2):
-            monkeypatch.setattr(enh_mod, "_graph_workers", lambda: workers)
-            before = enh_mod.instance_graph_build_count()
-            batch = enhance_batch(model, ds.bags)
-            builds[workers] = enh_mod.instance_graph_build_count() - before
-            out[workers] = [a.tobytes() for a in (batch.logits, batch.distributions,
-                                                  batch.confidences)]
-    finally:
-        sys.setswitchinterval(interval)
-    assert out[2] == out[1]
-    assert builds == {1: len(ds), 2: len(ds)}
-    assert len(timed_threads.started) == 1
-    assert timed_threads.late == [False]
-
-
-def test_one_share_makes_no_pool(monkeypatch, timed_threads):
-    """A chunked pass whose second share has no chunk, on one worker or with
-    one bag above the budget, builds on the calling thread and makes no
-    pool; a pass with two shares makes one."""
-    ds, _ = generate_synthetic(SyntheticConfig(num_bags=40, instances_min=20, instances_max=50,
-                                               seed=4))
-    model = init_enhancer(ds.feature_dim, ds.label_count, seed=3)
-    monkeypatch.setattr(enh_mod, "GRAPH_CHUNK_CELLS", 1 << 9)
-    pools = []
-    init = ThreadPoolExecutor.__init__
-
-    def recorded(pool, *args, **kwargs):
-        pools.append(pool)
-        init(pool, *args, **kwargs)
-
-    monkeypatch.setattr(ThreadPoolExecutor, "__init__", recorded)
-    chunked = []  # bags per chunked pass
-    real = enh_mod._chunked_graph_means
+def test_chunked_pass_starts_no_thread(monkeypatch):
+    """A pass over the 500 bags of 20-50 instances of the wide-bags benchmark
+    shape is chunked at the default budget and builds every chunk on the
+    calling thread: it starts no thread."""
+    ds, _ = generate_synthetic(SyntheticConfig(instances_min=20, instances_max=50, seed=5))
+    model = init_enhancer(ds.feature_dim, ds.label_count, seed=5)
+    assert len(ds) * max(b.instances.shape[0] for b in ds.bags) ** 2 > enh_mod.GRAPH_CHUNK_CELLS
+    chunked, started = [], []
+    real_chunked = enh_mod._chunked_graph_means
+    real_start = threading.Thread.start
 
     def counted(model, batch):
         chunked.append(len(batch))
-        return real(model, batch)
+        return real_chunked(model, batch)
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
 
     monkeypatch.setattr(enh_mod, "_chunked_graph_means", counted)
-    oversized = make_bag(np.random.default_rng(5), 30, ds.feature_dim, ds.label_count)
-    for workers, bags, made in ((1, ds.bags, 0), (2, [oversized], 0), (2, ds.bags, 1)):
-        monkeypatch.setattr(enh_mod, "_graph_workers", lambda: workers)
-        pools.clear()
-        enhance_batch(model, bags)
-        assert chunked.pop() == len(bags)
-        assert len(pools) == made
-    assert len(timed_threads.started) == 1
+    monkeypatch.setattr(threading.Thread, "start", start)
+    enhance_batch(model, ds.bags)
+    assert chunked == [len(ds)]
+    assert started == []
 
 
-@pytest.mark.parametrize("failing", ["calling", "other"])
-def test_worker_failure_is_raised_after_the_join(monkeypatch, timed_threads, failing):
-    """A chunk that raises in either worker stops the pass with its own
-    exception, once the other worker has been joined."""
-    ds, _ = generate_synthetic(SyntheticConfig(num_bags=200, instances_min=20, instances_max=50,
-                                               seed=4))
-    model = init_enhancer(ds.feature_dim, ds.label_count, seed=3)
-    monkeypatch.setattr(enh_mod, "_graph_workers", lambda: 2)
-    caller = threading.current_thread()
-    real = enh_mod._graph_means
+# Imports the enhancer, runs one chunked wide-bags-shape pass and prints
+# whether concurrent.futures is among the imported modules.
+_CHUNKED_PASS_MODULES = """
+import json, sys
+import glemiml.enhancer as enh_mod
+from glemiml.data import SyntheticConfig, generate_synthetic
 
-    def failing_chunk(model, batch, grad=True):
-        if (threading.current_thread() is caller) == (failing == "calling"):
-            raise ShapeError("a chunk failed")
-        return real(model, batch, grad)
-
-    monkeypatch.setattr(enh_mod, "_graph_means", failing_chunk)
-    active = threading.active_count()
-    with pytest.raises(ShapeError, match="a chunk failed"):
-        enhance_batch(model, ds.bags)
-    assert threading.active_count() == active
-    assert len(timed_threads.started) == 1 and timed_threads.late == [False]
+ds, _ = generate_synthetic(SyntheticConfig(instances_min=20, instances_max=50, seed=5))
+model = enh_mod.init_enhancer(ds.feature_dim, ds.label_count, seed=5)
+enh_mod.enhance_batch(model, ds.bags)
+cells = len(ds) * max(b.instances.shape[0] for b in ds.bags) ** 2
+print(json.dumps([cells > enh_mod.GRAPH_CHUNK_CELLS, "concurrent.futures" in sys.modules]))
+"""
 
 
-def test_graph_workers_follow_the_usable_cpus(monkeypatch):
-    """Two workers at most; the CPUs the process may run on, or where the
-    platform cannot tell them, the machine's CPU count, or one."""
-    monkeypatch.setattr(enh_mod.os, "sched_getaffinity", lambda pid: {3}, raising=False)
-    assert enh_mod._graph_workers() == 1
-    monkeypatch.setattr(enh_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    assert enh_mod._graph_workers() == 2
-    monkeypatch.delattr(enh_mod.os, "sched_getaffinity", raising=False)
-    for cpus, workers in ((None, 1), (1, 1), (2, 2), (8, 2)):
-        monkeypatch.setattr(enh_mod.os, "cpu_count", lambda: cpus)
-        assert enh_mod._graph_workers() == workers
+def test_chunked_pass_imports_no_pool_module():
+    """A chunked pass, in a fresh process, leaves concurrent.futures (and the
+    logging it imports, about 0.5 MiB resident) unimported."""
+    src = str(Path(enh_mod.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _CHUNKED_PASS_MODULES], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == [True, False]
 
 
 def test_wide_bag_pass_memory_stays_bounded():
@@ -493,8 +369,9 @@ def test_wide_bag_pass_memory_stays_bounded():
     benchmark set (seed 5) peaked at 6.62 MB when each of its seven chunks
     took a fresh GraphBuffers and the sigma net's cache lived through each
     build, and at 5.47 MB with one holder per pass, largest chunk first, and
-    the cache freed. With each build allocating its own arrays it peaks at
-    4.5-5.4 MB on two workers, as their builds happen to overlap."""
+    the cache freed. Built on the calling thread alone, in seven chunks of
+    up to GRAPH_CHUNK_CELLS cells, each allocating its own arrays, it peaks
+    at 5.48 MB on every pass."""
     ds, _ = generate_synthetic(SyntheticConfig(instances_min=20, instances_max=50, seed=5))
     model = init_enhancer(ds.feature_dim, ds.label_count, seed=5)
     enhance_batch(model, ds.bags)
@@ -729,8 +606,16 @@ def test_checkpoint_roundtrip(tmp_path, model):
     (lambda doc: doc["sigma"]["biases"][-1].append(0.0), "sigma"),
     (lambda doc: doc.update(k_label=0), "k_label must be >= 1"),
     (lambda doc: doc.update(instance_k=-1), "instance_k and k_label must be >= 1"),
+    (lambda doc: doc.update(use_instance_graph="false"),
+     "field 'use_instance_graph' must be a boolean, got 'false'"),
+    (lambda doc: doc.update(use_instance_graph=1),
+     "field 'use_instance_graph' must be a boolean, got 1"),
+    (lambda doc: doc.update(instance_k=2.9), "field 'instance_k' must be an integer, got 2.9"),
+    (lambda doc: doc.update(k_label=True), "field 'k_label' must be an integer, got True"),
+    (lambda doc: doc.update(k_label="3"), "field 'k_label' must be an integer, got '3'"),
 ], ids=["no-sigma", "no-omega2-biases", "short-omega1-weights", "extra-omega3-activation",
-        "long-sigma-bias", "zero-k-label", "negative-instance-k"])
+        "long-sigma-bias", "zero-k-label", "negative-instance-k", "string-flag", "int-flag",
+        "float-instance-k", "bool-k-label", "string-k-label"])
 def test_malformed_checkpoint_names_file_and_key(tmp_path, model, edit, named):
     path = tmp_path / "enh.json"
     doc = enh_mod.enhancer_to_json_dict(model)
@@ -835,7 +720,7 @@ class TestFrozenLabelGraph:
     def test_each_bag_depends_on_that_bag_alone(self, trained, seed, sizes, data):
         """Ragged bags in any order: each row of a call equals the call on
         that bag alone, within 1e-12. Calls of more than GRAPH_CHUNK_CELLS
-        cells build their instance graphs in chunks, on two workers."""
+        cells build their instance graphs in chunks."""
         enh, ds = trained
         rng = np.random.default_rng(seed)
         bags = [Bag(rng.normal(size=(n, ds.feature_dim)),

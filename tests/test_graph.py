@@ -534,9 +534,8 @@ class TestMutualPairWeights:
 
 
 def test_memoised_plans_and_gather_indices_are_shared_and_read_only():
-    """Builds of the same (counts, N, k), and both workers of a chunked
-    enhancer pass, share one GraphPlan, and stacks of the same n one gather
-    index, so writing into either raises."""
+    """Builds of the same (counts, N, k) share one GraphPlan, and stacks of
+    the same n one gather index, so writing into either raises."""
     counts = np.array([4, 2, 3])
     points = np.random.default_rng(0).normal(size=(3, 4, 2))
     plan = mutual_knn_median(points, counts, 2)[1]["plan"]

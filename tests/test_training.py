@@ -390,62 +390,61 @@ def test_ablation_constant_exported():
     assert ABLATIONS == ("full", "A", "B", "C")
 
 
-class TestGraphWorkers:
-    """Training's forward-only rebuild goes through the chunked, two-worker
-    enhancer pass only when a batch holds more than GRAPH_CHUNK_CELLS cells;
-    so does the freeze's pass over the whole split after the last batch."""
+class TestChunkedTrainingPasses:
+    """Training's forward-only rebuild goes through the chunked enhancer pass
+    only when a batch holds more than GRAPH_CHUNK_CELLS cells; so does the
+    freeze's pass over the whole split after the last batch. Every build
+    runs on the calling thread."""
 
     @staticmethod
     def record_instance_builds(monkeypatch):
-        """(thread, grad, on the calling thread) of each instance-graph build."""
+        """(grad, bags) of each instance-graph build, each checked to run on the calling thread."""
         builds = []
         real = enh_mod._graph_means
         caller = threading.current_thread()
 
         def recorded(model, batch, grad=True):
-            builds.append((threading.current_thread(), grad, threading.current_thread() is caller))
+            assert threading.current_thread() is caller
+            builds.append((grad, len(batch)))
             return real(model, batch, grad)
 
         monkeypatch.setattr(enh_mod, "_graph_means", recorded)
         return builds
 
-    def test_wide_epoch_at_batch_32_builds_its_batches_on_the_calling_thread(self, monkeypatch):
-        """Batches of 32 bags of 20-50 instances hold up to 80,000 cells: more
-        than a chunk's half budget, within GRAPH_CHUNK_CELLS, so each takes
-        one build on the calling thread. The freeze's pass over all 64 bags
-        holds more than GRAPH_CHUNK_CELLS, so it alone starts a thread."""
+    def test_wide_epoch_at_batch_32_takes_one_build_per_batch_and_starts_no_thread(
+            self, monkeypatch):
+        """Batches of 32 bags of 20-50 instances hold up to 80,000 cells,
+        within GRAPH_CHUNK_CELLS, so each takes one build. The freeze's pass
+        over all 64 bags holds more than GRAPH_CHUNK_CELLS and is chunked.
+        No thread is started."""
         ds, _ = generate_synthetic(SyntheticConfig(num_bags=64, instances_min=20,
                                                    instances_max=50, seed=5))
-        monkeypatch.setattr(enh_mod, "_graph_workers", lambda: 2)
         builds = self.record_instance_builds(monkeypatch)
-        started = []  # the builds made before each thread start
+        started = []
         real_start = threading.Thread.start
 
         def start(thread):
-            started.append(len(builds))
+            started.append(thread)
             real_start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", start)
         train(ds, None, TrainConfig(epochs=1, batch_size=32, seed=5))
-        assert started == [4]
-        assert all(on_caller for _, _, on_caller in builds[:4])
+        assert started == []
+        # each batch's enhancer step and forward-only rebuild, then the freeze's chunks
+        assert builds[:4] == [(True, 32), (False, 32)] * 2
         freeze = builds[4:]
-        assert any(on_caller for _, _, on_caller in freeze)
-        assert len({thread for thread, _, on_caller in freeze if not on_caller}) == 1
+        assert len(freeze) > 1 and sum(bags for _, bags in freeze) == 64
         widest = max(bag.instances.shape[0] for bag in ds.bags)
-        assert enh_mod.GRAPH_CHUNK_CELLS // 2 < 32 * widest ** 2 <= enh_mod.GRAPH_CHUNK_CELLS
+        assert 32 * widest ** 2 <= enh_mod.GRAPH_CHUNK_CELLS
         assert 64 * widest ** 2 > enh_mod.GRAPH_CHUNK_CELLS
 
-    def test_chunked_rebuild_gives_the_same_bits_on_one_and_two_workers(self, monkeypatch):
+    def test_chunked_rebuild_gives_the_same_bits_as_one_build(self, monkeypatch):
         """With a budget below a batch's cells, every forward-only rebuild is
-        chunked, and so is the freeze's pass. One and two workers train the
-        same parameters, history and frozen label graph, and with two, every
-        batch's rebuild and the freeze build chunks on the calling thread and
-        on one thread started for that pass, while the enhancer step builds
-        on the calling thread."""
+        chunked, and so is the freeze's pass. It trains the same parameters,
+        history and frozen label graph as the default budget, where each
+        batch and the freeze take one build."""
         ds, _ = generate_synthetic(SyntheticConfig(num_bags=24, feature_dim=4, label_count=3,
                                                    instances_min=10, instances_max=20, seed=2))
-        monkeypatch.setattr(enh_mod, "GRAPH_CHUNK_CELLS", 1 << 10)
         builds = self.record_instance_builds(monkeypatch)
         real_freeze = tr_mod.freeze_label_graph
 
@@ -454,24 +453,20 @@ class TestGraphWorkers:
             real_freeze(model, batch)
 
         monkeypatch.setattr(tr_mod, "freeze_label_graph", marked_freeze)
-        out = {}
-        for workers in (1, 2):
-            monkeypatch.setattr(enh_mod, "_graph_workers", lambda: workers)
+        default = enh_mod.GRAPH_CHUNK_CELLS
+        out, passes = {}, {}
+        for budget in (1 << 10, default):
+            monkeypatch.setattr(enh_mod, "GRAPH_CHUNK_CELLS", budget)
             builds.clear()
             enh, clf, hist = train(ds, None, TrainConfig(epochs=2, batch_size=8, seed=2))
-            out[workers] = (enhancer_params(enh).tobytes(), classifier_params(clf).tobytes(),
-                            repr(hist.records), enh.label_graph.tobytes())
-        assert out[2] == out[1]
-        # the last run's builds: one batch per enhancer-step build, then the freeze
-        freeze = builds.index("freeze")
-        steps = [i for i, (_, grad, _) in enumerate(builds[:freeze]) if grad]
-        assert len(steps) == 2 * 3
-        assert all(builds[i][2] for i in steps)
-        workers = []
-        for lo, hi in zip(steps + [freeze], steps[1:] + [freeze, len(builds)]):
-            rebuild = builds[lo + 1:hi]
-            assert any(on_caller for _, _, on_caller in rebuild)
-            others = {thread for thread, _, on_caller in rebuild if not on_caller}
-            assert len(others) == 1
-            workers.extend(others)
-        assert len(set(workers)) == len(steps) + 1
+            out[budget] = (enhancer_params(enh).tobytes(), classifier_params(clf).tobytes(),
+                           repr(hist.records), enh.label_graph.tobytes())
+            # the builds of each forward-only pass: after each enhancer step, and the freeze's
+            freeze = builds.index("freeze")
+            steps = [i for i, build in enumerate(builds[:freeze]) if build[0]]
+            assert len(steps) == 2 * 3
+            passes[budget] = [len(builds[lo + 1:hi]) for lo, hi in
+                              zip(steps + [freeze], steps[1:] + [freeze, len(builds)])]
+        assert out[1 << 10] == out[default]
+        assert all(n > 1 for n in passes[1 << 10])
+        assert passes[default] == [1] * 7
